@@ -12,29 +12,31 @@ unreadable input, 3 run aborted (chain limit).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from .algebra import occurrences, occurrence_sort_key
 from .engine import triggering_graph
 from .errors import ReactorError
-from .harness import load_trace, run_replay
+from .harness import _canon, load_trace, run_replay
 from .model import make_event
 from .parser import parse_expr, parse_rules
-
-
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_rules(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ReactorError(f"cannot read rules file: {e}") from None
     return parse_rules(text)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -101,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="synthesize timer events with this period",
     )
     run.add_argument(
-        "--chain-limit", type=int, default=1000,
+        "--chain-limit", type=positive_int, default=1000,
         help="maximum reaction chaining depth (default 1000)",
     )
     run.add_argument(

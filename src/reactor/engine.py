@@ -1,13 +1,15 @@
 """Rule dispatch: transactional actions, reaction chaining, cycle analysis.
 
-Each firing runs its actions against a shadow copy of the fact base. Updates
-are set-semantic: asserting a present fact or retracting an absent one is a
-no-op and raises no event, which is what lets well-formed rule chains bottom
-out. If the rule's postcondition is satisfiable on the shadow state the
-transaction commits: the journal gets the effective ops, and one internal
-event per op (assert:NAME / retract:NAME with the fact args as payload) plus
-any emitted events join the dispatch queue. Otherwise everything is
-discarded and the firing reports rolled_back with zero events.
+Each firing runs its actions as a transaction: an overlay of pending asserts
+and retracts over the live fact base, which stays untouched until commit.
+Updates are set-semantic: asserting a present fact or retracting an absent
+one is a no-op and raises no event, which is what lets well-formed rule
+chains bottom out. If the rule's postcondition is satisfiable on the store
+as the overlay shows it, the transaction commits: the store applies and
+journals the effective ops, and one internal event per op (assert:NAME /
+retract:NAME with the fact args as payload) plus any emitted events join
+the dispatch queue. Otherwise the overlay is dropped and the firing reports
+rolled_back with zero events.
 
 Chaining is breadth-first at the triggering event's timestamp; the chain
 depth counts queue generations and a configurable limit guards against
@@ -21,7 +23,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Occurrence, expr_leaf_types
 from .detection import Detector, DetectorConfig, new_detector
@@ -46,6 +48,7 @@ from .rules import (
     FactTemplate,
     KnowledgeBase,
     NoopAction,
+    Overlay,
     RetractAction,
     Rule,
     RuleSet,
@@ -102,12 +105,11 @@ def _run_actions(
     at: TimePoint,
     id_source: Optional[Callable[[], int]],
 ):
-    """Full transaction: returns (outcome, events, ops, action descriptions).
+    """Full transaction: returns (outcome, events, action descriptions).
 
     Commits to kb on success; touches nothing on rollback.
     """
-    shadow: dict[Fact, None] = {f: None for f in kb.facts()}
-    ops: list[tuple[str, Fact]] = []
+    txn = Overlay(kb)
     pending: list[tuple[str, TimePoint, dict[str, Scalar]]] = []  # event specs
     done: list[tuple] = []
 
@@ -115,16 +117,12 @@ def _run_actions(
         if isinstance(act, AssertAction):
             fact = instantiate_fact(act.fact, bindings)
             done.append(("assert", fact))
-            if fact not in shadow:
-                shadow[fact] = None
-                ops.append(("assert", fact))
+            if txn.add(fact):
                 pending.append((ASSERT_PREFIX + fact.name, at, _fact_payload(fact)))
         elif isinstance(act, RetractAction):
             fact = instantiate_fact(act.fact, bindings)
             done.append(("retract", fact))
-            if fact in shadow:
-                del shadow[fact]
-                ops.append(("retract", fact))
+            if txn.discard(fact):
                 pending.append((RETRACT_PREFIX + fact.name, at, _fact_payload(fact)))
         elif isinstance(act, EmitAction):
             try:
@@ -140,19 +138,17 @@ def _run_actions(
         else:
             raise TypeError(f"not an action: {act!r}")
 
-    if post is not None:
-        shadow_kb = KnowledgeBase(list(shadow))
-        if not evaluate_condition(post, bindings, shadow_kb, at, fluents):
-            return TxnOutcome.ROLLED_BACK, [], [], tuple(done)
+    if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
+        return TxnOutcome.ROLLED_BACK, [], tuple(done)
 
-    kb.commit(ops)
+    kb.commit(txn.ops)
     counter = iter(range(1, len(pending) + 1))
     mint = id_source if id_source is not None else (lambda: next(counter))
     events = [
         make_event(event_type(name), t, payload, mint())
         for (name, t, payload) in pending
     ]
-    return TxnOutcome.COMMITTED, events, ops, tuple(done)
+    return TxnOutcome.COMMITTED, events, tuple(done)
 
 
 def apply_actions_txn(
@@ -168,7 +164,7 @@ def apply_actions_txn(
 
     Returns (outcome, produced events); rolled-back firings produce none.
     """
-    outcome, events, _, _ = _run_actions(
+    outcome, events, _ = _run_actions(
         actions, bindings, kb, post, fluents, at, id_source
     )
     return outcome, events
@@ -269,7 +265,7 @@ class Engine:
                     sols.sort(key=_solution_order_key)
                     for sol in sols:
                         try:
-                            outcome, events, _ops, acts = _run_actions(
+                            outcome, events, acts = _run_actions(
                                 rule.actions, sol, self.kb, rule.post,
                                 self.fluents, at, self.next_id,
                             )
@@ -336,17 +332,18 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
     loop.
     """
     order = {rule.id: i for i, rule in enumerate(ruleset.rules)}
-    listens = {rule.id: expr_leaf_types(rule.on) for rule in ruleset.rules}
+    listeners: dict[str, list[int]] = {}
+    for i, rule in enumerate(ruleset.rules):
+        for type_name in expr_leaf_types(rule.on):
+            listeners.setdefault(type_name, []).append(i)
     edges: list[tuple[str, str]] = []
     adj: dict[str, list[str]] = {rule.id: [] for rule in ruleset.rules}
     for r in ruleset.rules:
-        raised = _raised_types(r)
-        if not raised:
-            continue
-        for s in ruleset.rules:
-            if raised & listens[s.id]:
-                edges.append((r.id, s.id))
-                adj[r.id].append(s.id)
+        targets = {i for t in _raised_types(r) for i in listeners.get(t, ())}
+        for i in sorted(targets):
+            s = ruleset.rules[i].id
+            edges.append((r.id, s))
+            adj[r.id].append(s)
 
     cycles = _cyclic_components(list(order), adj, order)
     return TriggeringGraph(tuple(order), tuple(edges), tuple(cycles))
@@ -355,38 +352,47 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
 def _cyclic_components(
     nodes: list[str], adj: dict[str, list[str]], order: dict[str, int]
 ) -> list[tuple[str, ...]]:
-    """Tarjan SCC; returns components that actually contain a cycle."""
+    """Tarjan SCC, iterative so that long chains need no deep recursion;
+    returns the components that actually contain a cycle."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = [0]
     found: list[tuple[str, ...]] = []
+    work: list[tuple[str, Iterator[str]]] = []  # the DFS path, with next edges
 
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in adj[v]:
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            if len(comp) > 1 or v in adj[v]:
-                found.append(tuple(sorted(comp, key=lambda n: order[n])))
+        work.append((v, iter(adj[v])))
 
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
+    for root in nodes:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1 or v in adj[v]:
+                        found.append(tuple(sorted(comp, key=lambda n: order[n])))
     found.sort(key=lambda comp: order[comp[0]])
     return found

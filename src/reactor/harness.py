@@ -13,7 +13,9 @@ monotone around them).
 
 from __future__ import annotations
 
+import io
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -32,7 +34,7 @@ _SCALARS = (str, int, float, bool)
 
 
 def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def load_trace(source: Union[str, IO[str], Iterable[str]]) -> list[EventInstance]:
@@ -40,11 +42,18 @@ def load_trace(source: Union[str, IO[str], Iterable[str]]) -> list[EventInstance
 
     ``source`` is a path or an iterable of lines. Blank lines are skipped.
     Returns instances with ids 1..n in line order. Raises TraceError (or a
-    subclass) carrying the offending 1-based line number.
+    subclass) carrying the offending 1-based line number; a file that is not
+    UTF-8 counts as a bad trace too.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse_lines(fh)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise TraceError(f"not valid UTF-8: {e.reason}", line) from None
+        return _parse_lines(io.StringIO(text, newline=None))
     return _parse_lines(source)
 
 
@@ -78,6 +87,8 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
         for k, v in payload.items():
             if not isinstance(v, _SCALARS):
                 raise TraceError(f"payload field {k!r} must be a scalar", lineno)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise TraceError(f"payload field {k!r} must be finite", lineno)
         extra = set(obj) - {"type", "time", "payload"}
         if extra:
             raise TraceError(f"unknown field {sorted(extra)[0]!r}", lineno)

@@ -11,7 +11,7 @@ succeed only when nothing in the fact base matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import EventExpr
 from .detection import ConsumptionPolicy, SelectionPolicy
@@ -220,11 +220,19 @@ class KnowledgeBase:
     one changes nothing and journals nothing. The journal records, per
     committed transaction, the ops that actually changed state, so replaying
     it over the initial facts reproduces the current state exactly.
+
+    Lookups go through ``candidates``, which reads an index keyed by
+    ``(name, arity)`` and by ``(name, arity, position, value)``: the alpha
+    memory of a Rete network. The index is built at the first lookup and
+    kept up to date by ``commit`` from then on, so a store nobody queries
+    never pays for it. Its buckets keep insertion order, so candidates come
+    out in ``facts()`` order.
     """
 
     def __init__(self, initial_facts: Sequence[Fact] = ()):
         self.initial: tuple[Fact, ...] = tuple(initial_facts)
         self._facts: dict[Fact, None] = {f: None for f in self.initial}
+        self._index: Optional[dict[tuple, dict[Fact, None]]] = None
         self.journal: list[tuple[tuple[str, Fact], ...]] = []
 
     def __contains__(self, fact: Fact) -> bool:
@@ -239,13 +247,45 @@ class KnowledgeBase:
     def snapshot(self) -> frozenset[Fact]:
         return frozenset(self._facts)
 
+    def candidates(
+        self, name: str, arity: int, bound: Sequence[tuple[int, Scalar]]
+    ) -> Iterable[Fact]:
+        """The facts named ``name`` with ``arity`` args that may unify.
+
+        ``bound`` lists ``(position, value)`` pairs the lookup fixes; the
+        result is the smallest index bucket among them (the whole
+        ``(name, arity)`` bucket when there are none). It can still hold
+        facts that do not unify, so callers check each one. The result is
+        live: do not commit while iterating over it.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for fact in self._facts:
+                _index_add(index, fact)
+        best = index.get((name, arity))
+        if best is None:
+            return ()
+        for pos, value in bound:
+            bucket = index.get((name, arity, pos, value))
+            if bucket is None:
+                return ()
+            if len(bucket) < len(best):
+                best = bucket
+        return best
+
     def commit(self, ops: Sequence[tuple[str, Fact]]) -> None:
         """Apply a transaction's effective ops and journal them."""
+        index = self._index
         for op, fact in ops:
             if op == "assert":
                 self._facts[fact] = None
+                if index is not None:
+                    _index_add(index, fact)
             elif op == "retract":
                 del self._facts[fact]
+                if index is not None:
+                    _index_discard(index, fact)
             else:
                 raise ValueError(f"unknown journal op {op!r}")
         self.journal.append(tuple(ops))
@@ -260,6 +300,82 @@ class KnowledgeBase:
                 else:
                     facts.pop(fact, None)
         return frozenset(facts)
+
+
+def _index_keys(fact: Fact) -> list[tuple]:
+    arity = len(fact.args)
+    keys: list[tuple] = [(fact.name, arity)]
+    keys += [(fact.name, arity, pos, arg) for pos, arg in enumerate(fact.args)]
+    return keys
+
+
+def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
+    for key in _index_keys(fact):
+        bucket = index.get(key)
+        if bucket is None:
+            bucket = index[key] = {}
+        bucket[fact] = None
+
+
+def _index_discard(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
+    for key in _index_keys(fact):
+        bucket = index[key]
+        del bucket[fact]
+        if not bucket:
+            del index[key]
+
+
+class Overlay:
+    """One transaction's pending updates over a live store.
+
+    Reads see the store plus the overlay, through the same ``in`` and
+    ``candidates`` interface as the store itself, in the order a copy of
+    the store with the updates applied would list them: surviving store
+    facts first, then added facts in the order they were added. The store
+    is not touched until ``kb.commit(overlay.ops)``; dropping the overlay
+    rolls the transaction back.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+        self.added: dict[Fact, None] = {}
+        self.removed: set[Fact] = set()
+        self.ops: list[tuple[str, Fact]] = []  # the effective ops, in order
+
+    def __contains__(self, fact: Fact) -> bool:
+        return fact in self.added or (fact not in self.removed and fact in self.kb)
+
+    def add(self, fact: Fact) -> bool:
+        """Assert ``fact``; False when it is already present."""
+        if fact in self:
+            return False
+        self.added[fact] = None
+        self.ops.append(("assert", fact))
+        return True
+
+    def discard(self, fact: Fact) -> bool:
+        """Retract ``fact``; False when it is absent."""
+        if fact not in self:
+            return False
+        if fact in self.added:
+            del self.added[fact]
+        else:
+            self.removed.add(fact)
+        self.ops.append(("retract", fact))
+        return True
+
+    def candidates(
+        self, name: str, arity: int, bound: Sequence[tuple[int, Scalar]]
+    ) -> Iterable[Fact]:
+        found = self.kb.candidates(name, arity, bound)
+        if self.removed:
+            found = [f for f in found if f not in self.removed]
+        if not self.added:
+            return found
+        return [
+            *found,
+            *(f for f in self.added if f.name == name and len(f.args) == arity),
+        ]
 
 
 # =========================================================================
@@ -294,8 +410,10 @@ def _compare(a: Scalar, op: str, b: Scalar) -> bool:
 def _unify_fact(
     lookup: FactLookup, fact: Fact, bindings: dict[str, Binding]
 ) -> Optional[dict[str, Binding]]:
-    if fact.name != lookup.name or len(fact.args) != len(lookup.terms):
-        return None
+    """Bindings extended so ``fact`` matches ``lookup``, or None.
+
+    ``fact`` must already have the lookup's name and arity.
+    """
     extended = dict(bindings)
     for term, arg in zip(lookup.terms, fact.args):
         if isinstance(term, VarRef) and term.name not in extended:
@@ -307,17 +425,38 @@ def _unify_fact(
     return extended
 
 
+def _bound_args(
+    lookup: FactLookup, bindings: dict[str, Binding]
+) -> list[tuple[int, Scalar]]:
+    """The (position, value) pairs ``bindings`` fix in ``lookup``.
+
+    Stops before the first term that cannot be evaluated: a fact that
+    matches the positions before it must still reach it in _unify_fact, so
+    the lookup raises exactly when a full scan would.
+    """
+    bound = []
+    for pos, term in enumerate(lookup.terms):
+        if isinstance(term, VarRef) and term.name not in bindings:
+            continue
+        try:
+            bound.append((pos, eval_term(term, bindings)))
+        except (MissingField, UnboundVariable):
+            break
+    return bound
+
+
 def evaluate_condition(
     cond: Optional[Condition],
     bindings: dict[str, Binding],
-    kb: KnowledgeBase,
+    kb: Union[KnowledgeBase, Overlay],
     at: int,
     fluents: Optional[FluentHistory] = None,
 ) -> list[dict[str, Binding]]:
     """All ways the conjunction holds; each solution extends `bindings`.
 
     An absent/None condition is vacuously true (one solution: the input
-    bindings). holds() atoms are judged at time `at`.
+    bindings). holds() atoms are judged at time `at`. Fact lookups read
+    ``kb.candidates``, so a transaction's overlay can stand in for the store.
     """
     solutions = [dict(bindings)]
     if cond is None:
@@ -334,14 +473,14 @@ def evaluate_condition(
                 if fluents is not None and fluents.holds_at(atom.fluent, at):
                     nxt.append(sol)
             elif isinstance(atom, FactLookup):
+                found = kb.candidates(
+                    atom.name, len(atom.terms), _bound_args(atom, sol)
+                )
                 if atom.negated:
-                    hit = any(
-                        _unify_fact(atom, f, sol) is not None for f in kb.facts()
-                    )
-                    if not hit:
+                    if not any(_unify_fact(atom, f, sol) is not None for f in found):
                         nxt.append(sol)
                 else:
-                    for f in kb.facts():
+                    for f in found:
                         extended = _unify_fact(atom, f, sol)
                         if extended is not None:
                             nxt.append(extended)

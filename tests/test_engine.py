@@ -1,5 +1,7 @@
 """Transactions, reaction dispatch, chaining, and the triggering graph."""
 
+import random
+
 import pytest
 
 from reactor import (
@@ -136,7 +138,7 @@ class TestTransactions:
             kb,
             at=1,
         )
-        # each op changed the shadow state at its point in the sequence, so
+        # each op changed the transaction's view at its point in the sequence, so
         # both are effective: two update events, journal nets to no change
         assert Fact("p") not in kb
         assert [e.type.name for e in events] == ["assert:p", "retract:p"]
@@ -419,3 +421,47 @@ class TestTriggeringGraph:
         )
         g = triggering_graph(rs)
         assert g.cycles == (("z", "a"),)
+
+    def test_long_acyclic_chain_needs_no_recursion(self):
+        n = 1500
+        rs = RuleSet(tuple(
+            Rule(f"r{i}", on(f"e{i}"), actions=(EmitAction(f"e{i + 1}", ()),))
+            for i in range(n)
+        ))
+        g = triggering_graph(rs)
+        assert g.edges == tuple((f"r{i}", f"r{i + 1}") for i in range(n - 1))
+        assert g.acyclic
+
+    def test_long_ring_is_one_cycle(self):
+        n = 1500
+        rs = RuleSet(tuple(
+            Rule(f"r{i}", on(f"e{i}"), actions=(EmitAction(f"e{(i + 1) % n}", ()),))
+            for i in range(n)
+        ))
+        assert triggering_graph(rs).cycles == (tuple(f"r{i}" for i in range(n)),)
+
+    def test_cycles_match_reachability_on_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randrange(1, 8)
+            rules = tuple(
+                Rule(
+                    f"r{i}", on(f"e{i}"),
+                    actions=tuple(
+                        EmitAction(f"e{j}", ()) for j in range(n) if rng.random() < 0.25
+                    ),
+                )
+                for i in range(n)
+            )
+            g = triggering_graph(RuleSet(rules))
+            succ = {r.id: {t for s, t in g.edges if s == r.id} for r in rules}
+            reach = {v: set(succ[v]) for v in succ}
+            for _ in range(n):
+                for v in reach:
+                    reach[v] |= {w for u in reach[v] for w in reach[u]}
+            expect = []
+            for r in rules:
+                comp = tuple(s.id for s in rules if s.id in reach[r.id] and r.id in reach[s.id])
+                if comp and comp[0] == r.id:
+                    expect.append(comp)
+            assert g.cycles == tuple(expect)

@@ -75,6 +75,33 @@ class TestLoadTrace:
             with pytest.raises(TraceError):
                 load_trace(trace_io(line))
 
+    def test_non_finite_payload_rejected(self):
+        for value in ("NaN", "Infinity", "-Infinity", "1e999"):
+            with pytest.raises(TraceError) as ei:
+                load_trace(trace_io(
+                    '{"type": "a", "time": 1, "payload": {"v": 1.5}}',
+                    '{"type": "a", "time": 2, "payload": {"v": %s}}' % value,
+                ))
+            assert ei.value.line == 2
+            assert "finite" in str(ei.value)
+
+    def test_non_utf8_file_rejected_with_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"type": "a", "time": 1}\n\xff\xfe\n')
+        with pytest.raises(TraceError) as ei:
+            load_trace(str(path))
+        assert ei.value.line == 2
+
+    def test_file_newlines_read_as_text_mode_would(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"type": "a", "time": 1}\r\n{"type": "b", "time": 2}\r'
+            b'{"type": "c", "time": 3, "payload": {"s": "\xe2\x80\xa8"}}\n'
+        )
+        got = load_trace(str(path))
+        assert [e.type.name for e in got] == ["a", "b", "c"]
+        assert got[2].payload == {"s": "\u2028"}
+
     def test_null_payload_treated_as_empty(self):
         (e,) = load_trace(trace_io('{"type": "a", "time": 1, "payload": null}'))
         assert e.payload == {}
@@ -174,6 +201,12 @@ class TestRunReplay:
         assert len(report.records) == 8  # depths 0..7 committed before abort
         summary = json.loads(report.to_jsonl().splitlines()[-1])["summary"]
         assert summary["error"] == report.error
+
+    def test_report_refuses_non_finite_numbers(self):
+        rs = parse_rules("rule r: on a do noop\n")
+        report = run_replay(rs, [], initial_facts=[Fact("p", (float("inf"),))])
+        with pytest.raises(ValueError):
+            report.to_jsonl()
 
     def test_report_kb_matches_journal_replay(self):
         rules = parse_rules(CASCADE_RULES)
@@ -295,6 +328,33 @@ class TestCli:
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["run"]) == 2
         capsys.readouterr()
+
+    def test_chain_limit_below_one_is_usage_error(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        for bad in ("0", "-3", "x"):
+            args = ["run", "--rules", rules, "--trace", trace, "--chain-limit", bad]
+            assert cli_main(args) == 2
+            assert "--chain-limit" in capsys.readouterr().err
+
+    def test_non_utf8_inputs_exit_2(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        assert cli_main(["run", "--rules", rules, "--trace", str(bad)]) == 2
+        assert "trace line 1" in capsys.readouterr().err
+        assert cli_main(["oracle", "--expr", "a", "--trace", str(bad)]) == 2
+        assert cli_main(["run", "--rules", str(bad), "--trace", trace]) == 2
+        assert cli_main(["check", "--rules", str(bad)]) == 2
+        capsys.readouterr()
+
+    def test_non_finite_payload_exit_2(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a as ?x do assert(seen(?x.v))\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1, "payload": {"v": NaN}}\n')
+        assert cli_main(["run", "--rules", rules, "--trace", trace]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_console_script_subprocess(self, tmp_path):
         rules = self.write(tmp_path, "r.rr", "rule r: on a do assert(p)\n")

@@ -1,0 +1,279 @@
+"""Indexed fact store and overlay transactions against a naive reference.
+
+The reference scans every fact for every lookup and runs each transaction
+on a full copy of the store, as the simplest reading of the semantics. The
+indexed store must agree with it exactly: the same solutions in the same
+order, the same exception type, the same outcomes, store order and journal.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reactor import (
+    AssertAction,
+    Comparison,
+    Condition,
+    Fact,
+    FactLookup,
+    FactTemplate,
+    FieldRef,
+    KnowledgeBase,
+    Lit,
+    MissingField,
+    RetractAction,
+    TemplateError,
+    TxnOutcome,
+    UnboundVariable,
+    VarRef,
+    apply_actions_txn,
+    evaluate_condition,
+    make_event,
+)
+from reactor.engine import instantiate_fact
+from reactor.model import ASSERT_PREFIX, RETRACT_PREFIX
+from reactor.rules import Overlay, _compare, eval_term
+
+NAN = float("nan")
+
+# 1 == 1.0 == True and 0 == 0.0 == False collide on purpose; NaN equals
+# nothing, the shared object and fresh ones alike.
+scalars = st.one_of(
+    st.sampled_from([0, 1, 2, 0.0, 1.0, 2.5, True, False, "a", "b", NAN]),
+    st.builds(float, st.just("nan")),
+)
+names = st.sampled_from(["p", "q"])
+facts = st.builds(Fact, names, st.lists(scalars, max_size=2).map(tuple))
+stores = st.lists(facts, max_size=12)
+terms = st.one_of(
+    st.builds(Lit, scalars),
+    st.builds(VarRef, st.sampled_from(["x", "y", "e"])),
+    st.builds(FieldRef, st.sampled_from(["e", "x", "z"]), st.sampled_from(["f", "g", "missing"])),
+)
+lookups = st.builds(
+    FactLookup, names, st.lists(terms, max_size=2).map(tuple), st.booleans()
+)
+comparisons = st.builds(
+    Comparison, terms, st.sampled_from(["=", "!=", "<", ">="]), terms
+)
+conditions = st.builds(
+    Condition,
+    st.lists(st.one_of(lookups, lookups, comparisons), min_size=1, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def bindings(draw):
+    payload = {k: draw(scalars) for k in draw(st.sets(st.sampled_from(["f", "g"])))}
+    out = {"e": make_event("ev", 1, payload, id=1)}
+    if draw(st.booleans()):
+        out["x"] = draw(scalars)
+    return out
+
+
+templates = st.builds(FactTemplate, names, st.lists(terms, max_size=2).map(tuple))
+actions = st.one_of(st.builds(AssertAction, templates), st.builds(RetractAction, templates))
+transactions = st.tuples(
+    st.lists(actions, max_size=4), st.one_of(st.none(), conditions), bindings()
+)
+
+
+# ------------------------------------------------------------- reference
+
+
+def ref_unify(lookup, fact, sol):
+    if fact.name != lookup.name or len(fact.args) != len(lookup.terms):
+        return None
+    extended = dict(sol)
+    for term, arg in zip(lookup.terms, fact.args):
+        if isinstance(term, VarRef) and term.name not in extended:
+            extended[term.name] = arg
+            continue
+        if eval_term(term, extended) != arg:
+            return None
+    return extended
+
+
+def ref_evaluate(cond, sol, store):
+    """Left-to-right conjunction over a full scan of ``store`` (a list)."""
+    solutions = [dict(sol)]
+    for atom in cond.atoms:
+        nxt = []
+        for s in solutions:
+            if isinstance(atom, Comparison):
+                if _compare(eval_term(atom.lhs, s), atom.op, eval_term(atom.rhs, s)):
+                    nxt.append(s)
+            elif atom.negated:
+                if not any(ref_unify(atom, f, s) is not None for f in store):
+                    nxt.append(s)
+            else:
+                nxt += [x for f in store if (x := ref_unify(atom, f, s)) is not None]
+        solutions = nxt
+        if not solutions:
+            break
+    return solutions
+
+
+class RefStore:
+    """A dict of facts and a journal; each transaction runs on a copy."""
+
+    def __init__(self, initial):
+        self.facts = dict.fromkeys(initial)
+        self.journal = []
+
+    def txn(self, acts, post, sol):
+        shadow = dict(self.facts)
+        ops, names = [], []
+        for act in acts:
+            fact = instantiate_fact(act.fact, sol)
+            if isinstance(act, AssertAction) and fact not in shadow:
+                shadow[fact] = None
+                ops.append(("assert", fact))
+                names.append(ASSERT_PREFIX + fact.name)
+            elif isinstance(act, RetractAction) and fact in shadow:
+                del shadow[fact]
+                ops.append(("retract", fact))
+                names.append(RETRACT_PREFIX + fact.name)
+        if post is not None and not ref_evaluate(post, sol, list(shadow)):
+            return TxnOutcome.ROLLED_BACK, []
+        self.facts = shadow
+        self.journal.append(tuple(ops))
+        return TxnOutcome.COMMITTED, names
+
+
+def outcome_of(fn, *args):
+    """The result, or the type of the exception raised instead."""
+    try:
+        return fn(*args)
+    except (MissingField, UnboundVariable, TemplateError) as err:
+        return type(err)
+
+
+def same(a, b) -> bool:
+    # NaN-safe: the same NaN object compares equal inside containers
+    return a == b or repr(a) == repr(b)
+
+
+# ----------------------------------------------------------------- tests
+
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+@SETTINGS
+@given(stores, conditions, bindings(), st.booleans())
+def test_evaluate_condition_matches_full_scan(store, cond, sol, warm):
+    kb = KnowledgeBase(store)
+    if warm:  # index built before any commit, then maintained by commit
+        kb.candidates("p", 0, ())
+        kb.commit([("retract", f) for f in list(kb.facts())[:2]])
+        kb.commit([("assert", f) for f in store[:2] if f not in kb])
+    want = outcome_of(ref_evaluate, cond, sol, kb.facts())
+    got = outcome_of(evaluate_condition, cond, sol, kb, 0)
+    assert same(got, want)
+
+
+@SETTINGS
+@given(stores, st.lists(actions, max_size=5), bindings(), conditions, bindings())
+def test_overlay_reads_like_a_copy(store, acts, sol, cond, query):
+    kb = KnowledgeBase(store)
+    before = kb.facts()
+    txn, shadow = Overlay(kb), dict.fromkeys(kb.facts())
+    for act in acts:
+        try:
+            fact = instantiate_fact(act.fact, sol)
+        except TemplateError:
+            continue
+        if isinstance(act, AssertAction):
+            assert txn.add(fact) == (fact not in shadow)
+            shadow[fact] = None
+        else:
+            assert txn.discard(fact) == (fact in shadow)
+            shadow.pop(fact, None)
+        assert all(f in txn for f in shadow)
+    want = outcome_of(ref_evaluate, cond, query, list(shadow))
+    got = outcome_of(evaluate_condition, cond, query, txn, 0)
+    assert same(got, want)
+    assert kb.facts() == before and kb.journal == []  # dropped: store untouched
+
+
+@SETTINGS
+@given(stores, st.lists(transactions, max_size=6), conditions, bindings())
+def test_transactions_match_copy_reference(store, txns, cond, query):
+    kb, ref = KnowledgeBase(store), RefStore(store)
+    for acts, post, sol in txns:
+        want = outcome_of(ref.txn, acts, post, sol)
+        got = outcome_of(apply_actions_txn, acts, sol, kb, post)
+        if isinstance(got, tuple):
+            outcome, events = got
+            assert [e.id for e in events] == list(range(1, len(events) + 1))
+            got = outcome, [e.type.name for e in events]
+        assert same(got, want)
+        assert same(kb.facts(), list(ref.facts))
+        assert kb.snapshot() == frozenset(ref.facts)
+        assert same(kb.journal, ref.journal)
+        assert kb.replay_journal() == kb.snapshot()
+        assert same(
+            outcome_of(evaluate_condition, cond, query, kb, 0),
+            outcome_of(ref_evaluate, cond, query, list(ref.facts)),
+        )
+
+
+class TestIndex:
+    def test_smallest_bucket_wins(self):
+        kb = KnowledgeBase(
+            [Fact("emp", (f"n{i}", "d0" if i < 8 else "d1")) for i in range(10)]
+        )
+        assert list(kb.candidates("emp", 2, [(1, "d1")])) == [
+            Fact("emp", ("n8", "d1")), Fact("emp", ("n9", "d1")),
+        ]
+        assert list(kb.candidates("emp", 2, [(1, "d0"), (0, "n3")])) == [
+            Fact("emp", ("n3", "d0")),
+        ]
+        assert list(kb.candidates("emp", 2, [(1, "d2")])) == []
+        assert len(list(kb.candidates("emp", 2, []))) == 10
+        assert list(kb.candidates("emp", 1, [])) == []
+
+    def test_numeric_equality_and_nan(self):
+        kb = KnowledgeBase([Fact("p", (1,)), Fact("p", (NAN,)), Fact("p", (2.5,))])
+        assert list(kb.candidates("p", 1, [(0, True)])) == [Fact("p", (1,))]
+        assert list(kb.candidates("p", 1, [(0, 1.0)])) == [Fact("p", (1,))]
+        cond = Condition((FactLookup("p", (Lit(float("nan")),)),))
+        assert evaluate_condition(cond, {}, kb, 0) == []
+        cond = Condition((FactLookup("p", (Lit(NAN),)),))
+        assert evaluate_condition(cond, {}, kb, 0) == []
+
+    def test_commit_keeps_index_and_order(self):
+        kb = KnowledgeBase([Fact("p", ("a",)), Fact("p", ("b",))])
+        assert list(kb.candidates("p", 1, [])) == kb.facts()
+        kb.commit([("retract", Fact("p", ("a",))), ("assert", Fact("p", ("c",)))])
+        kb.commit([("assert", Fact("p", ("a",)))])
+        assert list(kb.candidates("p", 1, [])) == kb.facts() == [
+            Fact("p", ("b",)), Fact("p", ("c",)), Fact("p", ("a",)),
+        ]
+        kb.commit([("retract", Fact("p", ("c",)))])
+        assert list(kb.candidates("p", 1, [(0, "c")])) == []
+
+    def test_missing_field_fails_closed_only_when_reached(self):
+        # a full scan reaches the missing field only through facts whose
+        # earlier args match, so the index must not skip or add that error
+        e = make_event("ev", 1, {"f": 1}, id=1)
+        kb = KnowledgeBase([Fact("p", (1, 5)), Fact("p", (2, 6))])
+        reach = Condition((FactLookup("p", (Lit(2), FieldRef("e", "missing"))),))
+        with pytest.raises(MissingField):
+            evaluate_condition(reach, {"e": e}, kb, 0)
+        miss = Condition((FactLookup("p", (Lit(3), FieldRef("e", "missing"))),))
+        assert evaluate_condition(miss, {"e": e}, kb, 0) == []
+        first = Condition((FactLookup("p", (FieldRef("e", "missing"), Lit(7))),))
+        with pytest.raises(MissingField):
+            evaluate_condition(first, {"e": e}, kb, 0)
+
+    def test_reasserted_fact_moves_to_the_end_of_the_view(self):
+        kb = KnowledgeBase([Fact("p", ("a",)), Fact("p", ("b",))])
+        txn = Overlay(kb)
+        assert txn.discard(Fact("p", ("a",))) and txn.add(Fact("p", ("a",)))
+        assert list(txn.candidates("p", 1, [])) == [Fact("p", ("b",)), Fact("p", ("a",))]
+        assert txn.ops == [("retract", Fact("p", ("a",))), ("assert", Fact("p", ("a",)))]
+        assert kb.facts() == [Fact("p", ("a",)), Fact("p", ("b",))]  # untouched
