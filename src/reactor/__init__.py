@@ -27,7 +27,6 @@ from .detection import (
     Detector,
     DetectorConfig,
     SelectionPolicy,
-    new_detector,
 )
 from .engine import (
     Engine,
@@ -44,13 +43,13 @@ from .errors import (
     InvalidExpression,
     InvalidPeriod,
     MissingField,
+    NonFinitePayload,
     NoWindow,
     OutOfOrderEvent,
     OutOfOrderTrace,
     ReactorError,
     ReservedType,
     RuleSyntaxError,
-    StaleDetection,
     TemplateError,
     TraceError,
     UnboundedInterval,
@@ -67,11 +66,9 @@ from .harness import (
 )
 from .model import (
     EventInstance,
-    EventKind,
     EventTypeId,
     Interval,
     event_type,
-    interval_cover,
     is_reserved_type,
     make_event,
     strictly_before,
@@ -106,19 +103,19 @@ __all__ = [
     "Times", "occurrence_sort_key", "occurrences", "occurrences_point",
     "validate_expr",
     "ConsumptionPolicy", "Detection", "Detector", "DetectorConfig",
-    "SelectionPolicy", "new_detector",
+    "SelectionPolicy",
     "Engine", "ReactionRecord", "TriggeringGraph", "TxnOutcome",
     "apply_actions_txn", "triggering_graph",
     "ChainLimitExceeded", "DuplicateEffect", "DuplicateRuleId",
-    "InvalidExpression", "InvalidPeriod", "MissingField", "NoWindow",
-    "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError", "ReservedType",
-    "RuleSyntaxError", "StaleDetection", "TemplateError", "TraceError",
+    "InvalidExpression", "InvalidPeriod", "MissingField", "NonFinitePayload",
+    "NoWindow", "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
+    "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",
     "UnboundedInterval", "UnboundVariable", "UnsortedHistory",
     "EffectMode", "FluentHistory",
     "RunReport", "load_trace", "merge_stream", "run_replay",
     "synth_ticks",
-    "EventInstance", "EventKind", "EventTypeId", "Interval", "event_type",
-    "interval_cover", "is_reserved_type", "make_event", "strictly_before",
+    "EventInstance", "EventTypeId", "Interval", "event_type",
+    "is_reserved_type", "make_event", "strictly_before",
     "parse_expr", "parse_rules",
     "AssertAction", "Comparison", "Condition", "EffectDecl", "EmitAction",
     "Fact", "FactLookup", "FactTemplate", "FieldRef", "HoldsAtom",

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidExpression, UnsortedHistory
-from .model import (
-    EventInstance,
-    EventTypeId,
-    Interval,
-    TimePoint,
-    interval_cover,
-    strictly_before,
-)
+from .model import EventInstance, EventTypeId, Interval, TimePoint, strictly_before
 
 # =========================================================================
 # Expression tree
@@ -170,11 +163,10 @@ class Occurrence:
     """One detected occurrence of an expression.
 
     components are instance ids; initiator/terminator are the earliest and
-    latest components by (time, id). The interval is always the cover of the
-    component intervals.
+    latest components by (time, id), so the interval they span is the cover
+    of the component intervals.
     """
 
-    interval: Interval
     bindings: Mapping[str, EventInstance]
     components: frozenset[int]
     initiator_time: TimePoint
@@ -182,10 +174,13 @@ class Occurrence:
     initiator_id: int
     terminator_id: int
 
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.initiator_time, self.terminator_time)
+
     def __hash__(self):
         return hash(
             (
-                self.interval,
                 self.components,
                 tuple(sorted((v, e.id) for v, e in self.bindings.items())),
             )
@@ -198,7 +193,6 @@ class Occurrence:
 def occurrence_of(inst: EventInstance, var: Optional[str] = None) -> Occurrence:
     """Atomic occurrence of one instance."""
     return Occurrence(
-        interval=inst.span,
         bindings={var: inst} if var else {},
         components=frozenset((inst.id,)),
         initiator_time=inst.time,
@@ -212,16 +206,13 @@ def merge_occurrences(a: Occurrence, b: Occurrence) -> Optional[Occurrence]:
     """Combine two occurrences; None when they bind the same variable."""
     if a.bindings and b.bindings and (set(a.bindings) & set(b.bindings)):
         return None
-    if (a.initiator_time, a.initiator_id) <= (b.initiator_time, b.initiator_id):
-        init_t, init_id = a.initiator_time, a.initiator_id
-    else:
-        init_t, init_id = b.initiator_time, b.initiator_id
-    if (a.terminator_time, a.terminator_id) >= (b.terminator_time, b.terminator_id):
-        term_t, term_id = a.terminator_time, a.terminator_id
-    else:
-        term_t, term_id = b.terminator_time, b.terminator_id
+    init_t, init_id = min(
+        (a.initiator_time, a.initiator_id), (b.initiator_time, b.initiator_id)
+    )
+    term_t, term_id = max(
+        (a.terminator_time, a.terminator_id), (b.terminator_time, b.terminator_id)
+    )
     return Occurrence(
-        interval=interval_cover(a.interval, b.interval),
         bindings={**a.bindings, **b.bindings},
         components=a.components | b.components,
         initiator_time=init_t,
@@ -235,7 +226,6 @@ def _strip_bindings(o: Occurrence) -> Occurrence:
     if not o.bindings:
         return o
     return Occurrence(
-        interval=o.interval,
         bindings={},
         components=o.components,
         initiator_time=o.initiator_time,

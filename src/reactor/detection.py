@@ -22,7 +22,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     And,
@@ -41,8 +41,8 @@ from .algebra import (
     occurrence_sort_key,
     validate_expr,
 )
-from .errors import InvalidExpression, NoWindow, OutOfOrderEvent, StaleDetection
-from .model import EventInstance, TimePoint, strictly_before
+from .errors import InvalidExpression, NoWindow, OutOfOrderEvent
+from .model import EventInstance, TimePoint
 
 
 class SelectionPolicy(Enum):
@@ -72,7 +72,6 @@ class Detection:
     """A candidate that survived selection (and, under single, consumption)."""
 
     occurrence: Occurrence
-    fired: bool = True
 
 
 def select_candidates(
@@ -125,6 +124,34 @@ class _Node:
         return news
 
 
+def _join(
+    left: _Node,
+    right: _Node,
+    e: EventInstance,
+    match: Callable[[Occurrence, Occurrence], Optional[Occurrence]],
+) -> list[Occurrence]:
+    """Feed both sides, then try every new occurrence on one side against
+    every occurrence on the other; a pair of two new ones is tried once."""
+    new_l = left.feed(e)
+    new_r = right.feed(e)
+    fresh: list[Occurrence] = []
+    if new_r:
+        for l in left.occs:
+            for r in new_r:
+                m = match(l, r)
+                if m is not None:
+                    fresh.append(m)
+    if new_l:
+        joined = set(new_r)  # already paired with every left above
+        for l in new_l:
+            for r in right.occs:
+                if r not in joined:
+                    m = match(l, r)
+                    if m is not None:
+                        fresh.append(m)
+    return fresh
+
+
 class _AtomicNode(_Node):
     __slots__ = ("type_name", "var")
 
@@ -152,34 +179,14 @@ class _PairNode(_Node):
 
     def _match(self, l: Occurrence, r: Occurrence) -> Optional[Occurrence]:
         if self.ordered:
-            if not strictly_before(l.interval, r.interval):
+            if l.terminator_time >= r.initiator_time:
                 return None
         elif l.components & r.components:
             return None
         return merge_occurrences(l, r)
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
-        new_l = self.left.feed(e)
-        new_r = self.right.feed(e)
-        fresh: list[Occurrence] = []
-        if new_r:
-            new_r_set = set(new_r)
-            for l in self.left.occs:
-                for r in new_r:
-                    m = self._match(l, r)
-                    if m is not None:
-                        fresh.append(m)
-        else:
-            new_r_set = set()
-        if new_l:
-            for l in new_l:
-                for r in self.right.occs:
-                    if r in new_r_set:
-                        continue  # already joined above
-                    m = self._match(l, r)
-                    if m is not None:
-                        fresh.append(m)
-        return self._admit(fresh)
+        return self._admit(_join(self.left, self.right, e, self._match))
 
     def prune(self, removed: set[int]) -> None:
         self.left.prune(removed)
@@ -216,35 +223,14 @@ class _NotNode(_Node):
     def feed(self, e: EventInstance) -> list[Occurrence]:
         # absent first so same-feed blockers are visible to the pair check
         self.absent.feed(e)
-        new_o = self.opener.feed(e)
-        new_c = self.closer.feed(e)
-        fresh: list[Occurrence] = []
-        if new_c:
-            new_c_set = set(new_c)
-            for o in self.opener.occs:
-                for c in new_c:
-                    m = self._pair(o, c)
-                    if m is not None:
-                        fresh.append(m)
-        else:
-            new_c_set = set()
-        if new_o:
-            for o in new_o:
-                for c in self.closer.occs:
-                    if c in new_c_set:
-                        continue
-                    m = self._pair(o, c)
-                    if m is not None:
-                        fresh.append(m)
-        return self._admit(fresh)
+        return self._admit(_join(self.opener, self.closer, e, self._pair))
 
     def _pair(self, o: Occurrence, c: Occurrence) -> Optional[Occurrence]:
-        if not strictly_before(o.interval, c.interval):
+        o_end, c_start = o.terminator_time, c.initiator_time
+        if o_end >= c_start:
             return None
         for a in self.absent.occs:
-            if strictly_before(o.interval, a.interval) and strictly_before(
-                a.interval, c.interval
-            ):
+            if o_end < a.initiator_time and a.terminator_time < c_start:
                 return None
         return merge_occurrences(o, c)
 
@@ -391,20 +377,6 @@ class Detector:
             fired = [Detection(occ) for occ in selected]
         return fired
 
-    # ---------------------------------------------------------- consumption
-
-    def consume(self, detection: Detection, policy: ConsumptionPolicy) -> None:
-        """Apply a consumption policy to a fired detection's components."""
-        if policy is ConsumptionPolicy.MULTIPLE:
-            return
-        comps = set(detection.occurrence.components)
-        missing = [cid for cid in comps if cid not in self.retained]
-        if missing:
-            raise StaleDetection(
-                f"components {sorted(missing)} are no longer retained"
-            )
-        self._remove(comps)
-
     def _remove(self, ids: set[int]) -> None:
         for cid in ids:
             self.retained.pop(cid, None)
@@ -434,8 +406,3 @@ class Detector:
                 del self.retained[cid]
             self._root.prune(removed)
         return len(removed)
-
-
-def new_detector(expr: EventExpr, config: DetectorConfig | None = None) -> Detector:
-    """Validate the expression and build a fresh detector for it."""
-    return Detector(expr, config)

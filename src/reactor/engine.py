@@ -20,14 +20,21 @@ counterpart: no cycles there means no chain can run away.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import Occurrence, expr_leaf_types
-from .detection import Detector, DetectorConfig, new_detector
-from .errors import ChainLimitExceeded, MissingField, OutOfOrderEvent, TemplateError
+from .detection import Detector, DetectorConfig
+from .errors import (
+    ChainLimitExceeded,
+    MissingField,
+    NonFinitePayload,
+    OutOfOrderEvent,
+    TemplateError,
+)
 from .fluents import FluentHistory
 from .model import (
     ASSERT_PREFIX,
@@ -35,7 +42,6 @@ from .model import (
     EventInstance,
     Scalar,
     TimePoint,
-    event_type,
     make_event,
 )
 from .rules import (
@@ -145,7 +151,7 @@ def _run_actions(
     counter = iter(range(1, len(pending) + 1))
     mint = id_source if id_source is not None else (lambda: next(counter))
     events = [
-        make_event(event_type(name), t, payload, mint())
+        make_event(name, t, payload, mint())
         for (name, t, payload) in pending
     ]
     return TxnOutcome.COMMITTED, events, tuple(done)
@@ -175,6 +181,12 @@ def apply_actions_txn(
 # =========================================================================
 
 
+def _require_finite(payload: Mapping[str, Scalar]) -> None:
+    for key, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFinitePayload(f"payload field {key!r} must be finite, got {value}")
+
+
 def _solution_order_key(sol: dict[str, Binding]) -> str:
     scalars = {
         k: v for k, v in sol.items() if not isinstance(v, EventInstance)
@@ -202,7 +214,7 @@ class Engine:
         self.detectors: list[tuple[Rule, Detector]] = [
             (
                 rule,
-                new_detector(
+                Detector(
                     rule.on,
                     DetectorConfig(rule.selection, rule.consumption, rule.window),
                 ),
@@ -219,12 +231,20 @@ class Engine:
     def ingest(
         self, type_name: str, time: TimePoint, payload: dict | None = None
     ) -> list[ReactionRecord]:
-        """Mint an id for a new event and dispatch it."""
-        e = make_event(event_type(type_name), time, payload or {}, self.next_id())
+        """Mint an id for a new event and dispatch it.
+
+        Payload numbers must be finite (NonFinitePayload): the report could
+        not serialise them.
+        """
+        payload = payload or {}
+        _require_finite(payload)
+        e = make_event(type_name, time, payload, self.next_id())
         return self._dispatch_minted(e)
 
     def dispatch(self, e: EventInstance) -> list[ReactionRecord]:
-        """Dispatch a caller-built event; its id must be fresh."""
+        """Dispatch a caller-built event; its id must be fresh and its
+        payload numbers finite."""
+        _require_finite(e.payload)
         if e.id <= self._seq:
             raise OutOfOrderEvent(
                 f"event id {e.id} is not fresh (last issued {self._seq})"

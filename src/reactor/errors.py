@@ -36,10 +36,6 @@ class OutOfOrderEvent(ReactorError):
     """Fed event regressed in time or reused an id already seen."""
 
 
-class StaleDetection(ReactorError):
-    """Consume was asked to remove components no longer retained."""
-
-
 class NoWindow(ReactorError):
     """Expiry requested on a detector configured without a window."""
 
@@ -70,6 +66,10 @@ class MissingField(ReactorError):
 
 class TemplateError(ReactorError):
     """An action template could not be instantiated from the bindings."""
+
+
+class NonFinitePayload(ReactorError):
+    """An event handed to the engine carries a NaN or infinite number."""
 
 
 class ChainLimitExceeded(ReactorError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import DuplicateEffect, OutOfOrderEvent
+from .errors import OutOfOrderEvent
 from .model import EventInstance, Interval, TimePoint
 
 
@@ -24,7 +24,7 @@ class EffectMode(Enum):
 
 
 @dataclass(frozen=True)
-class EffectRule:
+class EffectDecl:
     """Event type `type_name` initiates or terminates fluent `fluent`."""
 
     type_name: str
@@ -81,42 +81,33 @@ class _FluentTrack:
 
 
 class FluentHistory:
-    """Declared effects plus the chronological effect log of a run."""
+    """Declared effects and the validity intervals they give each fluent.
+
+    Effects are taken as declared; a RuleSet has already rejected duplicates.
+    """
 
     def __init__(self):
-        self._effects: dict[str, list[EffectRule]] = {}  # by event type name
-        self._declared: set[EffectRule] = set()
+        self._effects: dict[str, list[EffectDecl]] = {}  # by event type name
         self._tracks: dict[str, _FluentTrack] = {}
-        self._log: list[tuple[EventInstance, tuple[EffectRule, ...]]] = []
         self._last_key: tuple[TimePoint, int] = (0, 0)
 
     def declare_effect(self, type_name: str, mode: EffectMode, fluent: str) -> None:
-        rule = EffectRule(type_name, mode, fluent)
-        if rule in self._declared:
-            raise DuplicateEffect(
-                f"effect {type_name} {mode.value} {fluent} declared twice"
-            )
-        self._declared.add(rule)
-        self._effects.setdefault(type_name, []).append(rule)
+        self._effects.setdefault(type_name, []).append(
+            EffectDecl(type_name, mode, fluent)
+        )
         self._tracks.setdefault(fluent, _FluentTrack())
 
-    @property
-    def effects(self) -> list[EffectRule]:
-        return [r for rules in self._effects.values() for r in rules]
-
-    def record(self, e: EventInstance) -> tuple[EffectRule, ...]:
-        """Apply the event's declared effects; returns the matched rules."""
+    def record(self, e: EventInstance) -> tuple[EffectDecl, ...]:
+        """Apply the event's declared effects; returns the matched ones."""
         key = (e.time, e.id)
         if key < self._last_key:
             raise OutOfOrderEvent(
-                f"effect log regresses: {e!r} after {self._last_key}"
+                f"fluent history regresses: {e!r} after {self._last_key}"
             )
         self._last_key = key
         matched = tuple(self._effects.get(e.type.name, ()))
-        if matched:
-            self._log.append((e, matched))
-            for rule in matched:
-                self._tracks[rule.fluent].apply(rule.mode, e.time)
+        for rule in matched:
+            self._tracks[rule.fluent].apply(rule.mode, e.time)
         return matched
 
     def holds_at(self, fluent: str, t: TimePoint) -> bool:
@@ -131,7 +122,3 @@ class FluentHistory:
     @property
     def fluents(self) -> list[str]:
         return sorted(self._tracks)
-
-    @property
-    def log(self) -> list[tuple[EventInstance, tuple[EffectRule, ...]]]:
-        return list(self._log)

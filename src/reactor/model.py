@@ -9,7 +9,6 @@ components' intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .errors import UnboundedInterval
@@ -56,13 +55,6 @@ class Interval:
         return f"[{self.start},{hi}]"
 
 
-def interval_cover(a: Interval, b: Interval) -> Interval:
-    """Smallest interval containing both a and b. Requires bounded inputs."""
-    if not a.bounded or not b.bounded:
-        raise UnboundedInterval(f"cover needs bounded intervals, got {a} and {b}")
-    return Interval(min(a.start, b.start), max(a.end, b.end))
-
-
 def strictly_before(a: Interval, b: Interval) -> bool:
     """True iff a ends before b starts. Requires bounded inputs."""
     if not a.bounded or not b.bounded:
@@ -75,22 +67,14 @@ def strictly_before(a: Interval, b: Interval) -> bool:
 # =========================================================================
 
 
-class EventKind(Enum):
-    EXTERNAL = "external"
-    INTERNAL_ASSERT = "internal-assert"
-    INTERNAL_RETRACT = "internal-retract"
-    TIMER = "timer"
-
-
 @dataclass(frozen=True)
 class EventTypeId:
-    """An event type. The kind is fully determined by the name's shape:
-    assert:NAME / retract:NAME are knowledge-base update events, "timer" is
-    the synthesized tick, anything else is external.
+    """An event type, named. assert:NAME / retract:NAME are knowledge-base
+    update events and "timer" is the synthesized tick (see is_reserved_type);
+    anything else is external.
     """
 
     name: str
-    kind: EventKind
 
     def __post_init__(self):
         if not self.name:
@@ -100,17 +84,7 @@ class EventTypeId:
         return self.name
 
 
-def event_type(name: str) -> EventTypeId:
-    """Build an EventTypeId, deriving the kind from the name."""
-    if name.startswith(ASSERT_PREFIX):
-        kind = EventKind.INTERNAL_ASSERT
-    elif name.startswith(RETRACT_PREFIX):
-        kind = EventKind.INTERNAL_RETRACT
-    elif name == TIMER_TYPE:
-        kind = EventKind.TIMER
-    else:
-        kind = EventKind.EXTERNAL
-    return EventTypeId(name, kind)
+event_type = EventTypeId
 
 
 def is_reserved_type(name: str) -> bool:
@@ -156,11 +130,6 @@ class EventInstance:
     def __hash__(self):
         return hash((self.id, self.type, self.time))
 
-    @property
-    def span(self) -> Interval:
-        """The point interval an atomic occurrence is valid over."""
-        return Interval(self.time, self.time)
-
     def __repr__(self):
         return f"{self.type.name}@{self.time}#{self.id}"
 
@@ -173,9 +142,8 @@ def make_event(
 ) -> EventInstance:
     """Construct an event instance. The caller owns id freshness.
 
-    A plain string type is coerced with event_type, so reserved prefixes
-    still yield internal-kind events.
+    A plain string type is coerced to an EventTypeId.
     """
     if isinstance(type, str):
-        type = event_type(type)
+        type = EventTypeId(type)
     return EventInstance(id=id, type=type, time=time, payload=dict(payload or {}))

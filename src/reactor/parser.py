@@ -40,9 +40,9 @@ from .algebra import And as AndExpr
 from .algebra import Any as AnyExpr
 from .algebra import Atomic, EventExpr, Not, Or, Seq, Times, validate_expr
 from .detection import ConsumptionPolicy, SelectionPolicy
-from .errors import DuplicateEffect, InvalidExpression, RuleSyntaxError, UnboundVariable
+from .errors import InvalidExpression, RuleSyntaxError, UnboundVariable
 from .fluents import EffectMode
-from .model import event_type, is_reserved_type
+from .model import EventTypeId, is_reserved_type
 from .rules import (
     Action,
     AssertAction,
@@ -66,6 +66,9 @@ from .rules import (
 )
 
 _EEXPR_OPS = {"seq", "and", "or", "not", "any", "times"}
+# Operators nested deeper than this are refused, so that no rule text can
+# exhaust the recursion of the parser or of the passes over its tree.
+_MAX_NESTING = 100
 _PUNCT = set("(){},:.")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -263,14 +266,6 @@ class _Parser:
                 effects.append(self.parse_effect())
             else:
                 self.err("expected 'rule' or 'effect'")
-        seen = set()
-        for eff in effects:
-            if eff in seen:
-                raise DuplicateEffect(
-                    f"effect {eff.type_name} {eff.mode.value} {eff.fluent} "
-                    "declared twice"
-                )
-            seen.add(eff)
         return RuleSet(tuple(rules), tuple(effects))
 
     def parse_effect(self) -> EffectDecl:
@@ -354,27 +349,30 @@ class _Parser:
 
     # --------------------------------------------------- event expressions
 
-    def parse_eexpr(self) -> EventExpr:
+    def parse_eexpr(self, depth: int = 1) -> EventExpr:
+        """One event expression; an operator here is nested ``depth`` deep."""
         tok = self.peek()
         if tok.kind != "WORD":
             self.err("expected an event expression")
         if tok.value in _EEXPR_OPS and self.peek(1).kind == "PUNCT" and self.peek(1).value == "(":
+            if depth > _MAX_NESTING:
+                self.err(f"event expression nested deeper than {_MAX_NESTING}")
             op = tok.value
             self.next()
             self.expect_punct("(")
             if op in ("seq", "and", "or"):
-                left = self.parse_eexpr()
+                left = self.parse_eexpr(depth + 1)
                 self.expect_punct(",")
-                right = self.parse_eexpr()
+                right = self.parse_eexpr(depth + 1)
                 self.expect_punct(")")
                 cls = {"seq": Seq, "and": AndExpr, "or": Or}[op]
                 return cls(left, right)
             if op == "not":
-                absent = self.parse_eexpr()
+                absent = self.parse_eexpr(depth + 1)
                 self.expect_punct(",")
-                opener = self.parse_eexpr()
+                opener = self.parse_eexpr(depth + 1)
                 self.expect_punct(",")
-                closer = self.parse_eexpr()
+                closer = self.parse_eexpr(depth + 1)
                 self.expect_punct(")")
                 return Not(absent, opener, closer)
             if op == "any":
@@ -389,14 +387,14 @@ class _Parser:
                 self.expect_punct(")")
                 if not names:
                     self.err("any needs at least one event type", cnt_tok)
-                return AnyExpr(cnt_tok.value, tuple(event_type(t) for t in names))
+                return AnyExpr(cnt_tok.value, tuple(EventTypeId(t) for t in names))
             # times
             cnt_tok = self.peek()
             if cnt_tok.kind != "INT":
                 self.err("expected a count")
             self.next()
             self.expect_punct(",")
-            inner = self.parse_eexpr()
+            inner = self.parse_eexpr(depth + 1)
             self.expect_punct(")")
             return Times(cnt_tok.value, inner)
         # atomic
@@ -409,7 +407,7 @@ class _Parser:
                 self.err("expected a ?variable after 'as'")
             self.next()
             var = vtok.value
-        return Atomic(event_type(tok.value), var)
+        return Atomic(EventTypeId(tok.value), var)
 
     # ----------------------------------------------------------- conditions
 

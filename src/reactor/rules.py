@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import EventExpr
 from .detection import ConsumptionPolicy, SelectionPolicy
-from .errors import DuplicateRuleId, MissingField, UnboundVariable
-from .fluents import EffectMode, FluentHistory
+from .errors import DuplicateEffect, DuplicateRuleId, MissingField, UnboundVariable
+from .fluents import EffectDecl, FluentHistory
 from .model import EventInstance, Scalar
 
 # =========================================================================
@@ -171,18 +171,19 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class EffectDecl:
-    type_name: str
-    mode: EffectMode
-    fluent: str
-
-
-@dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
     effects: tuple[EffectDecl, ...] = ()
 
     def __post_init__(self):
+        declared = set()
+        for eff in self.effects:
+            if eff in declared:
+                raise DuplicateEffect(
+                    f"effect {eff.type_name} {eff.mode.value} {eff.fluent} "
+                    "declared twice"
+                )
+            declared.add(eff)
         seen = set()
         for r in self.rules:
             if r.id in seen:

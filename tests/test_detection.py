@@ -1,4 +1,5 @@
-"""Incremental detector: feed/select/consume/expire against the oracle."""
+"""Incremental detector: feeding, selection, consumption and expiry,
+checked against the oracle."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from reactor import (
     Atomic,
     ConsumptionPolicy,
+    Detector,
     DetectorConfig,
     InvalidExpression,
     Not,
@@ -14,11 +16,9 @@ from reactor import (
     OutOfOrderEvent,
     SelectionPolicy,
     Seq,
-    StaleDetection,
     Times,
     event_type,
     make_event,
-    new_detector,
     occurrences,
 )
 from reactor.detection import select_candidates
@@ -45,12 +45,12 @@ def fired_proj(steps):
 
 class TestConstruction:
     def test_empty_state(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
+        det = Detector(Seq(A, B), ALL_MULTI)
         assert det.retained == {}
 
     def test_invalid_expression_rejected(self):
         with pytest.raises(InvalidExpression):
-            new_detector(
+            Detector(
                 __import__("reactor").Any(3, (event_type("a"), event_type("b"))),
                 ALL_MULTI,
             )
@@ -64,7 +64,7 @@ class TestConstruction:
 
 class TestFeed:
     def test_incremental_seq(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
+        det = Detector(Seq(A, B), ALL_MULTI)
         h = history(("a", 1), ("a", 2), ("b", 3))
         steps = feed_all(det, h)
         assert steps[0][1] == [] and steps[1][1] == []
@@ -74,11 +74,11 @@ class TestFeed:
         } == {(1, 3), (2, 3)}
 
     def test_type_mismatch_is_silent(self):
-        det = new_detector(Atomic(event_type("a")), ALL_MULTI)
+        det = Detector(Atomic(event_type("a")), ALL_MULTI)
         assert det.feed(make_event("b", 1, id=1)) == []
 
     def test_irrelevant_types_not_retained(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
+        det = Detector(Seq(A, B), ALL_MULTI)
         det.feed(make_event("z", 1, id=1))
         assert det.retained == {}
         # but the watermark still advanced
@@ -86,13 +86,13 @@ class TestFeed:
             det.feed(make_event("a", 0, id=2))
 
     def test_time_regression_rejected(self):
-        det = new_detector(A, ALL_MULTI)
+        det = Detector(A, ALL_MULTI)
         det.feed(make_event("a", 5, id=1))
         with pytest.raises(OutOfOrderEvent):
             det.feed(make_event("a", 4, id=2))
 
     def test_stale_id_rejected(self):
-        det = new_detector(A, ALL_MULTI)
+        det = Detector(A, ALL_MULTI)
         det.feed(make_event("a", 5, id=3))
         with pytest.raises(OutOfOrderEvent):
             det.feed(make_event("a", 5, id=3))
@@ -103,7 +103,7 @@ class TestFeed:
         rng = random.Random(21)
         for _ in range(50):
             h = random_history(rng)
-            det = new_detector(random_expr(rng), ALL_MULTI)
+            det = Detector(random_expr(rng), ALL_MULTI)
             for e in h:
                 for d in det.feed(e):
                     assert d.occurrence.terminator_id == e.id
@@ -147,7 +147,7 @@ class TestPolicyMatrix:
     H = history(("a", 1), ("a", 2), ("b", 3), ("b", 4))
 
     def run(self, sel, con):
-        det = new_detector(Seq(A, B), DetectorConfig(sel, con))
+        det = Detector(Seq(A, B), DetectorConfig(sel, con))
         return [det.feed(e) for e in self.H]
 
     def test_first_single(self):
@@ -178,29 +178,21 @@ class TestPolicyMatrix:
 
 class TestConsume:
     def test_single_removes_components(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
+        det = Detector(Seq(A, B), DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE))
         h = history(("a", 1), ("b", 2))
         (_, (d,)) = feed_all(det, h)[-1]
-        det.consume(d, ConsumptionPolicy.SINGLE)
+        assert d.occurrence.components == {1, 2}
         assert det.retained == {}
 
     def test_multiple_is_identity(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
+        det = Detector(Seq(A, B), ALL_MULTI)
         h = history(("a", 1), ("b", 2))
         (_, (d,)) = feed_all(det, h)[-1]
-        det.consume(d, ConsumptionPolicy.MULTIPLE)
+        assert d.occurrence.components == {1, 2}
         assert set(det.retained) == {1, 2}
 
-    def test_double_single_consume_is_stale(self):
-        det = new_detector(Seq(A, B), ALL_MULTI)
-        h = history(("a", 1), ("b", 2))
-        (_, (d,)) = feed_all(det, h)[-1]
-        det.consume(d, ConsumptionPolicy.SINGLE)
-        with pytest.raises(StaleDetection):
-            det.consume(d, ConsumptionPolicy.SINGLE)
-
     def test_consumed_components_never_rematch(self):
-        det = new_detector(Seq(A, B), DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE))
+        det = Detector(Seq(A, B), DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE))
         det.feed(make_event("a", 1, id=1))
         det.feed(make_event("b", 2, id=2))  # fires [1,2], consumes both
         assert det.feed(make_event("b", 3, id=3)) == []  # a@1 is gone
@@ -208,34 +200,34 @@ class TestConsume:
 
 class TestExpire:
     def test_requires_window(self):
-        det = new_detector(A, ALL_MULTI)
+        det = Detector(A, ALL_MULTI)
         with pytest.raises(NoWindow):
             det.expire(10)
 
     def test_removes_events_older_than_threshold(self):
         # window 10: a@1 and a@11 are both within window while feeding;
         # at now=25 the threshold is 15, so both go
-        det = new_detector(Seq(A, B), DetectorConfig(window=10))
+        det = Detector(Seq(A, B), DetectorConfig(window=10))
         det.feed(make_event("a", 1, id=1))
         det.feed(make_event("a", 11, id=2))
         assert det.expire(25) == 2
         assert det.retained == {}
 
     def test_keeps_events_inside_window(self):
-        det = new_detector(Seq(A, B), DetectorConfig(window=10))
+        det = Detector(Seq(A, B), DetectorConfig(window=10))
         det.feed(make_event("a", 20, id=1))
         assert det.expire(25) == 0
         assert set(det.retained) == {1}
 
     def test_now_before_watermark_rejected(self):
-        det = new_detector(A, DetectorConfig(window=5))
+        det = Detector(A, DetectorConfig(window=5))
         det.feed(make_event("a", 9, id=1))
         with pytest.raises(OutOfOrderEvent):
             det.expire(8)
 
     def test_feed_expires_automatically(self):
         # by the time b@20 arrives, a@1 is outside the window and gone
-        det = new_detector(
+        det = Detector(
             Seq(A, B), DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE, window=10)
         )
         det.feed(make_event("a", 1, id=1))
@@ -244,7 +236,7 @@ class TestExpire:
 
     def test_expired_events_cannot_open_not_blocks(self):
         # blocker x@2 expires before the closer arrives; pair a@12,b@14 fires
-        det = new_detector(
+        det = Detector(
             Not(X, A, B),
             DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE, window=5),
         )
@@ -259,7 +251,7 @@ class TestWindowedProperties:
         rng = random.Random(31)
         for _ in range(60):
             w = rng.randint(1, 5)
-            det = new_detector(
+            det = Detector(
                 random_expr(rng),
                 DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE, window=w),
             )
@@ -271,7 +263,7 @@ class TestWindowedProperties:
     def test_single_receive_exclusivity(self):
         rng = random.Random(32)
         for _ in range(60):
-            det = new_detector(
+            det = Detector(
                 random_expr(rng),
                 DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE),
             )
@@ -290,7 +282,7 @@ class TestOracleEquivalence:
         for _ in range(150):
             h = random_history(rng)
             expr = random_expr(rng)
-            det = new_detector(expr, ALL_MULTI)
+            det = Detector(expr, ALL_MULTI)
             fed = fired_proj(feed_all(det, h))
             assert fed == proj(occurrences(expr, h)), (expr, h)
 
@@ -301,7 +293,7 @@ class TestOracleEquivalence:
             expr = random_expr(rng)
             runs = []
             for _ in range(2):
-                det = new_detector(expr, ALL_MULTI)
+                det = Detector(expr, ALL_MULTI)
                 runs.append([
                     (e.id, sorted(
                         (d.occurrence.interval.start, d.occurrence.interval.end,
@@ -315,7 +307,7 @@ class TestOracleEquivalence:
 
 class TestTimesScenario:
     def test_burst_fires_once_under_single(self):
-        det = new_detector(
+        det = Detector(
             Times(4, Atomic(event_type("outage"))),
             DetectorConfig(SelectionPolicy.FIRST, ConsumptionPolicy.SINGLE),
         )

@@ -11,12 +11,12 @@ from reactor import (
     Condition,
     EmitAction,
     Engine,
-    EventKind,
     Fact,
     FactLookup,
     FactTemplate,
     FieldRef,
     Lit,
+    NonFinitePayload,
     NoopAction,
     OutOfOrderEvent,
     RetractAction,
@@ -26,6 +26,7 @@ from reactor import (
     TxnOutcome,
     VarRef,
     apply_actions_txn,
+    is_reserved_type,
     make_event,
     parse_rules,
     triggering_graph,
@@ -72,7 +73,7 @@ class TestTransactions:
         assert Fact("dept", ("sales",)) in kb
         (ev,) = events
         assert ev.type.name == "assert:dept"
-        assert ev.type.kind is EventKind.INTERNAL_ASSERT
+        assert is_reserved_type(ev.type.name)
         assert ev.time == 5
         assert ev.payload == {"arg0": "sales"}
         assert len(kb.journal) == 1
@@ -155,7 +156,7 @@ class TestTransactions:
             at=2,
         )
         (ev,) = events
-        assert ev.type.name == "alert" and ev.type.kind is EventKind.EXTERNAL
+        assert ev.type.name == "alert" and not is_reserved_type(ev.type.name)
         assert ev.payload == {"src": "w3"}
 
     def test_template_error_propagates_from_direct_call(self):
@@ -177,7 +178,7 @@ class TestTransactions:
             kb,
             at=4,
         )
-        update_events = [e for e in events if e.type.kind is not EventKind.EXTERNAL]
+        update_events = [e for e in events if is_reserved_type(e.type.name)]
         assert len(kb.journal[-1]) == len(update_events) == 2
 
     def test_noop_action(self):
@@ -349,6 +350,19 @@ class TestDispatch:
         eng.ingest("a", 1)
         with pytest.raises(OutOfOrderEvent):
             eng.dispatch(make_event("a", 2, id=1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_payload_refused(self, bad):
+        eng = Engine(parse_rules("rule r: on a as ?x do assert(seen(?x.v))"))
+        with pytest.raises(NonFinitePayload):
+            eng.ingest("a", 1, {"v": bad})
+        with pytest.raises(NonFinitePayload):
+            eng.dispatch(make_event("a", 1, {"v": bad}, id=1))
+        # refused before an id was minted or anything was committed
+        assert len(eng.kb) == 0
+        (rec,) = eng.ingest("a", 1, {"v": 2.5})
+        assert rec.occurrence.components == {1}
+        assert eng.kb.snapshot() == {Fact("seen", (2.5,))}
 
     def test_effects_recorded_before_rules_run(self):
         # the initiating event is visible to its own rule's holds()

@@ -11,6 +11,7 @@ from reactor import (
     Engine,
     Fact,
     InvalidPeriod,
+    NonFinitePayload,
     OutOfOrderTrace,
     ReservedType,
     TraceError,
@@ -242,6 +243,13 @@ class TestRunReplay:
         assert first["interval"] == [4, 4]
         assert first["raised"][0]["type"] == "retract:dept"
         assert json.loads(lines[-1])["summary"]["records"] == 3
+
+    def test_non_finite_payload_is_a_reactor_error(self):
+        # make_event takes any float; the engine refuses it before the
+        # report could fail to serialise it
+        rules = parse_rules("rule r: on a as ?x do assert(seen(?x.v))")
+        with pytest.raises(NonFinitePayload):
+            run_replay(rules, [make_event("a", 1, {"v": float("inf")}, id=1)])
 
 
 class TestCli:

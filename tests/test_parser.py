@@ -12,6 +12,7 @@ from reactor import (
     DuplicateRuleId,
     EffectMode,
     EmitAction,
+    Engine,
     FactLookup,
     FieldRef,
     HoldsAtom,
@@ -26,9 +27,11 @@ from reactor import (
     Times,
     UnboundVariable,
     event_type,
+    is_reserved_type,
     parse_expr,
     parse_rules,
 )
+from reactor.cli import main as cli_main
 
 
 def rule1(text):
@@ -71,7 +74,7 @@ class TestEventExpressions:
     def test_internal_type_atomics(self):
         got = parse_expr("retract:dept as ?d")
         assert got == Atomic(event_type("retract:dept"), "d")
-        assert got.type.kind.value == "internal-retract"
+        assert is_reserved_type(got.type.name)
 
     def test_operator_names_usable_as_types(self):
         # an ident named like an operator is atomic unless followed by (
@@ -189,8 +192,9 @@ class TestStaticValidation:
             parse_rules("rule r: on a do noop rule r: on b do noop")
 
     def test_duplicate_effect(self):
-        with pytest.raises(DuplicateEffect):
+        with pytest.raises(DuplicateEffect) as ei:
             parse_rules("effect e initiates f\neffect e initiates f\n")
+        assert str(ei.value) == "effect e initiates f declared twice"
 
     def test_unbound_action_variable(self):
         with pytest.raises(UnboundVariable) as ei:
@@ -259,3 +263,36 @@ class TestSyntaxErrorPositions:
     def test_lone_bang(self):
         with pytest.raises(RuleSyntaxError):
             parse_rules("rule r: on a where 1 ! 2 do noop")
+
+
+def nested_seq(depth):
+    return "seq(" * depth + "a" + ", b)" * depth
+
+
+class TestNestingDepth:
+    def test_limit_is_accepted_by_every_pass(self):
+        rs = parse_rules(f"rule r: on {nested_seq(100)} do noop")
+        Engine(rs).ingest("a", 1)  # validation, detector build and a feed
+        assert parse_expr(nested_seq(100)) == rs.rules[0].on
+
+    def test_one_deeper_is_refused_at_the_operator(self):
+        with pytest.raises(RuleSyntaxError) as ei:
+            parse_expr(nested_seq(101))
+        assert "nested deeper than 100" in str(ei.value)
+        assert (ei.value.line, ei.value.column) == (1, 1 + len("seq(") * 100)
+
+    def test_deep_rule_fails_closed(self, tmp_path, capsys):
+        text = f"rule r: on {nested_seq(2000)} do noop\n"
+        with pytest.raises(RuleSyntaxError):
+            parse_rules(text)
+        rules = tmp_path / "deep.rr"
+        rules.write_text(text)
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"type": "a", "time": 1}\n')
+        assert cli_main(["check", "--rules", str(rules)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested deeper than 100" in err
+        assert "Traceback" not in err
+        args = ["oracle", "--expr", nested_seq(2000), "--trace", str(trace)]
+        assert cli_main(args) == 2
+        assert "nested deeper than 100" in capsys.readouterr().err
