@@ -40,11 +40,11 @@ from .errors import (
     ChainLimitExceeded,
     DuplicateEffect,
     DuplicateRuleId,
+    InvalidEvent,
     InvalidExpression,
     InvalidPeriod,
     MissingField,
     NonFinitePayload,
-    NoWindow,
     OutOfOrderEvent,
     OutOfOrderTrace,
     ReactorError,
@@ -107,8 +107,9 @@ __all__ = [
     "Engine", "ReactionRecord", "TriggeringGraph", "TxnOutcome",
     "apply_actions_txn", "triggering_graph",
     "ChainLimitExceeded", "DuplicateEffect", "DuplicateRuleId",
-    "InvalidExpression", "InvalidPeriod", "MissingField", "NonFinitePayload",
-    "NoWindow", "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
+    "InvalidEvent", "InvalidExpression", "InvalidPeriod", "MissingField",
+    "NonFinitePayload",
+    "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
     "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",
     "UnboundedInterval", "UnboundVariable", "UnsortedHistory",
     "EffectMode", "FluentHistory",

@@ -93,23 +93,31 @@ class Times(EventExpr):
     of: EventExpr
 
 
+# deepest operator nesting the parser and validate_expr accept, so that no
+# expression can exhaust the recursion of the passes over its tree
+_MAX_NESTING = 100
+
+
 def validate_expr(expr: EventExpr) -> None:
-    """Check structural invariants; raises InvalidExpression."""
+    """Check structural invariants, nesting depth included (so the walk
+    recurses at most _MAX_NESTING deep); raises InvalidExpression."""
     seen_vars: set[str] = set()
 
-    def walk(node: EventExpr) -> None:
+    def walk(node: EventExpr, depth: int) -> None:
         if isinstance(node, Atomic):
             if node.var is not None:
                 if node.var in seen_vars:
                     raise InvalidExpression(f"binding ?{node.var} appears twice")
                 seen_vars.add(node.var)
+        elif depth > _MAX_NESTING:
+            raise InvalidExpression(f"expression nested deeper than {_MAX_NESTING}")
         elif isinstance(node, (Seq, And, Or)):
-            walk(node.left)
-            walk(node.right)
+            walk(node.left, depth + 1)
+            walk(node.right, depth + 1)
         elif isinstance(node, Not):
-            walk(node.absent)
-            walk(node.opener)
-            walk(node.closer)
+            walk(node.absent, depth + 1)
+            walk(node.opener, depth + 1)
+            walk(node.closer, depth + 1)
         elif isinstance(node, Any):
             if node.count < 1:
                 raise InvalidExpression(f"any needs count >= 1, got {node.count}")
@@ -123,11 +131,11 @@ def validate_expr(expr: EventExpr) -> None:
         elif isinstance(node, Times):
             if node.count < 1:
                 raise InvalidExpression(f"times needs count >= 1, got {node.count}")
-            walk(node.of)
+            walk(node.of, depth + 1)
         else:
             raise InvalidExpression(f"unknown expression node {node!r}")
 
-    walk(expr)
+    walk(expr, 1)
 
 
 def expr_leaf_types(expr: EventExpr) -> set[str]:

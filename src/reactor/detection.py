@@ -3,8 +3,8 @@
 The detector mirrors the expression tree with one state node per operator.
 New events enter at the atomic leaves and new partial occurrences propagate
 upward, so each feed touches only combinations the new event completes. The
-set of occurrences this accumulates under {all, multiple, no window} is
-exactly what the declarative evaluator produces over the same history; that
+occurrences fired over a history under {all, multiple, no window}, each
+once, are exactly what the declarative evaluator produces over it; that
 equivalence is the engine's correctness contract and is enforced in tests.
 
 Policies:
@@ -12,8 +12,8 @@ Policies:
   by initiator position),
 * consumption decides whether fired components stay available (multiple) or
   are removed from the retained set and all partial state (single),
-* an optional window expires events too old to take part in any future
-  detection.
+* an optional window expires, at the next feed, events too old to take
+  part in any future detection.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .algebra import (
     Or,
     Seq,
     Times,
+    _pairwise_disjoint,
     expr_leaf_types,
     merge_group,
     merge_occurrences,
@@ -41,7 +42,7 @@ from .algebra import (
     occurrence_sort_key,
     validate_expr,
 )
-from .errors import InvalidExpression, NoWindow, OutOfOrderEvent
+from .errors import InvalidExpression, OutOfOrderEvent
 from .model import EventInstance, TimePoint
 
 
@@ -99,29 +100,35 @@ def select_candidates(
 
 
 class _Node:
-    """State node: the occurrence set of one subexpression so far."""
+    """State node for one subexpression.
 
-    __slots__ = ("occs",)
+    ``occs`` lists the node's occurrences so far in creation order, but only
+    when ``keep`` is set: a parent that joins against them (seq, and, not,
+    times) keeps its children's, while the root and the branches of an or,
+    which nothing reads back, keep none.
+    """
 
-    def __init__(self):
-        # dict used as an ordered set; iteration order = creation order
-        self.occs: dict[Occurrence, None] = {}
+    __slots__ = ("occs", "keep")
+
+    def __init__(self, keep: bool):
+        self.occs: list[Occurrence] = []
+        self.keep = keep
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
         raise NotImplementedError
 
     def prune(self, removed: set[int]) -> None:
-        self.occs = {
-            o: None for o in self.occs if not (o.components & removed)
-        }
+        if self.occs:
+            self.occs = [o for o in self.occs if not (o.components & removed)]
 
     def _admit(self, fresh: list[Occurrence]) -> list[Occurrence]:
-        news = []
-        for o in fresh:
-            if o not in self.occs:
-                self.occs[o] = None
-                news.append(o)
-        return news
+        # every occurrence a feed makes contains the fed event, whose id is
+        # fresh, so it can only repeat one made by the same feed
+        if len(fresh) > 1:
+            fresh = list(dict.fromkeys(fresh))
+        if self.keep:
+            self.occs.extend(fresh)
+        return fresh
 
 
 def _join(
@@ -131,7 +138,8 @@ def _join(
     match: Callable[[Occurrence, Occurrence], Optional[Occurrence]],
 ) -> list[Occurrence]:
     """Feed both sides, then try every new occurrence on one side against
-    every occurrence on the other; a pair of two new ones is tried once."""
+    every occurrence on the other. The new right occurrences are the last
+    ones in ``right.occs``, so a pair of two new ones is tried once."""
     new_l = left.feed(e)
     new_r = right.feed(e)
     fresh: list[Occurrence] = []
@@ -142,21 +150,20 @@ def _join(
                 if m is not None:
                     fresh.append(m)
     if new_l:
-        joined = set(new_r)  # already paired with every left above
+        n_old = len(right.occs) - len(new_r)
         for l in new_l:
-            for r in right.occs:
-                if r not in joined:
-                    m = match(l, r)
-                    if m is not None:
-                        fresh.append(m)
+            for r in itertools.islice(right.occs, n_old):
+                m = match(l, r)
+                if m is not None:
+                    fresh.append(m)
     return fresh
 
 
 class _AtomicNode(_Node):
     __slots__ = ("type_name", "var")
 
-    def __init__(self, expr: Atomic):
-        super().__init__()
+    def __init__(self, expr: Atomic, keep: bool):
+        super().__init__(keep)
         self.type_name = expr.type.name
         self.var = expr.var
 
@@ -171,8 +178,8 @@ class _PairNode(_Node):
 
     __slots__ = ("left", "right", "ordered")
 
-    def __init__(self, left: _Node, right: _Node, ordered: bool):
-        super().__init__()
+    def __init__(self, left: _Node, right: _Node, ordered: bool, keep: bool):
+        super().__init__(keep)
         self.left = left
         self.right = right
         self.ordered = ordered  # True: sequence, False: conjunction
@@ -197,8 +204,8 @@ class _PairNode(_Node):
 class _OrNode(_Node):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: _Node, right: _Node):
-        super().__init__()
+    def __init__(self, left: _Node, right: _Node, keep: bool):
+        super().__init__(keep)
         self.left = left
         self.right = right
 
@@ -214,8 +221,8 @@ class _OrNode(_Node):
 class _NotNode(_Node):
     __slots__ = ("absent", "opener", "closer")
 
-    def __init__(self, absent: _Node, opener: _Node, closer: _Node):
-        super().__init__()
+    def __init__(self, absent: _Node, opener: _Node, closer: _Node, keep: bool):
+        super().__init__(keep)
         self.absent = absent
         self.opener = opener
         self.closer = closer
@@ -244,8 +251,8 @@ class _NotNode(_Node):
 class _AnyNode(_Node):
     __slots__ = ("count", "names", "insts")
 
-    def __init__(self, expr: Any):
-        super().__init__()
+    def __init__(self, expr: Any, keep: bool):
+        super().__init__(keep)
         self.count = expr.count
         self.names = {t.name for t in expr.types}
         self.insts: list[EventInstance] = []
@@ -270,30 +277,21 @@ class _AnyNode(_Node):
 class _TimesNode(_Node):
     __slots__ = ("count", "inner")
 
-    def __init__(self, count: int, inner: _Node):
-        super().__init__()
+    def __init__(self, count: int, inner: _Node, keep: bool):
+        super().__init__(keep)
         self.count = count
         self.inner = inner
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
         new_i = self.inner.feed(e)
-        if not new_i:
-            return []
-        new_set = set(new_i)
+        occs = self.inner.occs
         fresh: list[Occurrence] = []
-        pool = list(self.inner.occs)
-        for combo in itertools.combinations(pool, self.count):
-            if not any(o in new_set for o in combo):
-                continue
-            comps: set[int] = set()
-            ok = True
-            for o in combo:
-                if comps & o.components:
-                    ok = False
-                    break
-                comps |= o.components
-            if ok:
-                fresh.append(merge_group(list(combo)))
+        # a combination is new when its last member is, and new ones end occs
+        for j in range(len(occs) - len(new_i), len(occs)):
+            for rest in itertools.combinations(occs[:j], self.count - 1):
+                combo = (*rest, occs[j])
+                if _pairwise_disjoint(combo):
+                    fresh.append(merge_group(combo))
         return self._admit(fresh)
 
     def prune(self, removed: set[int]) -> None:
@@ -301,21 +299,23 @@ class _TimesNode(_Node):
         super().prune(removed)
 
 
-def _build(expr: EventExpr) -> _Node:
+def _build(expr: EventExpr, keep: bool) -> _Node:
+    """State tree for ``expr``; ``keep`` says whether its parent joins
+    against its occurrences."""
     if isinstance(expr, Atomic):
-        return _AtomicNode(expr)
-    if isinstance(expr, Seq):
-        return _PairNode(_build(expr.left), _build(expr.right), ordered=True)
-    if isinstance(expr, And):
-        return _PairNode(_build(expr.left), _build(expr.right), ordered=False)
+        return _AtomicNode(expr, keep)
+    if isinstance(expr, (Seq, And)):
+        left, right = _build(expr.left, True), _build(expr.right, True)
+        return _PairNode(left, right, isinstance(expr, Seq), keep)
     if isinstance(expr, Or):
-        return _OrNode(_build(expr.left), _build(expr.right))
+        return _OrNode(_build(expr.left, False), _build(expr.right, False), keep)
     if isinstance(expr, Not):
-        return _NotNode(_build(expr.absent), _build(expr.opener), _build(expr.closer))
+        kids = (_build(x, True) for x in (expr.absent, expr.opener, expr.closer))
+        return _NotNode(*kids, keep)
     if isinstance(expr, Any):
-        return _AnyNode(expr)
+        return _AnyNode(expr, keep)
     if isinstance(expr, Times):
-        return _TimesNode(expr.count, _build(expr.of))
+        return _TimesNode(expr.count, _build(expr.of, True), keep)
     raise InvalidExpression(f"unknown expression node {expr!r}")
 
 
@@ -329,12 +329,11 @@ class Detector:
 
     def __init__(self, expr: EventExpr, config: DetectorConfig | None = None):
         validate_expr(expr)  # InvalidExpression on malformed input
-        self.expr = expr
         self.config = config or DetectorConfig()
         self.retained: dict[int, EventInstance] = {}
-        self._root = _build(expr)
+        self._root = _build(expr, keep=False)
         self._leaf_types = expr_leaf_types(expr)
-        self._order: deque[tuple[TimePoint, int]] = deque()  # (time, id) fed
+        self._order: deque[tuple[TimePoint, int]] = deque()  # (time, id), windowed
         self._watermark: TimePoint = 0
         self._last_id = 0
 
@@ -353,15 +352,17 @@ class Detector:
         self._watermark = e.time
         self._last_id = e.id
 
-        if self.config.window is not None:
-            self._expire_older_than(e.time - self.config.window)
+        window = self.config.window
+        if window is not None:
+            self._expire_older_than(e.time - window)
 
         # a type no leaf mentions can never be a component; skip the tree
         if e.type.name not in self._leaf_types:
             return []
 
         self.retained[e.id] = e
-        self._order.append((e.time, e.id))
+        if window is not None:
+            self._order.append((e.time, e.id))
 
         candidates = self._root.feed(e)
         selected = select_candidates(candidates, self.config.selection)
@@ -382,27 +383,11 @@ class Detector:
             self.retained.pop(cid, None)
         self._root.prune(ids)
 
-    # -------------------------------------------------------------- windows
-
-    def expire(self, now: TimePoint) -> int:
-        """Drop retained events older than the window; returns the count."""
-        if self.config.window is None:
-            raise NoWindow("detector has no window configured")
-        if now < self._watermark:
-            raise OutOfOrderEvent(
-                f"expire at {now} precedes watermark {self._watermark}"
-            )
-        self._watermark = now
-        return self._expire_older_than(now - self.config.window)
-
-    def _expire_older_than(self, threshold: TimePoint) -> int:
+    def _expire_older_than(self, threshold: TimePoint) -> None:
         removed: set[int] = set()
         while self._order and self._order[0][0] < threshold:
             _, eid = self._order.popleft()
             if eid in self.retained:
                 removed.add(eid)
         if removed:
-            for cid in removed:
-                del self.retained[cid]
-            self._root.prune(removed)
-        return len(removed)
+            self._remove(removed)

@@ -13,8 +13,9 @@ rolled_back with zero events.
 
 Chaining is breadth-first at the triggering event's timestamp; the chain
 depth counts queue generations and a configurable limit guards against
-non-terminating rule interactions. The triggering graph gives the static
-counterpart: no cycles there means no chain can run away.
+non-terminating rule interactions; an abort leaves the cascade's commits in
+place, so the engine then refuses all input. The triggering graph gives the
+static counterpart: no cycles there means no chain can run away.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import Occurrence, expr_leaf_types
+from .algebra import Occurrence, expr_leaf_types, validate_expr
 from .detection import Detector, DetectorConfig
 from .errors import (
     ChainLimitExceeded,
@@ -71,12 +72,11 @@ class TxnOutcome(Enum):
 
 @dataclass(frozen=True)
 class ReactionRecord:
-    """One rule firing: what triggered it, what it did, how it ended."""
+    """One rule firing: what triggered it, what it raised, how it ended."""
 
     rule_id: str
     occurrence: Occurrence
     bindings: dict[str, Binding]
-    actions: tuple[tuple, ...]
     outcome: TxnOutcome
     events: tuple[EventInstance, ...]
     depth: int
@@ -102,61 +102,6 @@ def _fact_payload(fact: Fact) -> dict[str, Scalar]:
     return {f"arg{i}": v for i, v in enumerate(fact.args)}
 
 
-def _run_actions(
-    actions: Sequence[Action],
-    bindings: dict[str, Binding],
-    kb: KnowledgeBase,
-    post: Optional[Condition],
-    fluents: Optional[FluentHistory],
-    at: TimePoint,
-    id_source: Optional[Callable[[], int]],
-):
-    """Full transaction: returns (outcome, events, action descriptions).
-
-    Commits to kb on success; touches nothing on rollback.
-    """
-    txn = Overlay(kb)
-    pending: list[tuple[str, TimePoint, dict[str, Scalar]]] = []  # event specs
-    done: list[tuple] = []
-
-    for act in actions:
-        if isinstance(act, AssertAction):
-            fact = instantiate_fact(act.fact, bindings)
-            done.append(("assert", fact))
-            if txn.add(fact):
-                pending.append((ASSERT_PREFIX + fact.name, at, _fact_payload(fact)))
-        elif isinstance(act, RetractAction):
-            fact = instantiate_fact(act.fact, bindings)
-            done.append(("retract", fact))
-            if txn.discard(fact):
-                pending.append((RETRACT_PREFIX + fact.name, at, _fact_payload(fact)))
-        elif isinstance(act, EmitAction):
-            try:
-                payload = {k: eval_term(t, bindings) for k, t in act.payload}
-            except (MissingField, UnboundVariable) as err:
-                raise TemplateError(
-                    f"cannot instantiate emit({act.type_name}) payload: {err}"
-                ) from err
-            done.append(("emit", act.type_name, payload))
-            pending.append((act.type_name, at, payload))
-        elif isinstance(act, NoopAction):
-            done.append(("noop",))
-        else:
-            raise TypeError(f"not an action: {act!r}")
-
-    if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
-        return TxnOutcome.ROLLED_BACK, [], tuple(done)
-
-    kb.commit(txn.ops)
-    counter = iter(range(1, len(pending) + 1))
-    mint = id_source if id_source is not None else (lambda: next(counter))
-    events = [
-        make_event(name, t, payload, mint())
-        for (name, t, payload) in pending
-    ]
-    return TxnOutcome.COMMITTED, events, tuple(done)
-
-
 def apply_actions_txn(
     actions: Sequence[Action],
     bindings: dict[str, Binding],
@@ -169,11 +114,47 @@ def apply_actions_txn(
     """Run one rule firing's actions transactionally.
 
     Returns (outcome, produced events); rolled-back firings produce none.
+    Commits to kb on success; touches nothing on rollback.
     """
-    outcome, events, _ = _run_actions(
-        actions, bindings, kb, post, fluents, at, id_source
-    )
-    return outcome, events
+    txn = Overlay(kb)
+    pending: list[tuple[str, TimePoint, dict[str, Scalar]]] = []  # event specs
+
+    for act in actions:
+        if isinstance(act, AssertAction):
+            fact = instantiate_fact(act.fact, bindings)
+            if txn.add(fact):
+                pending.append((ASSERT_PREFIX + fact.name, at, _fact_payload(fact)))
+        elif isinstance(act, RetractAction):
+            fact = instantiate_fact(act.fact, bindings)
+            if txn.discard(fact):
+                pending.append((RETRACT_PREFIX + fact.name, at, _fact_payload(fact)))
+        elif isinstance(act, EmitAction):
+            try:
+                payload = {k: eval_term(t, bindings) for k, t in act.payload}
+            except (MissingField, UnboundVariable) as err:
+                raise TemplateError(
+                    f"cannot instantiate emit({act.type_name}) payload: {err}"
+                ) from err
+            pending.append((act.type_name, at, payload))
+        elif not isinstance(act, NoopAction):
+            raise TypeError(f"not an action: {act!r}")
+
+    if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
+        return TxnOutcome.ROLLED_BACK, []
+
+    kb.commit(txn.ops)
+    counter = iter(range(1, len(pending) + 1))
+    mint = id_source if id_source is not None else (lambda: next(counter))
+    events = [
+        make_event(name, t, payload, mint())
+        for (name, t, payload) in pending
+    ]
+    return TxnOutcome.COMMITTED, events
+
+
+# the engine calls the transaction through this module-level name, so a
+# tracer can wrap it
+_run_actions = apply_actions_txn
 
 
 # =========================================================================
@@ -205,7 +186,10 @@ class Engine:
     ):
         if chain_limit < 1:
             raise ValueError(f"chain limit must be >= 1, got {chain_limit}")
-        self.ruleset = ruleset
+        # one flat pass, as set-up time grows with the initial facts
+        floats = [v for f in initial_facts for v in f.args if isinstance(v, float)]
+        if not all(map(math.isfinite, floats)):
+            raise NonFinitePayload("initial fact arguments must be finite numbers")
         self.kb = KnowledgeBase(initial_facts)
         self.fluents = FluentHistory()
         for eff in ruleset.effects:
@@ -223,6 +207,7 @@ class Engine:
         ]
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
+        self._aborted: Optional[str] = None  # why a cascade was cut short
 
     def next_id(self) -> int:
         self._seq += 1
@@ -231,19 +216,20 @@ class Engine:
     def ingest(
         self, type_name: str, time: TimePoint, payload: dict | None = None
     ) -> list[ReactionRecord]:
-        """Mint an id for a new event and dispatch it.
-
-        Payload numbers must be finite (NonFinitePayload): the report could
-        not serialise them.
-        """
+        """Mint an id for a new event and dispatch it. A malformed event
+        (InvalidEvent) or a NaN or infinite payload number, which the report
+        could not serialise (NonFinitePayload), is refused before that."""
+        self._require_live()
         payload = payload or {}
         _require_finite(payload)
-        e = make_event(type_name, time, payload, self.next_id())
+        e = make_event(type_name, time, payload, self._seq + 1)
+        self._seq = e.id
         return self._dispatch_minted(e)
 
     def dispatch(self, e: EventInstance) -> list[ReactionRecord]:
         """Dispatch a caller-built event; its id must be fresh and its
         payload numbers finite."""
+        self._require_live()
         _require_finite(e.payload)
         if e.id <= self._seq:
             raise OutOfOrderEvent(
@@ -251,6 +237,11 @@ class Engine:
             )
         self._seq = e.id
         return self._dispatch_minted(e)
+
+    def _require_live(self) -> None:
+        # an aborted cascade left its commits behind: take no further input
+        if self._aborted is not None:
+            raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
 
     def _dispatch_minted(self, e: EventInstance) -> list[ReactionRecord]:
         if e.time < self._watermark:
@@ -277,7 +268,7 @@ class Engine:
                         # fails closed, but leaves an audit record
                         records.append(
                             ReactionRecord(
-                                rule.id, occ, base, (), TxnOutcome.ROLLED_BACK,
+                                rule.id, occ, base, TxnOutcome.ROLLED_BACK,
                                 (), depth, error=str(err),
                             )
                         )
@@ -285,14 +276,14 @@ class Engine:
                     sols.sort(key=_solution_order_key)
                     for sol in sols:
                         try:
-                            outcome, events, acts = _run_actions(
+                            outcome, events = _run_actions(
                                 rule.actions, sol, self.kb, rule.post,
                                 self.fluents, at, self.next_id,
                             )
                         except TemplateError as err:
                             records.append(
                                 ReactionRecord(
-                                    rule.id, occ, sol, (),
+                                    rule.id, occ, sol,
                                     TxnOutcome.ROLLED_BACK, (), depth,
                                     error=str(err),
                                 )
@@ -300,17 +291,17 @@ class Engine:
                             continue
                         records.append(
                             ReactionRecord(
-                                rule.id, occ, sol, acts, outcome,
+                                rule.id, occ, sol, outcome,
                                 tuple(events), depth,
                             )
                         )
                         if events:
                             if depth + 1 > self.chain_limit:
-                                raise ChainLimitExceeded(
+                                self._aborted = (
                                     f"chain depth {depth + 1} exceeds limit "
-                                    f"{self.chain_limit} at time {ev.time}",
-                                    records=records,
+                                    f"{self.chain_limit} at time {ev.time}"
                                 )
+                                raise ChainLimitExceeded(self._aborted, records=records)
                             for ie in events:
                                 queue.append((ie, depth + 1))
         return records
@@ -349,8 +340,10 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
 
     Listening is judged conservatively over every type name in s's event
     expression, so an empty cycle list certifies that no reaction chain can
-    loop.
+    loop. Each rule's expression is validated first (InvalidExpression).
     """
+    for rule in ruleset.rules:
+        validate_expr(rule.on)
     order = {rule.id: i for i, rule in enumerate(ruleset.rules)}
     listeners: dict[str, list[int]] = {}
     for i, rule in enumerate(ruleset.rules):

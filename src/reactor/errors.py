@@ -11,11 +11,15 @@ class ReactorError(Exception):
     """Base class for all engine errors."""
 
 
-# ---------------------------------------------------------------- intervals
+# -------------------------------------------------------------------- model
 
 
 class UnboundedInterval(ReactorError):
     """An interval operation needed a finite endpoint and got an open one."""
+
+
+class InvalidEvent(ReactorError, ValueError):
+    """An event's type name, time, id or payload is malformed."""
 
 
 # ------------------------------------------------------------------ algebra
@@ -34,10 +38,6 @@ class InvalidExpression(ReactorError):
 
 class OutOfOrderEvent(ReactorError):
     """Fed event regressed in time or reused an id already seen."""
-
-
-class NoWindow(ReactorError):
-    """Expiry requested on a detector configured without a window."""
 
 
 # -------------------------------------------------------------------- rules
@@ -69,7 +69,7 @@ class TemplateError(ReactorError):
 
 
 class NonFinitePayload(ReactorError):
-    """An event handed to the engine carries a NaN or infinite number."""
+    """An event or initial fact given to the engine has a NaN or inf number."""
 
 
 class ChainLimitExceeded(ReactorError):

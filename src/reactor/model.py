@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .errors import UnboundedInterval
+from .errors import InvalidEvent, UnboundedInterval
 
 # Timeline positions. Plain ints; the alias marks intent in signatures.
 TimePoint = int
@@ -77,8 +77,8 @@ class EventTypeId:
     name: str
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("event type name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InvalidEvent(f"event type name must be a non-empty str: {self.name!r}")
 
     def __repr__(self):
         return self.name
@@ -116,15 +116,16 @@ class EventInstance:
     payload: Mapping[str, Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"event id must be >= 1, got {self.id}")
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
+        # type() rather than isinstance: a bool is no id or time point
+        if type(self.id) is not int or self.id < 1:
+            raise InvalidEvent(f"event id must be an integer >= 1, got {self.id!r}")
+        if type(self.time) is not int or self.time < 0:
+            raise InvalidEvent(f"event time must be an integer >= 0, got {self.time!r}")
         for key, value in self.payload.items():
             if not isinstance(key, str):
-                raise ValueError(f"payload key {key!r} is not a string")
+                raise InvalidEvent(f"payload key {key!r} is not a string")
             if not isinstance(value, (str, int, float, bool)):
-                raise ValueError(f"payload value {key}={value!r} is not a scalar")
+                raise InvalidEvent(f"payload value {key}={value!r} is not a scalar")
 
     # payload is a plain dict, so hashing must not touch it
     def __hash__(self):

@@ -38,7 +38,7 @@ from typing import Optional
 
 from .algebra import And as AndExpr
 from .algebra import Any as AnyExpr
-from .algebra import Atomic, EventExpr, Not, Or, Seq, Times, validate_expr
+from .algebra import _MAX_NESTING, Atomic, EventExpr, Not, Or, Seq, Times, validate_expr
 from .detection import ConsumptionPolicy, SelectionPolicy
 from .errors import InvalidExpression, RuleSyntaxError, UnboundVariable
 from .fluents import EffectMode
@@ -66,9 +66,6 @@ from .rules import (
 )
 
 _EEXPR_OPS = {"seq", "and", "or", "not", "any", "times"}
-# Operators nested deeper than this are refused, so that no rule text can
-# exhaust the recursion of the parser or of the passes over its tree.
-_MAX_NESTING = 100
 _PUNCT = set("(){},:.")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")

@@ -57,6 +57,18 @@ class TestValidateExpr:
         with pytest.raises(InvalidExpression):
             validate_expr(Times(0, A))
 
+    def test_nesting_limit(self):
+        def nested(depth):
+            expr = A
+            for _ in range(depth):
+                expr = Seq(expr, B)
+            return expr
+
+        validate_expr(nested(100))
+        for depth in (101, 5000):
+            with pytest.raises(InvalidExpression, match="nested deeper than 100"):
+                validate_expr(nested(depth))
+
     def test_well_formed_pass(self):
         validate_expr(Seq(A, Not(X, B, C)))
         validate_expr(Times(1, Or(A, B)))

@@ -12,7 +12,7 @@ from reactor import (
     DetectorConfig,
     InvalidExpression,
     Not,
-    NoWindow,
+    Or,
     OutOfOrderEvent,
     SelectionPolicy,
     Seq,
@@ -25,7 +25,7 @@ from reactor.detection import select_candidates
 
 from helpers import history, proj, random_expr, random_history
 
-A, B, X = (Atomic(event_type(t)) for t in "abx")
+A, B, C, X = (Atomic(event_type(t)) for t in "abcx")
 ALL_MULTI = DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)
 
 
@@ -199,10 +199,8 @@ class TestConsume:
 
 
 class TestExpire:
-    def test_requires_window(self):
-        det = Detector(A, ALL_MULTI)
-        with pytest.raises(NoWindow):
-            det.expire(10)
+    # feeding a type no leaf names only moves the clock, so it shows what
+    # the window alone drops
 
     def test_removes_events_older_than_threshold(self):
         # window 10: a@1 and a@11 are both within window while feeding;
@@ -210,20 +208,20 @@ class TestExpire:
         det = Detector(Seq(A, B), DetectorConfig(window=10))
         det.feed(make_event("a", 1, id=1))
         det.feed(make_event("a", 11, id=2))
-        assert det.expire(25) == 2
+        assert det.feed(make_event("z", 25, id=3)) == []
         assert det.retained == {}
 
     def test_keeps_events_inside_window(self):
         det = Detector(Seq(A, B), DetectorConfig(window=10))
         det.feed(make_event("a", 20, id=1))
-        assert det.expire(25) == 0
+        assert det.feed(make_event("z", 25, id=2)) == []
         assert set(det.retained) == {1}
 
     def test_now_before_watermark_rejected(self):
         det = Detector(A, DetectorConfig(window=5))
         det.feed(make_event("a", 9, id=1))
         with pytest.raises(OutOfOrderEvent):
-            det.expire(8)
+            det.feed(make_event("z", 8, id=2))
 
     def test_feed_expires_automatically(self):
         # by the time b@20 arrives, a@1 is outside the window and gone
@@ -303,6 +301,36 @@ class TestOracleEquivalence:
                     for e in h
                 ])
             assert runs[0] == runs[1]
+
+
+class TestNoRepeats:
+    """Dedup runs only within one feed, so nothing may fire twice."""
+
+    def fired_list(self, expr, h):
+        det = Detector(expr, ALL_MULTI)
+        return sorted(
+            (d.occurrence.interval.start, d.occurrence.interval.end,
+             tuple(sorted(d.occurrence.components)))
+            for e in h
+            for d in det.feed(e)
+        )
+
+    def test_fuzz_fires_each_occurrence_once(self):
+        rng = random.Random(35)
+        for _ in range(150):
+            h = random_history(rng)
+            expr = random_expr(rng)
+            want = sorted(proj(occurrences(expr, h)))
+            assert self.fired_list(expr, h) == want, (expr, h)
+
+    def test_or_of_same_type_fires_once(self):
+        assert self.fired_list(Or(A, A), history(("a", 1))) == [(1, 1, (1,))]
+
+    def test_two_derivations_fire_once(self):
+        # {a,b,c} is both a + seq(b, c) and seq(a, b) + c
+        expr = Seq(Or(A, Seq(A, B)), Or(Seq(B, C), C))
+        h = history(("a", 1), ("b", 2), ("c", 3))
+        assert self.fired_list(expr, h) == [(1, 3, (1, 2, 3)), (1, 3, (1, 3))]
 
 
 class TestTimesScenario:

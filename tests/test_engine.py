@@ -9,12 +9,15 @@ from reactor import (
     ChainLimitExceeded,
     Comparison,
     Condition,
+    Detector,
     EmitAction,
     Engine,
     Fact,
     FactLookup,
     FactTemplate,
     FieldRef,
+    InvalidEvent,
+    InvalidExpression,
     Lit,
     NonFinitePayload,
     NoopAction,
@@ -22,6 +25,7 @@ from reactor import (
     RetractAction,
     Rule,
     RuleSet,
+    Seq,
     TemplateError,
     TxnOutcome,
     VarRef,
@@ -269,6 +273,38 @@ class TestDispatch:
         assert len(ei.value.records) > 0
         assert all(r.outcome is TxnOutcome.COMMITTED for r in ei.value.records)
 
+    def test_engine_refuses_input_after_chain_abort(self):
+        # the aborted cascade left its commits behind, so the engine is
+        # poisoned: later input is refused and changes nothing
+        eng = Engine(
+            parse_rules(
+                "effect a initiates f\n"
+                "rule r1: on a do assert(p)\n"
+                "rule r2: on assert:p do retract(p), emit(a, {})\n"
+            ),
+            chain_limit=5,
+        )
+        with pytest.raises(ChainLimitExceeded):
+            eng.ingest("a", 1)
+
+        def state():
+            return (
+                eng.kb.snapshot(),
+                eng.fluents.fluent_intervals("f"),
+                [(dict(det.retained), det._watermark) for _, det in eng.detectors],
+                eng._seq,
+            )
+
+        before = state()
+        for feed in (
+            lambda: eng.ingest("a", 2),
+            lambda: eng.dispatch(make_event("a", 2, id=1000)),
+        ):
+            with pytest.raises(ChainLimitExceeded) as ei:
+                feed()
+            assert ei.value.records == []
+            assert state() == before
+
     def test_rolled_back_rule_raises_nothing(self):
         rs = RuleSet(
             (
@@ -363,6 +399,36 @@ class TestDispatch:
         (rec,) = eng.ingest("a", 1, {"v": 2.5})
         assert rec.occurrence.components == {1}
         assert eng.kb.snapshot() == {Fact("seen", (2.5,))}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("a", 1, {"v": [1]}),  # payload value not a scalar
+            ("a", 1, {3: "x"}),  # payload key not a string
+            ("a", -1),
+            ("a", "3"),
+            ("a", 1.5),
+            ("a", True),
+            ("", 1),
+        ],
+    )
+    def test_malformed_event_refused(self, args):
+        eng = Engine(parse_rules("rule r: on a do assert(seen)"))
+        with pytest.raises(InvalidEvent) as ei:
+            eng.ingest(*args)
+        assert isinstance(ei.value, ValueError)
+        with pytest.raises(InvalidEvent):
+            eng.dispatch(make_event(*args, id=1))
+        # refused before an id was minted or anything was committed
+        assert len(eng.kb) == 0
+        (rec,) = eng.ingest("a", 1)
+        assert rec.occurrence.components == {1}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_initial_fact_refused(self, bad):
+        rs = parse_rules("rule r: on a do noop")
+        with pytest.raises(NonFinitePayload):
+            Engine(rs, initial_facts=[Fact("ok", (1.5,)), Fact("x", ("s", bad))])
 
     def test_effects_recorded_before_rules_run(self):
         # the initiating event is visible to its own rule's holds()
@@ -479,3 +545,43 @@ class TestTriggeringGraph:
                 if comp and comp[0] == r.id:
                     expect.append(comp)
             assert g.cycles == tuple(expect)
+
+
+class TestDeepExpressions:
+    def test_api_built_expression_past_the_limit_is_refused(self):
+        # built through the API, so no parser stands in front of it
+        expr = on("a")
+        for _ in range(2000):
+            expr = Seq(expr, on("b"))
+        rs = RuleSet((Rule(id="deep", on=expr, actions=(NoopAction(),)),))
+        with pytest.raises(InvalidExpression, match="nested deeper than 100"):
+            Detector(expr)
+        with pytest.raises(InvalidExpression, match="nested deeper than 100"):
+            Engine(rs)
+        with pytest.raises(InvalidExpression, match="nested deeper than 100"):
+            triggering_graph(rs)
+
+
+def _nodes(node):
+    yield node
+    for attr in ("left", "right", "absent", "opener", "closer", "inner"):
+        child = getattr(node, attr, None)
+        if child is not None:
+            yield from _nodes(child)
+
+
+class TestDetectorMemory:
+    def test_kept_occurrences_bounded_by_retained_events(self):
+        # no window, nothing consumed: every a and b stays retained, but
+        # the a x b pairs are fired and never kept
+        eng = Engine(
+            parse_rules(
+                "rule r: on seq(a as ?a, b as ?b) do noop "
+                "select last consume multiple"
+            )
+        )
+        for t in range(2000):
+            eng.ingest("ab"[t % 2], t)
+        ((_, det),) = eng.detectors
+        assert len(det.retained) == 2000
+        assert sum(len(n.occs) for n in _nodes(det._root)) <= len(det.retained)

@@ -14,6 +14,7 @@ from reactor import (
     NonFinitePayload,
     OutOfOrderTrace,
     ReservedType,
+    RunReport,
     TraceError,
     load_trace,
     make_event,
@@ -204,8 +205,8 @@ class TestRunReplay:
         assert summary["error"] == report.error
 
     def test_report_refuses_non_finite_numbers(self):
-        rs = parse_rules("rule r: on a do noop\n")
-        report = run_replay(rs, [], initial_facts=[Fact("p", (float("inf"),))])
+        # the engine refuses such facts, so build the report by hand
+        report = RunReport((), 0, (Fact("p", (float("inf"),)),), {})
         with pytest.raises(ValueError):
             report.to_jsonl()
 
@@ -250,6 +251,12 @@ class TestRunReplay:
         rules = parse_rules("rule r: on a as ?x do assert(seen(?x.v))")
         with pytest.raises(NonFinitePayload):
             run_replay(rules, [make_event("a", 1, {"v": float("inf")}, id=1)])
+
+
+    def test_non_finite_initial_fact_is_a_reactor_error(self):
+        rules = parse_rules("rule r: on a do noop")
+        with pytest.raises(NonFinitePayload):
+            run_replay(rules, [], initial_facts=[Fact("x", (float("nan"),))])
 
 
 class TestCli:
