@@ -283,6 +283,7 @@ def occurrences(expr: EventExpr, history: Sequence[EventInstance]) -> frozenset[
     Exponential in the worst case by design; this is the reference
     evaluator, not the streaming one.
     """
+    validate_expr(expr)  # InvalidExpression, also for nesting past the limit
     check_sorted(history)
     return frozenset(_eval(expr, list(history)))
 
@@ -386,6 +387,7 @@ def occurrences_point(
     detection times only. Exists to demonstrate the composition anomaly that
     interval semantics avoids.
     """
+    validate_expr(expr)
     check_sorted(history)
     return frozenset(_eval_point(expr, list(history)))
 

@@ -43,6 +43,7 @@ from .model import (
     EventInstance,
     Scalar,
     TimePoint,
+    intern_type,
     make_event,
 )
 from .rules import (
@@ -205,6 +206,13 @@ class Engine:
             )
             for rule in ruleset.rules
         ]
+        # type name -> the detectors whose expression names it, in rule
+        # order; an event reaches only these, and a windowed detector
+        # expires at its next routed feed (its threshold only moves forward)
+        self._routes: dict[str, list[tuple[Rule, Detector]]] = {}
+        for rule, det in self.detectors:
+            for type_name in expr_leaf_types(rule.on):
+                self._routes.setdefault(type_name, []).append((rule, det))
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
         self._aborted: Optional[str] = None  # why a cascade was cut short
@@ -220,9 +228,9 @@ class Engine:
         (InvalidEvent) or a NaN or infinite payload number, which the report
         could not serialise (NonFinitePayload), is refused before that."""
         self._require_live()
-        payload = payload or {}
+        payload = dict(payload or {})
         _require_finite(payload)
-        e = make_event(type_name, time, payload, self._seq + 1)
+        e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
         self._seq = e.id
         return self._dispatch_minted(e)
 
@@ -255,7 +263,7 @@ class Engine:
         while queue:
             ev, depth = queue.popleft()
             self.fluents.record(ev)
-            for rule, det in self.detectors:
+            for rule, det in self._routes.get(ev.type.name, ()):
                 for det_hit in det.feed(ev):
                     occ = det_hit.occurrence
                     at = occ.terminator_time
@@ -273,7 +281,8 @@ class Engine:
                             )
                         )
                         continue
-                    sols.sort(key=_solution_order_key)
+                    if len(sols) > 1:
+                        sols.sort(key=_solution_order_key)
                     for sol in sols:
                         try:
                             outcome, events = _run_actions(

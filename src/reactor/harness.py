@@ -27,7 +27,7 @@ from .errors import (
     ReservedType,
     TraceError,
 )
-from .model import TIMER_TYPE, EventInstance, is_reserved_type, make_event
+from .model import TIMER_TYPE, EventInstance, intern_type, is_reserved_type, make_event
 from .rules import Fact, RuleSet, fact_sort_key
 
 _SCALARS = (str, int, float, bool)
@@ -97,7 +97,7 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
                 f"time {t} is earlier than preceding time {last_time}", lineno
             )
         last_time = t
-        out.append(make_event(tname, t, payload, id=len(out) + 1))
+        out.append(EventInstance(len(out) + 1, intern_type(tname), t, payload))
     return out
 
 
@@ -171,7 +171,7 @@ def _record_json(r: ReactionRecord) -> dict:
     occ = r.occurrence
     return {
         "rule": r.rule_id,
-        "interval": [occ.interval.start, occ.interval.end],
+        "interval": [occ.initiator_time, occ.terminator_time],
         "events": sorted(occ.components),
         "bindings": {k: _binding_json(v) for k, v in r.bindings.items()},
         "outcome": r.outcome.value,

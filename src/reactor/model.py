@@ -9,6 +9,7 @@ components' intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from .errors import InvalidEvent, UnboundedInterval
@@ -87,13 +88,26 @@ class EventTypeId:
 event_type = EventTypeId
 
 
+@lru_cache(maxsize=4096)
+def _type_named(name: str) -> EventTypeId:
+    return EventTypeId(name)
+
+
+def intern_type(name: str) -> EventTypeId:
+    """The shared EventTypeId for ``name``, from a bounded cache, so that
+    events of one type share one object. A name that is not a non-empty
+    str, unhashable ones included, raises InvalidEvent."""
+    try:
+        return _type_named(name)
+    except TypeError:  # unhashable, so no cache key
+        raise InvalidEvent(
+            f"event type name must be a non-empty str: {name!r}"
+        ) from None
+
+
 def is_reserved_type(name: str) -> bool:
     """Types only the engine itself may mint."""
-    return (
-        name.startswith(ASSERT_PREFIX)
-        or name.startswith(RETRACT_PREFIX)
-        or name == TIMER_TYPE
-    )
+    return name.startswith((ASSERT_PREFIX, RETRACT_PREFIX)) or name == TIMER_TYPE
 
 
 # =========================================================================
@@ -101,7 +115,7 @@ def is_reserved_type(name: str) -> bool:
 # =========================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventInstance:
     """One concrete event on the timeline.
 
@@ -143,8 +157,8 @@ def make_event(
 ) -> EventInstance:
     """Construct an event instance. The caller owns id freshness.
 
-    A plain string type is coerced to an EventTypeId.
+    A type name is looked up with intern_type.
     """
-    if isinstance(type, str):
-        type = EventTypeId(type)
+    if not isinstance(type, EventTypeId):
+        type = intern_type(type)
     return EventInstance(id=id, type=type, time=time, payload=dict(payload or {}))

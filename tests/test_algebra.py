@@ -69,6 +69,15 @@ class TestValidateExpr:
             with pytest.raises(InvalidExpression, match="nested deeper than 100"):
                 validate_expr(nested(depth))
 
+    def test_oracle_validates_before_recursing(self):
+        deep = A
+        for _ in range(2000):
+            deep = Seq(deep, B)
+        h = [make_event("a", 1, id=1)]
+        for oracle in (occurrences, occurrences_point):
+            with pytest.raises(InvalidExpression, match="nested deeper than 100"):
+                oracle(deep, h)
+
     def test_well_formed_pass(self):
         validate_expr(Seq(A, Not(X, B, C)))
         validate_expr(Times(1, Or(A, B)))

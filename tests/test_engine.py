@@ -9,6 +9,7 @@ from reactor import (
     ChainLimitExceeded,
     Comparison,
     Condition,
+    ConsumptionPolicy,
     Detector,
     EmitAction,
     Engine,
@@ -21,10 +22,12 @@ from reactor import (
     Lit,
     NonFinitePayload,
     NoopAction,
+    Not,
     OutOfOrderEvent,
     RetractAction,
     Rule,
     RuleSet,
+    SelectionPolicy,
     Seq,
     TemplateError,
     TxnOutcome,
@@ -37,6 +40,8 @@ from reactor import (
 )
 from reactor.engine import instantiate_fact
 from reactor.rules import KnowledgeBase
+
+from helpers import TYPES, random_expr, random_history
 
 
 def on(name, var=None):
@@ -410,6 +415,9 @@ class TestDispatch:
             ("a", 1.5),
             ("a", True),
             ("", 1),
+            ([], 1),  # type name unhashable
+            (3, 1),  # type name not a string
+            (None, 1),
         ],
     )
     def test_malformed_event_refused(self, args):
@@ -585,3 +593,109 @@ class TestDetectorMemory:
         ((_, det),) = eng.detectors
         assert len(det.retained) == 2000
         assert sum(len(n.occs) for n in _nodes(det._root)) <= len(det.retained)
+
+
+class _EveryDetector:
+    """A route table that sends every event to every detector, in rule
+    order: the reference that routed dispatch must agree with."""
+
+    def __init__(self, detectors):
+        self.detectors = detectors
+
+    def get(self, _name, _default):
+        return self.detectors
+
+
+def unrouted(eng):
+    eng._routes = _EveryDetector(eng.detectors)
+    return eng
+
+
+def replay(eng, events):
+    records = []
+    for e in events:
+        records.extend(eng.ingest(e.type.name, e.time, e.payload))
+    return records
+
+
+class TestRouting:
+    def test_routed_records_equal_feeding_every_detector(self):
+        rng = random.Random(51)
+        decoys = ("x", "y")  # no rule lists these
+        fired = 0
+        for case in range(300):
+            exprs = [random_expr(rng) for _ in range(rng.randint(1, 3))]
+            # a blocker of types the rest of its expression does not name
+            exprs.append(
+                Not(
+                    random_expr(rng, 1, ("c", "d")),
+                    random_expr(rng, 1, ("a", "b")),
+                    random_expr(rng, 1, ("a", "b")),
+                )
+            )
+            rules = tuple(
+                Rule(
+                    id=f"r{case}_{i}",
+                    on=expr,
+                    actions=(NoopAction(),),
+                    selection=rng.choice(list(SelectionPolicy)),
+                    consumption=rng.choice(list(ConsumptionPolicy)),
+                    window=rng.choice((None, None, 1, 2, 4)),
+                )
+                for i, expr in enumerate(exprs)
+            )
+            h = random_history(rng, max_events=18, types=TYPES + decoys)
+            routed = replay(Engine(RuleSet(rules)), h)
+            assert routed == replay(unrouted(Engine(RuleSet(rules))), h), (rules, h)
+            fired += len(routed)
+        assert fired > 300, fired  # the corpus does fire
+
+    def test_unlisted_type_feeds_no_detector(self, monkeypatch):
+        fed = []
+        feed = Detector.feed
+        monkeypatch.setattr(
+            Detector, "feed", lambda det, e: fed.append(e.type.name) or feed(det, e)
+        )
+        eng = Engine(
+            parse_rules(
+                "effect x initiates f\n"
+                "rule pair: on seq(a, b) do noop\n"
+                "rule gated: on a where holds(f) do assert(seen)\n"
+            )
+        )
+        for t in range(1, 50):
+            assert eng.ingest("x", t) == []
+        assert fed == []
+        assert eng.fluents.holds_at("f", 49)  # the effect still applies
+        (rec,) = eng.ingest("a", 50)
+        assert rec.rule_id == "gated" and Fact("seen") in eng.kb
+        assert fed == ["a", "a"]  # no rule lists the raised assert:seen
+
+    def test_window_expires_lazily_with_the_same_firings(self):
+        rules = "rule r: on seq(a as ?a, b as ?b) do noop consume single window 5"
+        trace = [("a", 0)] + [("x", t) for t in range(1, 21)] + [("b", 21)]
+        trace += [("a", 22)] + [("x", t) for t in range(22, 26)] + [("b", 26)]
+        trace += [("a", 30), ("a", 31)] + [("x", t) for t in range(32, 36)]
+        trace += [("b", 36)]
+        events = [make_event(n, t, id=i) for i, (n, t) in enumerate(trace, 1)]
+
+        eng = Engine(parse_rules(rules))
+        ((_, det),) = eng.detectors
+        replay(eng, events[:21])
+        assert len(det.retained) == 1  # a@0 waits for the next routed feed
+        records = replay(eng, events[21:])
+        got = [(r.bindings["a"].time, r.bindings["b"].time) for r in records]
+        assert got == [(22, 26), (31, 36)]  # a@0 and a@30 expired first
+        ref = replay(unrouted(Engine(parse_rules(rules))), events)
+        assert replay(Engine(parse_rules(rules)), events) == ref
+
+    def test_records_follow_rule_order(self):
+        eng = Engine(
+            parse_rules(
+                "rule zeta: on a do noop\n"
+                "rule alpha: on or(b, a) do noop\n"
+                "rule mid: on a do noop\n"
+            )
+        )
+        assert [r.rule_id for r in eng.ingest("a", 1)] == ["zeta", "alpha", "mid"]
+        assert [r.rule_id for r in eng.ingest("b", 2)] == ["alpha"]

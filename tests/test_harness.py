@@ -40,6 +40,7 @@ class TestLoadTrace:
             (1, "outage", 1), (2, "outage", 2),
         ]
         assert got[1].payload == {"host": "w1"}
+        assert got[0].type is got[1].type  # one interned type per name
 
     def test_blank_lines_skipped_but_numbering_kept(self):
         got = load_trace(trace_io('{"type": "a", "time": 1}', "", '{"type": "b", "time": 2}'))

@@ -17,6 +17,7 @@ from reactor import (
     strictly_before,
 )
 from reactor.algebra import merge_occurrences, occurrence_of
+from reactor.model import intern_type
 
 BOUNDED = [
     Interval(s, e) for s, e in itertools.product(range(5), repeat=2) if e >= s
@@ -135,6 +136,11 @@ class TestEventTypes:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             EventTypeId("")
+
+    def test_one_interned_type_per_name(self):
+        a1, a2, b = make_event("a", 1, id=1), make_event("a", 2, id=2), make_event("b", 2)
+        assert a1.type is a2.type is intern_type("a")
+        assert b.type is not a1.type and b.type == EventTypeId("b")
 
 
 class TestEventInstance:
