@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .detection import (
     ConsumptionPolicy,
-    Detection,
     Detector,
     DetectorConfig,
     SelectionPolicy,
@@ -40,6 +39,7 @@ from .errors import (
     ChainLimitExceeded,
     DuplicateEffect,
     DuplicateRuleId,
+    InvalidConfig,
     InvalidEvent,
     InvalidExpression,
     InvalidPeriod,
@@ -102,12 +102,12 @@ __all__ = [
     "And", "Any", "Atomic", "EventExpr", "Not", "Occurrence", "Or", "Seq",
     "Times", "occurrence_sort_key", "occurrences", "occurrences_point",
     "validate_expr",
-    "ConsumptionPolicy", "Detection", "Detector", "DetectorConfig",
+    "ConsumptionPolicy", "Detector", "DetectorConfig",
     "SelectionPolicy",
     "Engine", "ReactionRecord", "TriggeringGraph", "TxnOutcome",
     "apply_actions_txn", "triggering_graph",
     "ChainLimitExceeded", "DuplicateEffect", "DuplicateRuleId",
-    "InvalidEvent", "InvalidExpression", "InvalidPeriod", "MissingField",
+    "InvalidConfig", "InvalidEvent", "InvalidExpression", "InvalidPeriod", "MissingField",
     "NonFinitePayload",
     "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
     "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",

@@ -19,7 +19,6 @@ from .algebra import occurrences, occurrence_sort_key
 from .engine import triggering_graph
 from .errors import ReactorError
 from .harness import _canon, load_trace, run_replay
-from .model import make_event
 from .parser import parse_expr, parse_rules
 
 
@@ -69,12 +68,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     expr = parse_expr(args.expr)
-    trace = load_trace(args.trace)
-    history = [
-        make_event(ev.type, ev.time, ev.payload, id=i)
-        for i, ev in enumerate(trace, start=1)
-    ]
-    occs = sorted(occurrences(expr, history), key=occurrence_sort_key)
+    occs = sorted(occurrences(expr, load_trace(args.trace)), key=occurrence_sort_key)
     for occ in occs:
         sys.stdout.write(
             _canon(

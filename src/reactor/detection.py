@@ -42,7 +42,7 @@ from .algebra import (
     occurrence_sort_key,
     validate_expr,
 )
-from .errors import InvalidExpression, OutOfOrderEvent
+from .errors import InvalidConfig, InvalidExpression, OutOfOrderEvent
 from .model import EventInstance, TimePoint
 
 
@@ -64,15 +64,17 @@ class DetectorConfig:
     window: Optional[int] = None
 
     def __post_init__(self):
-        if self.window is not None and self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A candidate that survived selection (and, under single, consumption)."""
-
-    occurrence: Occurrence
+        if not isinstance(self.selection, SelectionPolicy):
+            raise InvalidConfig(
+                f"selection must be a SelectionPolicy, got {self.selection!r}"
+            )
+        if not isinstance(self.consumption, ConsumptionPolicy):
+            raise InvalidConfig(
+                f"consumption must be a ConsumptionPolicy, got {self.consumption!r}"
+            )
+        w = self.window
+        if w is not None and (type(w) is not int or w <= 0):  # bool is refused too
+            raise InvalidConfig(f"window must be a positive integer, got {w!r}")
 
 
 def select_candidates(
@@ -339,8 +341,9 @@ class Detector:
 
     # ------------------------------------------------------------- feeding
 
-    def feed(self, e: EventInstance) -> list[Detection]:
-        """Ingest one event; returns the detections that fired on it."""
+    def feed(self, e: EventInstance) -> list[Occurrence]:
+        """Ingest one event; returns the occurrences that fired on it, those
+        that survived selection and, under single, consumption."""
         if e.time < self._watermark:
             raise OutOfOrderEvent(
                 f"event {e!r} precedes watermark {self._watermark}"
@@ -367,15 +370,14 @@ class Detector:
         candidates = self._root.feed(e)
         selected = select_candidates(candidates, self.config.selection)
 
-        fired: list[Detection] = []
-        if self.config.consumption is ConsumptionPolicy.SINGLE:
-            for occ in selected:
-                if not all(cid in self.retained for cid in occ.components):
-                    continue  # components taken by an earlier firing this batch
-                self._remove(set(occ.components))
-                fired.append(Detection(occ))
-        else:
-            fired = [Detection(occ) for occ in selected]
+        if self.config.consumption is ConsumptionPolicy.MULTIPLE:
+            return selected
+        fired: list[Occurrence] = []
+        for occ in selected:
+            if not all(cid in self.retained for cid in occ.components):
+                continue  # components taken by an earlier firing this batch
+            self._remove(set(occ.components))
+            fired.append(occ)
         return fired
 
     def _remove(self, ids: set[int]) -> None:

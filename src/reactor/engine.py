@@ -31,6 +31,7 @@ from .algebra import Occurrence, expr_leaf_types, validate_expr
 from .detection import Detector, DetectorConfig
 from .errors import (
     ChainLimitExceeded,
+    InvalidConfig,
     MissingField,
     NonFinitePayload,
     OutOfOrderEvent,
@@ -185,8 +186,10 @@ class Engine:
         initial_facts: Sequence[Fact] = (),
         chain_limit: int = 1000,
     ):
-        if chain_limit < 1:
-            raise ValueError(f"chain limit must be >= 1, got {chain_limit}")
+        if type(chain_limit) is not int or chain_limit < 1:  # bool is refused too
+            raise InvalidConfig(
+                f"chain limit must be an integer >= 1, got {chain_limit!r}"
+            )
         # one flat pass, as set-up time grows with the initial facts
         floats = [v for f in initial_facts for v in f.args if isinstance(v, float)]
         if not all(map(math.isfinite, floats)):
@@ -264,8 +267,7 @@ class Engine:
             ev, depth = queue.popleft()
             self.fluents.record(ev)
             for rule, det in self._routes.get(ev.type.name, ()):
-                for det_hit in det.feed(ev):
-                    occ = det_hit.occurrence
+                for occ in det.feed(ev):
                     at = occ.terminator_time
                     base = dict(occ.bindings)
                     try:

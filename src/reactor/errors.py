@@ -40,6 +40,11 @@ class OutOfOrderEvent(ReactorError):
     """Fed event regressed in time or reused an id already seen."""
 
 
+class InvalidConfig(ReactorError, ValueError):
+    """A detector's selection, consumption or window, or the engine's chain
+    limit, is not one the engine can run."""
+
+
 # -------------------------------------------------------------------- rules
 
 

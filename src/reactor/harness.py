@@ -67,6 +67,8 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
             obj = json.loads(raw)
         except json.JSONDecodeError as e:
             raise TraceError(f"invalid JSON: {e.msg}", lineno) from None
+        except ValueError as e:  # an integer longer than int() accepts
+            raise TraceError(f"invalid JSON: {e}", lineno) from None
         if not isinstance(obj, dict):
             raise TraceError("each line must be a JSON object", lineno)
         if "type" not in obj or "time" not in obj:

@@ -1,7 +1,20 @@
 """Rule-source parser.
 
-Grammar (lexical: `#` starts a line comment; strings are double-quoted with
-backslash escapes; `assert:NAME` / `retract:NAME` lex as single type names):
+Tokens (`_TOKEN`, one alternative per kind; space, tab, CR and newline
+separate them and `#` starts a line comment):
+
+    IDENT   := [A-Za-z_][A-Za-z0-9_]*, and `assert:IDENT` / `retract:IDENT`
+               as one type name
+    VAR     := "?" IDENT
+    INT     := ["-"] [0-9]+            at most sys.get_int_max_str_digits() digits
+    DECIMAL := ["-"] [0-9]+ "." [0-9]+ a finite float
+    STRING  := '"' ... '"' on one line; backslash escapes (\\n, \\t, any other
+               character stands for itself, but never a line break)
+    OPCMP   := "=" | "!=" | "<" | "<=" | ">" | ">="
+
+Numerals are ASCII digits only; an out-of-range literal is a syntax error.
+
+Grammar:
 
     ruleset := (rule | effect)*
     rule    := "rule" IDENT ":" "on" eexpr ["where" cond]
@@ -33,8 +46,10 @@ already bound, and action templates must be fully instantiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+import re
+from enum import Enum
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import And as AndExpr
 from .algebra import Any as AnyExpr
@@ -65,14 +80,36 @@ from .rules import (
     term_vars,
 )
 
-_EEXPR_OPS = {"seq", "and", "or", "not", "any", "times"}
-_PUNCT = set("(){},:.")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# seq/and/or/not take only subexpressions: constructor and arity
+_EEXPR_NODES = {"seq": (Seq, 2), "and": (AndExpr, 2), "or": (Or, 2), "not": (Not, 3)}
+_EEXPR_OPS = {*_EEXPR_NODES, "any", "times"}
+
+# One alternative per token kind, tried in order; BAD catches any character
+# that starts no complete token. re.ASCII keeps \w and \d to ASCII, and a
+# string cannot hold a line break, escaped or not (`.` matches none).
+_TOKEN = re.compile(
+    r"""(?P<NL>\n)
+      | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+      | (?P<WORD>(?:assert|retract):[A-Za-z_]\w*|[A-Za-z_]\w*)
+      | (?P<VAR>\?[A-Za-z_]\w*)
+      | (?P<DECIMAL>-?\d+\.\d+)
+      | (?P<INT>-?\d+)
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+      | (?P<OP>[<>!]=|[=<>])
+      | (?P<PUNCT>[(){},:.])
+      | (?P<BAD>.)""",
+    re.VERBOSE | re.ASCII,
+)
+_BAD_START = {
+    "?": "expected a variable name after '?'",
+    '"': "unterminated string",
+    "!": "expected '=' after '!'",
+}
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # WORD VAR INT DECIMAL STRING PUNCT OP EOF
     value: object
     line: int
@@ -81,124 +118,36 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg: str):
-        raise RuleSyntaxError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "NL":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            # assert:NAME / retract:NAME fuse into one type name
-            if (
-                word in ("assert", "retract")
-                and j < n
-                and text[j] == ":"
-                and j + 1 < n
-                and text[j + 1] in _IDENT_START
-            ):
-                k = j + 1
-                while k < n and text[k] in _IDENT_CONT:
-                    k += 1
-                word = text[i:k]
-                j = k
-            toks.append(_Tok("WORD", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "?":
-            j = i + 1
-            if j >= n or text[j] not in _IDENT_START:
-                err("expected a variable name after '?'")
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            toks.append(_Tok("VAR", text[i + 1 : j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(_Tok("DECIMAL", float(text[i:j]), start_line, start_col))
-            else:
-                toks.append(_Tok("INT", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    err("unterminated string")
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        err("unterminated string escape")
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                    continue
-                if c == '"':
-                    j += 1
-                    break
-                out.append(c)
-                j += 1
-            toks.append(_Tok("STRING", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "=<>!":
-            if ch == "=":
-                toks.append(_Tok("OP", "=", start_line, start_col))
-                i += 1
-                col += 1
-                continue
-            if ch == "!":
-                if i + 1 < n and text[i + 1] == "=":
-                    toks.append(_Tok("OP", "!=", start_line, start_col))
-                    i += 2
-                    col += 2
-                    continue
-                err("expected '=' after '!'")
-            op = ch
-            if i + 1 < n and text[i + 1] == "=":
-                op += "="
-            toks.append(_Tok("OP", op, start_line, start_col))
-            i += len(op)
-            col += len(op)
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {ch!r}")
-    toks.append(_Tok("EOF", None, line, col))
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "VAR":
+            value = value[1:]
+        elif kind == "INT":
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                msg = "integer literal out of range"
+                raise RuleSyntaxError(msg, line, col) from None
+        elif kind == "DECIMAL":
+            value = float(value)
+            if not math.isfinite(value):
+                raise RuleSyntaxError("decimal literal out of range", line, col)
+        elif kind == "STRING":
+            value = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), value[1:-1])
+        elif kind == "BAD":
+            msg = _BAD_START.get(value, f"unexpected character {value!r}")
+            raise RuleSyntaxError(msg, line, col)
+        toks.append(_Tok(kind, value, line, col))
+    toks.append(_Tok("EOF", None, line, len(text) - line_start + 1))
     return toks
 
 
@@ -210,7 +159,10 @@ class _Parser:
     # ------------------------------------------------------------ plumbing
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # the list ends with EOF, and pos never moves past it
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> _Tok:
         tok = self.toks[self.pos]
@@ -222,66 +174,64 @@ class _Parser:
         tok = tok or self.peek()
         raise RuleSyntaxError(msg, tok.line, tok.col)
 
-    def expect_word(self, word: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != "WORD" or tok.value != word:
-            self.err(f"expected '{word}'")
-        return self.next()
+    def at(self, kind: str, value: str, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
+        return tok.kind == kind and tok.value == value
 
-    def expect_punct(self, ch: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.value != ch:
-            self.err(f"expected '{ch}'")
-        return self.next()
+    def accept(self, kind: str, value: str) -> bool:
+        """Consume the next token if it is ``value`` of ``kind``."""
+        tok = self.toks[self.pos]
+        if tok.kind == kind and tok.value == value:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_ident(self, what: str = "identifier") -> _Tok:
-        tok = self.peek()
-        if tok.kind != "WORD":
+    def expect(self, kind: str, value: str) -> None:
+        if not self.accept(kind, value):
+            self.err(f"expected '{value}'")
+
+    def expect_kind(self, kind: str, what: str) -> _Tok:
+        if self.peek().kind != kind:
             self.err(f"expected {what}")
         return self.next()
 
-    def at_word(self, word: str) -> bool:
+    def expect_choice(self, enum: type[Enum]) -> Enum:
+        """A word naming one of ``enum``'s values; the error lists them in
+        declaration order."""
         tok = self.peek()
-        return tok.kind == "WORD" and tok.value == word
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == ch
+        values = [member.value for member in enum]
+        if tok.kind != "WORD" or tok.value not in values:
+            quoted = [f"'{v}'" for v in values]
+            self.err(f"expected {', '.join(quoted[:-1])} or {quoted[-1]}")
+        self.next()
+        return enum(tok.value)
 
     # ------------------------------------------------------------- ruleset
 
     def parse_ruleset(self) -> RuleSet:
         rules: list[Rule] = []
         effects: list[EffectDecl] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "WORD" and tok.value == "rule":
+        while self.peek().kind != "EOF":
+            if self.at("WORD", "rule"):
                 rules.append(self.parse_rule())
-            elif tok.kind == "WORD" and tok.value == "effect":
+            elif self.at("WORD", "effect"):
                 effects.append(self.parse_effect())
             else:
                 self.err("expected 'rule' or 'effect'")
         return RuleSet(tuple(rules), tuple(effects))
 
     def parse_effect(self) -> EffectDecl:
-        self.expect_word("effect")
-        tname = self.expect_ident("event type").value
-        tok = self.peek()
-        if tok.kind == "WORD" and tok.value in ("initiates", "terminates"):
-            self.next()
-            mode = EffectMode(tok.value)
-        else:
-            self.err("expected 'initiates' or 'terminates'")
-        fluent = self.expect_ident("fluent name").value
+        self.expect("WORD", "effect")
+        tname = self.expect_kind("WORD", "event type").value
+        mode = self.expect_choice(EffectMode)
+        fluent = self.expect_kind("WORD", "fluent name").value
         return EffectDecl(tname, mode, fluent)
 
     def parse_rule(self) -> Rule:
-        self.expect_word("rule")
-        rid = self.expect_ident("rule id").value
-        self.expect_punct(":")
-        self.expect_word("on")
+        self.expect("WORD", "rule")
+        rid = self.expect_kind("WORD", "rule id").value
+        self.expect("PUNCT", ":")
+        self.expect("WORD", "on")
         expr_tok = self.peek()
         expr = self.parse_eexpr()
         try:
@@ -289,46 +239,23 @@ class _Parser:
         except InvalidExpression as e:
             self.err(str(e), expr_tok)
 
-        where = None
-        if self.at_word("where"):
-            self.next()
-            where = self.parse_cond()
-        self.expect_word("do")
+        where = self.parse_cond() if self.accept("WORD", "where") else None
+        self.expect("WORD", "do")
         actions = [self.parse_action()]
-        while self.at_punct(","):
-            self.next()
+        while self.accept("PUNCT", ","):
             actions.append(self.parse_action())
-        post = None
-        if self.at_word("post"):
-            self.next()
-            post = self.parse_cond()
+        post = self.parse_cond() if self.accept("WORD", "post") else None
         selection = SelectionPolicy.FIRST
-        if self.at_word("select"):
-            self.next()
-            tok = self.peek()
-            if tok.kind == "WORD" and tok.value in ("first", "last", "all"):
-                self.next()
-                selection = SelectionPolicy(tok.value)
-            else:
-                self.err("expected 'first', 'last' or 'all'")
+        if self.accept("WORD", "select"):
+            selection = self.expect_choice(SelectionPolicy)
         consumption = ConsumptionPolicy.SINGLE
-        if self.at_word("consume"):
-            self.next()
-            tok = self.peek()
-            if tok.kind == "WORD" and tok.value in ("single", "multiple"):
-                self.next()
-                consumption = ConsumptionPolicy(tok.value)
-            else:
-                self.err("expected 'single' or 'multiple'")
+        if self.accept("WORD", "consume"):
+            consumption = self.expect_choice(ConsumptionPolicy)
         window = None
-        if self.at_word("window"):
-            self.next()
-            tok = self.peek()
-            if tok.kind != "INT":
-                self.err("expected an integer window size")
+        if self.accept("WORD", "window"):
+            tok = self.expect_kind("INT", "an integer window size")
             if tok.value <= 0:
-                self.err("window must be positive")
-            self.next()
+                self.err("window must be positive", tok)
             window = tok.value
 
         rule = Rule(
@@ -341,113 +268,76 @@ class _Parser:
             consumption=consumption,
             window=window,
         )
-        self._check_bindings(rule, expr_tok)
+        _check_bindings(rule)
         return rule
 
     # --------------------------------------------------- event expressions
 
     def parse_eexpr(self, depth: int = 1) -> EventExpr:
         """One event expression; an operator here is nested ``depth`` deep."""
-        tok = self.peek()
-        if tok.kind != "WORD":
-            self.err("expected an event expression")
-        if tok.value in _EEXPR_OPS and self.peek(1).kind == "PUNCT" and self.peek(1).value == "(":
-            if depth > _MAX_NESTING:
-                self.err(f"event expression nested deeper than {_MAX_NESTING}")
-            op = tok.value
-            self.next()
-            self.expect_punct("(")
-            if op in ("seq", "and", "or"):
-                left = self.parse_eexpr(depth + 1)
-                self.expect_punct(",")
-                right = self.parse_eexpr(depth + 1)
-                self.expect_punct(")")
-                cls = {"seq": Seq, "and": AndExpr, "or": Or}[op]
-                return cls(left, right)
-            if op == "not":
-                absent = self.parse_eexpr(depth + 1)
-                self.expect_punct(",")
-                opener = self.parse_eexpr(depth + 1)
-                self.expect_punct(",")
-                closer = self.parse_eexpr(depth + 1)
-                self.expect_punct(")")
-                return Not(absent, opener, closer)
-            if op == "any":
-                cnt_tok = self.peek()
-                if cnt_tok.kind != "INT":
-                    self.err("expected a count")
-                self.next()
-                names = []
-                while self.at_punct(","):
-                    self.next()
-                    names.append(self.expect_ident("event type").value)
-                self.expect_punct(")")
-                if not names:
-                    self.err("any needs at least one event type", cnt_tok)
-                return AnyExpr(cnt_tok.value, tuple(EventTypeId(t) for t in names))
-            # times
-            cnt_tok = self.peek()
-            if cnt_tok.kind != "INT":
-                self.err("expected a count")
-            self.next()
-            self.expect_punct(",")
+        tok = self.expect_kind("WORD", "an event expression")
+        if tok.value not in _EEXPR_OPS or not self.at("PUNCT", "("):
+            var = None
+            if self.accept("WORD", "as"):
+                var = self.expect_kind("VAR", "a ?variable after 'as'").value
+            return Atomic(EventTypeId(tok.value), var)
+        if depth > _MAX_NESTING:
+            self.err(f"event expression nested deeper than {_MAX_NESTING}", tok)
+        self.next()  # the "(" checked above
+        if tok.value in _EEXPR_NODES:
+            node, arity = _EEXPR_NODES[tok.value]
+            args = [self.parse_eexpr(depth + 1)]
+            for _ in range(arity - 1):
+                self.expect("PUNCT", ",")
+                args.append(self.parse_eexpr(depth + 1))
+            self.expect("PUNCT", ")")
+            return node(*args)
+        count = self.expect_kind("INT", "a count")
+        if tok.value == "times":
+            self.expect("PUNCT", ",")
             inner = self.parse_eexpr(depth + 1)
-            self.expect_punct(")")
-            return Times(cnt_tok.value, inner)
-        # atomic
-        self.next()
-        var = None
-        if self.at_word("as"):
-            self.next()
-            vtok = self.peek()
-            if vtok.kind != "VAR":
-                self.err("expected a ?variable after 'as'")
-            self.next()
-            var = vtok.value
-        return Atomic(EventTypeId(tok.value), var)
+            self.expect("PUNCT", ")")
+            return Times(count.value, inner)
+        names = []
+        while self.accept("PUNCT", ","):
+            names.append(self.expect_kind("WORD", "event type").value)
+        self.expect("PUNCT", ")")
+        if not names:
+            self.err("any needs at least one event type", count)
+        return AnyExpr(count.value, tuple(EventTypeId(t) for t in names))
 
     # ----------------------------------------------------------- conditions
 
     def parse_cond(self) -> Condition:
         atoms = [self.parse_atom()]
-        while self.at_word("and"):
-            self.next()
+        while self.accept("WORD", "and"):
             atoms.append(self.parse_atom())
         return Condition(tuple(atoms))
 
     def parse_atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind == "WORD" and tok.value == "not" and self.peek(1).kind == "WORD" \
-                and self.peek(1).value == "fact":
+        if self.at("WORD", "not") and self.at("WORD", "fact", 1):
             self.next()
             return self._parse_fact_lookup(negated=True)
-        if tok.kind == "WORD" and tok.value == "fact" and self.peek(1).kind == "PUNCT" \
-                and self.peek(1).value == "(":
+        if self.at("WORD", "fact") and self.at("PUNCT", "(", 1):
             return self._parse_fact_lookup(negated=False)
-        if tok.kind == "WORD" and tok.value == "holds" and self.peek(1).kind == "PUNCT" \
-                and self.peek(1).value == "(":
+        if self.at("WORD", "holds") and self.at("PUNCT", "(", 1):
             self.next()
-            self.expect_punct("(")
-            fluent = self.expect_ident("fluent name").value
-            self.expect_punct(")")
+            self.expect("PUNCT", "(")
+            fluent = self.expect_kind("WORD", "fluent name").value
+            self.expect("PUNCT", ")")
             return HoldsAtom(fluent)
         lhs = self.parse_term()
-        op_tok = self.peek()
-        if op_tok.kind != "OP":
-            self.err("expected a comparison operator")
-        self.next()
-        rhs = self.parse_term()
-        return Comparison(lhs, op_tok.value, rhs)
+        op = self.expect_kind("OP", "a comparison operator").value
+        return Comparison(lhs, op, self.parse_term())
 
     def _parse_fact_lookup(self, negated: bool) -> FactLookup:
-        self.expect_word("fact")
-        self.expect_punct("(")
-        name = self.expect_ident("fact name").value
+        self.expect("WORD", "fact")
+        self.expect("PUNCT", "(")
+        name = self.expect_kind("WORD", "fact name").value
         terms = []
-        while self.at_punct(","):
-            self.next()
+        while self.accept("PUNCT", ","):
             terms.append(self.parse_term())
-        self.expect_punct(")")
+        self.expect("PUNCT", ")")
         return FactLookup(name, tuple(terms), negated=negated)
 
     def parse_term(self) -> Term:
@@ -457,115 +347,98 @@ class _Parser:
             return Lit(tok.value)
         if tok.kind == "VAR":
             self.next()
-            if self.at_punct("."):
-                self.next()
-                fld = self.expect_ident("field name").value
-                return FieldRef(tok.value, fld)
+            if self.accept("PUNCT", "."):
+                return FieldRef(tok.value, self.expect_kind("WORD", "field name").value)
             return VarRef(tok.value)
         if tok.kind == "WORD":
             self.next()
-            if tok.value == "true":
-                return Lit(True)
-            if tok.value == "false":
-                return Lit(False)
-            return Lit(tok.value)  # bare symbol, a string constant
+            # a bare symbol is a string constant, but for the two booleans
+            return Lit({"true": True, "false": False}.get(tok.value, tok.value))
         self.err("expected a term")
 
     # -------------------------------------------------------------- actions
 
     def parse_action(self) -> Action:
-        tok = self.peek()
-        if tok.kind != "WORD":
-            self.err("expected an action")
+        tok = self.expect_kind("WORD", "an action")
         if tok.value == "noop":
-            self.next()
             return NoopAction()
         if tok.value in ("assert", "retract"):
-            self.next()
-            self.expect_punct("(")
+            self.expect("PUNCT", "(")
             tpl = self._parse_fact_template()
-            self.expect_punct(")")
+            self.expect("PUNCT", ")")
             return AssertAction(tpl) if tok.value == "assert" else RetractAction(tpl)
         if tok.value == "emit":
-            self.next()
-            self.expect_punct("(")
-            tname_tok = self.expect_ident("event type")
+            self.expect("PUNCT", "(")
+            tname_tok = self.expect_kind("WORD", "event type")
             if is_reserved_type(tname_tok.value):
                 self.err(
                     f"emit cannot raise reserved type {tname_tok.value!r}", tname_tok
                 )
-            self.expect_punct(",")
-            self.expect_punct("{")
+            self.expect("PUNCT", ",")
+            self.expect("PUNCT", "{")
             pairs = []
-            while not self.at_punct("}"):
-                key = self.expect_ident("payload key").value
-                self.expect_punct(":")
+            while not self.at("PUNCT", "}"):
+                key = self.expect_kind("WORD", "payload key").value
+                self.expect("PUNCT", ":")
                 pairs.append((key, self.parse_term()))
-                if self.at_punct(","):  # comma between pairs is optional
-                    self.next()
-            self.expect_punct("}")
-            self.expect_punct(")")
+                self.accept("PUNCT", ",")  # comma between pairs is optional
+            self.expect("PUNCT", "}")
+            self.expect("PUNCT", ")")
             return EmitAction(tname_tok.value, tuple(pairs))
-        self.err("expected an action (assert / retract / emit / noop)")
+        self.err("expected an action (assert / retract / emit / noop)", tok)
 
     def _parse_fact_template(self) -> FactTemplate:
-        name = self.expect_ident("fact name").value
+        name = self.expect_kind("WORD", "fact name").value
         terms = []
-        if self.at_punct("("):
-            self.next()
+        if self.accept("PUNCT", "("):
             terms.append(self.parse_term())
-            while self.at_punct(","):
-                self.next()
+            while self.accept("PUNCT", ","):
                 terms.append(self.parse_term())
-            self.expect_punct(")")
+            self.expect("PUNCT", ")")
         return FactTemplate(name, tuple(terms))
 
-    # ------------------------------------------------------------ boundness
 
-    def _check_bindings(self, rule: Rule, where_tok: _Tok) -> None:
-        event_vars = _expr_vars(rule.on)
-        bound = set(event_vars)
-        if rule.where is not None:
-            bound = self._walk_cond(rule.where, bound)
-        for act in rule.actions:
-            if isinstance(act, (AssertAction, RetractAction)):
-                terms = act.fact.terms
-            elif isinstance(act, EmitAction):
-                terms = tuple(t for _, t in act.payload)
-            else:
-                continue
-            for t in terms:
-                for v in term_vars(t):
-                    if v not in bound:
-                        raise UnboundVariable(f"?{v} is not bound by the rule")
-        if rule.post is not None:
-            self._walk_cond(rule.post, set(bound))
+# ---------------------------------------------------------------- boundness
 
-    def _walk_cond(self, cond: Condition, bound: set[str]) -> set[str]:
-        for atom in cond.atoms:
-            if isinstance(atom, Comparison):
-                for v in term_vars(atom.lhs) | term_vars(atom.rhs):
-                    if v not in bound:
-                        raise UnboundVariable(f"?{v} is not bound by the rule")
-            elif isinstance(atom, FactLookup):
-                if atom.negated:
-                    for t in atom.terms:
-                        for v in term_vars(t):
-                            if v not in bound:
-                                raise UnboundVariable(
-                                    f"?{v} in a negated lookup is not bound elsewhere"
-                                )
+
+def _require_bound(
+    terms: Iterable[Term], bound: set[str], msg: str = "?{} is not bound by the rule"
+) -> None:
+    """Every variable in ``terms`` must already be in ``bound``."""
+    for t in terms:
+        for v in term_vars(t):
+            if v not in bound:
+                raise UnboundVariable(msg.format(v))
+
+
+def _check_bindings(rule: Rule) -> None:
+    bound = _expr_vars(rule.on)
+    if rule.where is not None:
+        _walk_cond(rule.where, bound)
+    for act in rule.actions:
+        if isinstance(act, (AssertAction, RetractAction)):
+            _require_bound(act.fact.terms, bound)
+        elif isinstance(act, EmitAction):
+            _require_bound((t for _, t in act.payload), bound)
+    if rule.post is not None:
+        _walk_cond(rule.post, set(bound))
+
+
+def _walk_cond(cond: Condition, bound: set[str]) -> None:
+    """Check ``cond`` left to right, adding what its positive lookups bind."""
+    for atom in cond.atoms:
+        if isinstance(atom, Comparison):
+            _require_bound((atom.lhs, atom.rhs), bound)
+        elif isinstance(atom, FactLookup) and atom.negated:
+            _require_bound(
+                atom.terms, bound, "?{} in a negated lookup is not bound elsewhere"
+            )
+        elif isinstance(atom, FactLookup):
+            for t in atom.terms:
+                if isinstance(t, VarRef):
+                    bound.add(t.name)
                 else:
-                    for t in atom.terms:
-                        if isinstance(t, VarRef):
-                            bound.add(t.name)
-                        else:
-                            for v in term_vars(t):
-                                if v not in bound:
-                                    raise UnboundVariable(
-                                        f"?{v} is not bound by the rule"
-                                    )
-        return bound
+                    _require_bound((t,), bound)
 
 
 def _expr_vars(expr: EventExpr) -> set[str]:

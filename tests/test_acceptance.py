@@ -66,8 +66,7 @@ class TestOracleEquivalence:
             det = Detector(expr, config)
             got = set()
             for e in hist:
-                for d in det.feed(e):
-                    o = d.occurrence
+                for o in det.feed(e):
                     got.add((o.interval.start, o.interval.end,
                              tuple(sorted(o.components))))
             assert got == expected, f"divergence on {expr!r} over {hist!r}"
@@ -113,7 +112,7 @@ class TestPolicyMatrix:
             Seq(A, B), DetectorConfig(selection=selection, consumption=consumption)
         )
         return [
-            [(d.occurrence.interval.start, d.occurrence.interval.end)
+            [(d.interval.start, d.interval.end)
              for d in det.feed(e)]
             for e in self.STREAM
         ]

@@ -10,6 +10,7 @@ from reactor import (
     ConsumptionPolicy,
     Detector,
     DetectorConfig,
+    InvalidConfig,
     InvalidExpression,
     Not,
     Or,
@@ -36,8 +37,8 @@ def feed_all(det, h):
 
 def fired_proj(steps):
     return {
-        (d.occurrence.interval.start, d.occurrence.interval.end,
-         tuple(sorted(d.occurrence.components)))
+        (d.interval.start, d.interval.end,
+         tuple(sorted(d.components)))
         for _, ds in steps
         for d in ds
     }
@@ -61,6 +62,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DetectorConfig(window=-3)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"selection": "first"},  # a value, not the enum member, ran as all
+            {"consumption": "single"},  # ran as multiple
+            {"window": 0},
+            {"window": 2.5},
+            {"window": True},
+            {"window": "5"},
+        ],
+    )
+    def test_malformed_config_refused(self, kwargs):
+        with pytest.raises(InvalidConfig) as ei:
+            DetectorConfig(**kwargs)
+        assert isinstance(ei.value, ValueError)
+
 
 class TestFeed:
     def test_incremental_seq(self):
@@ -69,7 +86,7 @@ class TestFeed:
         steps = feed_all(det, h)
         assert steps[0][1] == [] and steps[1][1] == []
         assert {
-            (d.occurrence.interval.start, d.occurrence.interval.end)
+            (d.interval.start, d.interval.end)
             for d in steps[2][1]
         } == {(1, 3), (2, 3)}
 
@@ -106,8 +123,8 @@ class TestFeed:
             det = Detector(random_expr(rng), ALL_MULTI)
             for e in h:
                 for d in det.feed(e):
-                    assert d.occurrence.terminator_id == e.id
-                    assert e.id in d.occurrence.components
+                    assert d.terminator_id == e.id
+                    assert e.id in d.components
 
 
 class TestSelectCandidates:
@@ -154,25 +171,25 @@ class TestPolicyMatrix:
         # b@3 candidates [1,3],[2,3]; first -> [1,3], consumes a@1,b@3;
         # b@4 sees only a@2 -> [2,4]
         out = self.run(SelectionPolicy.FIRST, ConsumptionPolicy.SINGLE)
-        spans = [[(d.occurrence.interval.start, d.occurrence.interval.end) for d in step] for step in out]
+        spans = [[(d.interval.start, d.interval.end) for d in step] for step in out]
         assert spans == [[], [], [(1, 3)], [(2, 4)]]
 
     def test_last_single(self):
         # b@3 -> [2,3] consumed; a@1 survives for b@4 -> [1,4]
         out = self.run(SelectionPolicy.LAST, ConsumptionPolicy.SINGLE)
-        spans = [[(d.occurrence.interval.start, d.occurrence.interval.end) for d in step] for step in out]
+        spans = [[(d.interval.start, d.interval.end) for d in step] for step in out]
         assert spans == [[], [], [(2, 3)], [(1, 4)]]
 
     def test_all_multiple(self):
         # every candidate fires, nothing consumed: 2 at b@3, 2 at b@4
         out = self.run(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)
-        spans = [[(d.occurrence.interval.start, d.occurrence.interval.end) for d in step] for step in out]
+        spans = [[(d.interval.start, d.interval.end) for d in step] for step in out]
         assert spans == [[], [], [(1, 3), (2, 3)], [(1, 4), (2, 4)]]
 
     def test_all_single_is_greedy(self):
         # b@3: [1,3] fires and consumes, [2,3] is stale; b@4: [2,4]
         out = self.run(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE)
-        spans = [[(d.occurrence.interval.start, d.occurrence.interval.end) for d in step] for step in out]
+        spans = [[(d.interval.start, d.interval.end) for d in step] for step in out]
         assert spans == [[], [], [(1, 3)], [(2, 4)]]
 
 
@@ -181,14 +198,14 @@ class TestConsume:
         det = Detector(Seq(A, B), DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.SINGLE))
         h = history(("a", 1), ("b", 2))
         (_, (d,)) = feed_all(det, h)[-1]
-        assert d.occurrence.components == {1, 2}
+        assert d.components == {1, 2}
         assert det.retained == {}
 
     def test_multiple_is_identity(self):
         det = Detector(Seq(A, B), ALL_MULTI)
         h = history(("a", 1), ("b", 2))
         (_, (d,)) = feed_all(det, h)[-1]
-        assert d.occurrence.components == {1, 2}
+        assert d.components == {1, 2}
         assert set(det.retained) == {1, 2}
 
     def test_consumed_components_never_rematch(self):
@@ -255,7 +272,7 @@ class TestWindowedProperties:
             )
             for e in random_history(rng, max_events=15):
                 for d in det.feed(e):
-                    span = d.occurrence.interval.end - d.occurrence.interval.start
+                    span = d.interval.end - d.interval.start
                     assert span <= w
 
     def test_single_receive_exclusivity(self):
@@ -268,7 +285,7 @@ class TestWindowedProperties:
             used = set()
             for e in random_history(rng):
                 for d in det.feed(e):
-                    comps = set(d.occurrence.components)
+                    comps = set(d.components)
                     assert not (comps & used)
                     used |= comps
 
@@ -294,8 +311,8 @@ class TestOracleEquivalence:
                 det = Detector(expr, ALL_MULTI)
                 runs.append([
                     (e.id, sorted(
-                        (d.occurrence.interval.start, d.occurrence.interval.end,
-                         tuple(sorted(d.occurrence.components)))
+                        (d.interval.start, d.interval.end,
+                         tuple(sorted(d.components)))
                         for d in det.feed(e)
                     ))
                     for e in h
@@ -309,8 +326,8 @@ class TestNoRepeats:
     def fired_list(self, expr, h):
         det = Detector(expr, ALL_MULTI)
         return sorted(
-            (d.occurrence.interval.start, d.occurrence.interval.end,
-             tuple(sorted(d.occurrence.components)))
+            (d.interval.start, d.interval.end,
+             tuple(sorted(d.components)))
             for e in h
             for d in det.feed(e)
         )

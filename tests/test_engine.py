@@ -17,6 +17,7 @@ from reactor import (
     FactLookup,
     FactTemplate,
     FieldRef,
+    InvalidConfig,
     InvalidEvent,
     InvalidExpression,
     Lit,
@@ -431,6 +432,20 @@ class TestDispatch:
         assert len(eng.kb) == 0
         (rec,) = eng.ingest("a", 1)
         assert rec.occurrence.components == {1}
+
+    @pytest.mark.parametrize("limit", [0, -1, 2.5, True, "5"])
+    def test_malformed_chain_limit_refused(self, limit):
+        with pytest.raises(InvalidConfig) as ei:
+            Engine(parse_rules("rule r: on a do noop"), chain_limit=limit)
+        assert isinstance(ei.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "policy", [{"selection": "first"}, {"consumption": "single"}, {"window": 2.5}]
+    )
+    def test_api_built_rule_with_malformed_policy_refused(self, policy):
+        rule = Rule("r", Seq(on("a"), on("b")), actions=(NoopAction(),), **policy)
+        with pytest.raises(InvalidConfig):
+            Engine(RuleSet((rule,)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_initial_fact_refused(self, bad):

@@ -88,6 +88,19 @@ class TestLoadTrace:
             assert ei.value.line == 2
             assert "finite" in str(ei.value)
 
+    def test_overlong_integer_rejected(self):
+        # json.loads refuses an integer longer than int() accepts with a
+        # plain ValueError, in the time and in a payload alike
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for line in (
+            '{"type": "a", "time": %s}' % digits,
+            '{"type": "a", "time": 2, "payload": {"v": -%s}}' % digits,
+        ):
+            with pytest.raises(TraceError) as ei:
+                load_trace(trace_io('{"type": "a", "time": 1}', line))
+            assert ei.value.line == 2
+            assert "invalid JSON" in str(ei.value)
+
     def test_non_utf8_file_rejected_with_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_bytes(b'{"type": "a", "time": 1}\n\xff\xfe\n')
@@ -371,6 +384,16 @@ class TestCli:
         assert cli_main(["run", "--rules", rules, "--trace", trace]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    def test_overlong_trace_integer_exit_2(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": %s}\n' % digits)
+        for args in (["run", "--rules", rules], ["oracle", "--expr", "a"]):
+            assert cli_main([*args, "--trace", trace]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "trace line 1" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
     def test_console_script_subprocess(self, tmp_path):
         rules = self.write(tmp_path, "r.rr", "rule r: on a do assert(p)\n")

@@ -1,5 +1,7 @@
 """The rule source language: lexing, grammar, and static validation."""
 
+import sys
+
 import pytest
 
 from reactor import (
@@ -263,6 +265,75 @@ class TestSyntaxErrorPositions:
     def test_lone_bang(self):
         with pytest.raises(RuleSyntaxError):
             parse_rules("rule r: on a where 1 ! 2 do noop")
+
+
+class TestMessages:
+    """The choice and boundness errors read as they always have."""
+
+    @pytest.mark.parametrize(
+        "text, error, msg",
+        [
+            ("rule r: on a do noop select most", RuleSyntaxError,
+             "expected 'first', 'last' or 'all' (line 1, column 29)"),
+            ("rule r: on a do noop consume once", RuleSyntaxError,
+             "expected 'single' or 'multiple' (line 1, column 30)"),
+            ("effect a starts f", RuleSyntaxError,
+             "expected 'initiates' or 'terminates' (line 1, column 10)"),
+            ("rule r: on a where ?x = 1 do noop", UnboundVariable,
+             "?x is not bound by the rule"),
+            ("rule r: on a where not fact(p, ?x) do noop", UnboundVariable,
+             "?x in a negated lookup is not bound elsewhere"),
+            ("rule r: on a where fact(p, ?z.f) do noop", UnboundVariable,
+             "?z is not bound by the rule"),
+            ("rule r: on a do emit(b, {v: ?y})", UnboundVariable,
+             "?y is not bound by the rule"),
+            ("rule r: on a as ?e do noop post fact(p, ?n) and ?n < ?m", UnboundVariable,
+             "?m is not bound by the rule"),
+        ],
+    )
+    def test_message(self, text, error, msg):
+        with pytest.raises(error) as ei:
+            parse_rules(text)
+        assert str(ei.value) == msg
+
+
+HUGE_INT = "9" * (sys.get_int_max_str_digits() + 1)
+HUGE_DECIMAL = "1" * 400 + ".0"  # float() reads it as inf
+
+
+class TestNumerals:
+    """A numeral is ASCII digits in range, or the text is refused at it."""
+
+    REFUSED = [
+        (HUGE_INT, "integer literal out of range"),
+        ("-" + HUGE_DECIMAL, "decimal literal out of range"),
+        ("²", "unexpected character '²'"),  # str.isdigit, but int() refuses it
+        ("٣", "unexpected character '٣'"),  # was read as 3
+    ]
+    REFUSED_IDS = ["long-int", "inf-decimal", "superscript-digit", "arabic-digit"]
+
+    @pytest.mark.parametrize("literal, msg", REFUSED, ids=REFUSED_IDS)
+    def test_refused_at_the_literal(self, literal, msg):
+        with pytest.raises(RuleSyntaxError) as ei:
+            parse_rules(f"rule r: on a as ?e\n  where ?e.v = {literal} do noop")
+        assert msg in str(ei.value)
+        assert (ei.value.line, ei.value.column) == (2, 16)
+
+    @pytest.mark.parametrize("literal, msg", REFUSED, ids=REFUSED_IDS)
+    def test_cli_exits_2(self, literal, msg, tmp_path, capsys):
+        rules = tmp_path / "r.rr"
+        rules.write_text(f"rule r: on a do assert(p({literal}))\n", encoding="utf-8")
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"type": "a", "time": 1}\n')
+        for args in (
+            ["check", "--rules", str(rules)],
+            ["run", "--rules", str(rules), "--trace", str(trace)],
+            ["oracle", "--expr", f"times({literal}, a)", "--trace", str(trace)],
+        ):
+            assert cli_main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and msg in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
 
 def nested_seq(depth):
