@@ -98,13 +98,16 @@ class Times(EventExpr):
 _MAX_NESTING = 100
 
 
-def validate_expr(expr: EventExpr) -> None:
+def validate_expr(expr: EventExpr) -> frozenset[str]:
     """Check structural invariants, nesting depth included (so the walk
-    recurses at most _MAX_NESTING deep); raises InvalidExpression."""
+    recurses at most _MAX_NESTING deep), and return every event type name
+    the expression mentions; raises InvalidExpression."""
     seen_vars: set[str] = set()
+    names: set[str] = set()
 
     def walk(node: EventExpr, depth: int) -> None:
         if isinstance(node, Atomic):
+            names.add(node.type.name)
             if node.var is not None:
                 if node.var in seen_vars:
                     raise InvalidExpression(f"binding ?{node.var} appears twice")
@@ -121,13 +124,14 @@ def validate_expr(expr: EventExpr) -> None:
         elif isinstance(node, Any):
             if node.count < 1:
                 raise InvalidExpression(f"any needs count >= 1, got {node.count}")
-            names = [t.name for t in node.types]
-            if len(set(names)) != len(names):
+            listed = [t.name for t in node.types]
+            if len(set(listed)) != len(listed):
                 raise InvalidExpression("any type list contains duplicates")
-            if node.count > len(node.types):
+            if node.count > len(listed):
                 raise InvalidExpression(
-                    f"any count {node.count} exceeds {len(node.types)} listed types"
+                    f"any count {node.count} exceeds {len(listed)} listed types"
                 )
+            names.update(listed)
         elif isinstance(node, Times):
             if node.count < 1:
                 raise InvalidExpression(f"times needs count >= 1, got {node.count}")
@@ -136,29 +140,7 @@ def validate_expr(expr: EventExpr) -> None:
             raise InvalidExpression(f"unknown expression node {node!r}")
 
     walk(expr, 1)
-
-
-def expr_leaf_types(expr: EventExpr) -> set[str]:
-    """Every event type name mentioned anywhere in the expression."""
-    out: set[str] = set()
-
-    def walk(node: EventExpr) -> None:
-        if isinstance(node, Atomic):
-            out.add(node.type.name)
-        elif isinstance(node, (Seq, And, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Not):
-            walk(node.absent)
-            walk(node.opener)
-            walk(node.closer)
-        elif isinstance(node, Any):
-            out.update(t.name for t in node.types)
-        elif isinstance(node, Times):
-            walk(node.of)
-
-    walk(expr)
-    return out
+    return frozenset(names)
 
 
 # =========================================================================

@@ -35,7 +35,6 @@ from .algebra import (
     Seq,
     Times,
     _pairwise_disjoint,
-    expr_leaf_types,
     merge_group,
     merge_occurrences,
     occurrence_of,
@@ -327,14 +326,16 @@ def _build(expr: EventExpr, keep: bool) -> _Node:
 
 
 class Detector:
-    """Single-writer incremental detector for one event expression."""
+    """Single-writer incremental detector for one event expression;
+    ``type_names`` holds every type name the expression mentions."""
 
     def __init__(self, expr: EventExpr, config: DetectorConfig | None = None):
-        validate_expr(expr)  # InvalidExpression on malformed input
-        self.config = config or DetectorConfig()
+        self.type_names = validate_expr(expr)  # InvalidExpression if malformed
+        self.config = DetectorConfig() if config is None else config
+        if not isinstance(self.config, DetectorConfig):
+            raise InvalidConfig(f"config must be a DetectorConfig, got {config!r}")
         self.retained: dict[int, EventInstance] = {}
         self._root = _build(expr, keep=False)
-        self._leaf_types = expr_leaf_types(expr)
         self._order: deque[tuple[TimePoint, int]] = deque()  # (time, id), windowed
         self._watermark: TimePoint = 0
         self._last_id = 0
@@ -360,7 +361,7 @@ class Detector:
             self._expire_older_than(e.time - window)
 
         # a type no leaf mentions can never be a component; skip the tree
-        if e.type.name not in self._leaf_types:
+        if e.type.name not in self.type_names:
             return []
 
         self.retained[e.id] = e

@@ -25,9 +25,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .algebra import Occurrence, expr_leaf_types, validate_expr
+from .algebra import Occurrence, validate_expr
 from .detection import Detector, DetectorConfig
 from .errors import (
     ChainLimitExceeded,
@@ -46,6 +46,7 @@ from .model import (
     TimePoint,
     intern_type,
     make_event,
+    require_finite,
 )
 from .rules import (
     Action,
@@ -164,12 +165,6 @@ _run_actions = apply_actions_txn
 # =========================================================================
 
 
-def _require_finite(payload: Mapping[str, Scalar]) -> None:
-    for key, value in payload.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise NonFinitePayload(f"payload field {key!r} must be finite, got {value}")
-
-
 def _solution_order_key(sol: dict[str, Binding]) -> str:
     scalars = {
         k: v for k, v in sol.items() if not isinstance(v, EventInstance)
@@ -214,7 +209,7 @@ class Engine:
         # expires at its next routed feed (its threshold only moves forward)
         self._routes: dict[str, list[tuple[Rule, Detector]]] = {}
         for rule, det in self.detectors:
-            for type_name in expr_leaf_types(rule.on):
+            for type_name in det.type_names:
                 self._routes.setdefault(type_name, []).append((rule, det))
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
@@ -228,38 +223,19 @@ class Engine:
         self, type_name: str, time: TimePoint, payload: dict | None = None
     ) -> list[ReactionRecord]:
         """Mint an id for a new event and dispatch it. A malformed event
-        (InvalidEvent) or a NaN or infinite payload number, which the report
-        could not serialise (NonFinitePayload), is refused before that."""
-        self._require_live()
-        payload = dict(payload or {})
-        _require_finite(payload)
-        e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
-        self._seq = e.id
-        return self._dispatch_minted(e)
-
-    def dispatch(self, e: EventInstance) -> list[ReactionRecord]:
-        """Dispatch a caller-built event; its id must be fresh and its
-        payload numbers finite."""
-        self._require_live()
-        _require_finite(e.payload)
-        if e.id <= self._seq:
-            raise OutOfOrderEvent(
-                f"event id {e.id} is not fresh (last issued {self._seq})"
-            )
-        self._seq = e.id
-        return self._dispatch_minted(e)
-
-    def _require_live(self) -> None:
+        (InvalidEvent), a NaN or infinite payload number, which the report
+        could not serialise (NonFinitePayload), and a time before the last
+        one (OutOfOrderEvent) are refused before that."""
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
-
-    def _dispatch_minted(self, e: EventInstance) -> list[ReactionRecord]:
-        if e.time < self._watermark:
-            raise OutOfOrderEvent(
-                f"event {e!r} precedes engine watermark {self._watermark}"
-            )
-        self._watermark = e.time
+        payload = dict(payload or {})
+        require_finite(payload)
+        e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
+        if time < self._watermark:
+            raise OutOfOrderEvent(f"event {e!r} precedes watermark {self._watermark}")
+        self._seq = e.id
+        self._watermark = time
 
         records: list[ReactionRecord] = []
         queue: deque[tuple[EventInstance, int]] = deque([(e, 0)])
@@ -351,14 +327,13 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
 
     Listening is judged conservatively over every type name in s's event
     expression, so an empty cycle list certifies that no reaction chain can
-    loop. Each rule's expression is validated first (InvalidExpression).
+    loop. validate_expr both checks each rule's expression
+    (InvalidExpression) and names the types it listens for.
     """
-    for rule in ruleset.rules:
-        validate_expr(rule.on)
     order = {rule.id: i for i, rule in enumerate(ruleset.rules)}
     listeners: dict[str, list[int]] = {}
     for i, rule in enumerate(ruleset.rules):
-        for type_name in expr_leaf_types(rule.on):
+        for type_name in validate_expr(rule.on):
             listeners.setdefault(type_name, []).append(i)
     edges: list[tuple[str, str]] = []
     adj: dict[str, list[str]] = {rule.id: [] for rule in ruleset.rules}

@@ -13,24 +13,31 @@ monotone around them).
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .engine import Engine, ReactionRecord
 from .errors import (
     ChainLimitExceeded,
+    InvalidEvent,
     InvalidPeriod,
+    NonFinitePayload,
     OutOfOrderTrace,
     ReservedType,
     TraceError,
 )
-from .model import TIMER_TYPE, EventInstance, intern_type, is_reserved_type, make_event
+from .model import (
+    TIMER_TYPE,
+    EventInstance,
+    intern_type,
+    is_reserved_type,
+    make_event,
+    require_finite,
+)
 from .rules import Fact, RuleSet, fact_sort_key
-
-_SCALARS = (str, int, float, bool)
 
 
 def _canon(obj) -> str:
@@ -57,49 +64,56 @@ def load_trace(source: Union[str, IO[str], Iterable[str]]) -> list[EventInstance
     return _parse_lines(source)
 
 
+def _parse_float(text: str) -> float:
+    # a nonzero numeral below the smallest float would read as 0.0
+    value = float(text)
+    if value == 0.0 and text.lower().partition("e")[0].strip("-0."):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_parse_float)
+
+
 def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
+    # only the trace format is checked here; intern_type, EventInstance and
+    # require_finite check the event's own fields
     out: list[EventInstance] = []
     last_time: Optional[int] = None
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = _DECODER.decode(raw)
         except json.JSONDecodeError as e:
             raise TraceError(f"invalid JSON: {e.msg}", lineno) from None
-        except ValueError as e:  # an integer longer than int() accepts
+        except ValueError as e:  # a number out of range, integers too
             raise TraceError(f"invalid JSON: {e}", lineno) from None
         if not isinstance(obj, dict):
             raise TraceError("each line must be a JSON object", lineno)
         if "type" not in obj or "time" not in obj:
             raise TraceError("record needs 'type' and 'time' fields", lineno)
         tname = obj["type"]
-        if not isinstance(tname, str) or not tname:
-            raise TraceError("'type' must be a non-empty string", lineno)
-        if is_reserved_type(tname):
+        # a type name that is no str is left for intern_type to refuse
+        if isinstance(tname, str) and is_reserved_type(tname):
             raise ReservedType(f"type {tname!r} is reserved", lineno)
-        t = obj["time"]
-        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-            raise TraceError("'time' must be a non-negative integer", lineno)
-        payload = obj.get("payload", {})
-        if payload is None:
-            payload = {}
+        payload = {} if obj.get("payload") is None else obj["payload"]
         if not isinstance(payload, dict):
             raise TraceError("'payload' must be a JSON object", lineno)
-        for k, v in payload.items():
-            if not isinstance(v, _SCALARS):
-                raise TraceError(f"payload field {k!r} must be a scalar", lineno)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise TraceError(f"payload field {k!r} must be finite", lineno)
-        extra = set(obj) - {"type", "time", "payload"}
+        extra = obj.keys() - {"type", "time", "payload"}
         if extra:
             raise TraceError(f"unknown field {sorted(extra)[0]!r}", lineno)
-        if last_time is not None and t < last_time:
+        try:
+            ev = EventInstance(len(out) + 1, intern_type(tname), obj["time"], payload)
+            require_finite(payload)
+        except (InvalidEvent, NonFinitePayload) as e:
+            raise TraceError(str(e), lineno) from None
+        if last_time is not None and ev.time < last_time:
             raise OutOfOrderTrace(
-                f"time {t} is earlier than preceding time {last_time}", lineno
+                f"time {ev.time} is earlier than preceding time {last_time}", lineno
             )
-        last_time = t
-        out.append(EventInstance(len(out) + 1, intern_type(tname), t, payload))
+        last_time = ev.time
+        out.append(ev)
     return out
 
 
@@ -120,12 +134,9 @@ def synth_ticks(span: tuple[int, int], period: int) -> list[EventInstance]:
 def merge_stream(
     trace: Sequence[EventInstance], ticks: Sequence[EventInstance]
 ) -> list[EventInstance]:
-    """Interleave ticks into a trace; at equal times stimuli precede ticks."""
-    tagged = [(ev.time, 0, i) for i, ev in enumerate(trace)]
-    tagged += [(ev.time, 1, i) for i, ev in enumerate(ticks)]
-    tagged.sort()
-    pools = (trace, ticks)
-    return [pools[src][i] for _, src, i in tagged]
+    """Interleave ticks into a trace; at equal times stimuli precede ticks.
+    Neither input is reordered, so a trace out of time order stays so."""
+    return list(heapq.merge(trace, ticks, key=lambda ev: ev.time))
 
 
 @dataclass(frozen=True)

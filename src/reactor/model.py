@@ -8,11 +8,12 @@ components' intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Union
 
-from .errors import InvalidEvent, UnboundedInterval
+from .errors import InvalidEvent, NonFinitePayload, UnboundedInterval
 
 # Timeline positions. Plain ints; the alias marks intent in signatures.
 TimePoint = int
@@ -96,13 +97,9 @@ def _type_named(name: str) -> EventTypeId:
 def intern_type(name: str) -> EventTypeId:
     """The shared EventTypeId for ``name``, from a bounded cache, so that
     events of one type share one object. A name that is not a non-empty
-    str, unhashable ones included, raises InvalidEvent."""
-    try:
-        return _type_named(name)
-    except TypeError:  # unhashable, so no cache key
-        raise InvalidEvent(
-            f"event type name must be a non-empty str: {name!r}"
-        ) from None
+    str raises InvalidEvent; one that is no str never reaches the cache,
+    which could not hash it."""
+    return _type_named(name) if isinstance(name, str) else EventTypeId(name)
 
 
 def is_reserved_type(name: str) -> bool:
@@ -117,7 +114,8 @@ def is_reserved_type(name: str) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class EventInstance:
-    """One concrete event on the timeline.
+    """One concrete event on the timeline; a malformed id, time, payload key
+    or value raises InvalidEvent (NaN and inf pass: see require_finite).
 
     ids are unique within an engine run and increase in arrival order; they
     break reporting ties between simultaneous events but never affect the
@@ -147,6 +145,14 @@ class EventInstance:
 
     def __repr__(self):
         return f"{self.type.name}@{self.time}#{self.id}"
+
+
+def require_finite(payload: Mapping[str, Scalar]) -> None:
+    """Refuse a NaN or infinite payload number, which a report could not
+    serialise, with NonFinitePayload."""
+    for key, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFinitePayload(f"payload field {key!r} must be finite, got {value}")
 
 
 def make_event(

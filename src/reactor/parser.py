@@ -7,7 +7,7 @@ separate them and `#` starts a line comment):
                as one type name
     VAR     := "?" IDENT
     INT     := ["-"] [0-9]+            at most sys.get_int_max_str_digits() digits
-    DECIMAL := ["-"] [0-9]+ "." [0-9]+ a finite float
+    DECIMAL := ["-"] [0-9]+ "." [0-9]+ a finite float, 0.0 only if all zeros
     STRING  := '"' ... '"' on one line; backslash escapes (\\n, \\t, any other
                character stands for itself, but never a line break)
     OPCMP   := "=" | "!=" | "<" | "<=" | ">" | ">="
@@ -138,8 +138,10 @@ def _tokenize(text: str) -> list[_Tok]:
                 msg = "integer literal out of range"
                 raise RuleSyntaxError(msg, line, col) from None
         elif kind == "DECIMAL":
-            value = float(value)
-            if not math.isfinite(value):
+            numeral, value = value, float(value)
+            # out of range: past the largest float, or nonzero digits that
+            # round to 0.0
+            if not math.isfinite(value) or (value == 0.0 and numeral.strip("-0.")):
                 raise RuleSyntaxError("decimal literal out of range", line, col)
         elif kind == "STRING":
             value = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), value[1:-1])

@@ -88,8 +88,6 @@ def term_vars(term: Term) -> set[str]:
 # Condition atoms
 # =========================================================================
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
 
 @dataclass(frozen=True)
 class Comparison:

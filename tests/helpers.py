@@ -19,6 +19,21 @@ from reactor import (
 
 TYPES = ("a", "b", "c", "d")
 
+# Engine.ingest arguments that make no valid event; tests/test_loader.py
+# also writes each as a trace line
+MALFORMED_EVENTS = [
+    ("a", 1, {"v": [1]}),  # payload value not a scalar
+    ("a", 1, {3: "x"}),  # payload key not a string
+    ("a", -1),
+    ("a", "3"),
+    ("a", 1.5),
+    ("a", True),
+    ("", 1),
+    ([], 1),  # type name unhashable
+    (3, 1),  # type name not a string
+    (None, 1),
+]
+
 
 def ev(type_name, time, id, payload=None):
     return make_event(type_name, time, payload, id=id)

@@ -82,6 +82,12 @@ class TestValidateExpr:
         validate_expr(Seq(A, Not(X, B, C)))
         validate_expr(Times(1, Or(A, B)))
 
+    def test_returns_every_type_name_mentioned(self):
+        assert validate_expr(Seq(A, Not(X, B, C))) == frozenset("abcx")
+        assert validate_expr(Times(2, Or(A, A))) == frozenset("a")
+        y, z = event_type("y"), event_type("z")
+        assert validate_expr(And(Any(1, (y, z)), B)) == frozenset("byz")
+
 
 class TestOccurrenceMerge:
     def test_atomic_occurrence(self):

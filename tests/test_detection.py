@@ -56,6 +56,26 @@ class TestConstruction:
                 ALL_MULTI,
             )
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"window": 3}, {}, "first", 0, SelectionPolicy.ALL,
+         (SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)],
+        ids=["dict", "empty-dict", "str", "zero", "policy", "tuple"],
+    )
+    def test_config_that_is_no_detector_config_refused(self, config):
+        # a dict used to build, and the first feed raised AttributeError
+        with pytest.raises(InvalidConfig) as ei:
+            Detector(Seq(A, B), config)
+        assert isinstance(ei.value, ValueError)
+
+    def test_no_config_means_the_defaults(self):
+        assert Detector(Seq(A, B)).config == DetectorConfig()
+        assert Detector(Seq(A, B), None).config == DetectorConfig()
+
+    def test_type_names_are_every_type_the_expression_names(self):
+        det = Detector(Or(Seq(A, Not(X, B, C)), Times(2, A)), ALL_MULTI)
+        assert det.type_names == frozenset("abcx")
+
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             DetectorConfig(window=0)

@@ -42,7 +42,7 @@ from reactor import (
 from reactor.engine import instantiate_fact
 from reactor.rules import KnowledgeBase
 
-from helpers import TYPES, random_expr, random_history
+from helpers import MALFORMED_EVENTS, TYPES, random_expr, random_history
 
 
 def on(name, var=None):
@@ -302,14 +302,10 @@ class TestDispatch:
             )
 
         before = state()
-        for feed in (
-            lambda: eng.ingest("a", 2),
-            lambda: eng.dispatch(make_event("a", 2, id=1000)),
-        ):
-            with pytest.raises(ChainLimitExceeded) as ei:
-                feed()
-            assert ei.value.records == []
-            assert state() == before
+        with pytest.raises(ChainLimitExceeded) as ei:
+            eng.ingest("a", 2)
+        assert ei.value.records == []
+        assert state() == before
 
     def test_rolled_back_rule_raises_nothing(self):
         rs = RuleSet(
@@ -386,48 +382,27 @@ class TestDispatch:
         eng.ingest("a", 5)
         with pytest.raises(OutOfOrderEvent):
             eng.ingest("a", 4)
-
-    def test_dispatch_requires_fresh_id(self):
-        eng = Engine(RuleSet((Rule(id="r", on=on("a"), actions=(NoopAction(),)),)))
-        eng.ingest("a", 1)
-        with pytest.raises(OutOfOrderEvent):
-            eng.dispatch(make_event("a", 2, id=1))
+        # refused before an id was minted
+        (rec,) = eng.ingest("a", 5)
+        assert rec.occurrence.components == {2}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_payload_refused(self, bad):
         eng = Engine(parse_rules("rule r: on a as ?x do assert(seen(?x.v))"))
         with pytest.raises(NonFinitePayload):
             eng.ingest("a", 1, {"v": bad})
-        with pytest.raises(NonFinitePayload):
-            eng.dispatch(make_event("a", 1, {"v": bad}, id=1))
         # refused before an id was minted or anything was committed
         assert len(eng.kb) == 0
         (rec,) = eng.ingest("a", 1, {"v": 2.5})
         assert rec.occurrence.components == {1}
         assert eng.kb.snapshot() == {Fact("seen", (2.5,))}
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("a", 1, {"v": [1]}),  # payload value not a scalar
-            ("a", 1, {3: "x"}),  # payload key not a string
-            ("a", -1),
-            ("a", "3"),
-            ("a", 1.5),
-            ("a", True),
-            ("", 1),
-            ([], 1),  # type name unhashable
-            (3, 1),  # type name not a string
-            (None, 1),
-        ],
-    )
+    @pytest.mark.parametrize("args", MALFORMED_EVENTS)
     def test_malformed_event_refused(self, args):
         eng = Engine(parse_rules("rule r: on a do assert(seen)"))
         with pytest.raises(InvalidEvent) as ei:
             eng.ingest(*args)
         assert isinstance(ei.value, ValueError)
-        with pytest.raises(InvalidEvent):
-            eng.dispatch(make_event(*args, id=1))
         # refused before an id was minted or anything was committed
         assert len(eng.kb) == 0
         (rec,) = eng.ingest("a", 1)

@@ -12,6 +12,7 @@ from reactor import (
     Fact,
     InvalidPeriod,
     NonFinitePayload,
+    OutOfOrderEvent,
     OutOfOrderTrace,
     ReservedType,
     RunReport,
@@ -88,6 +89,24 @@ class TestLoadTrace:
             assert ei.value.line == 2
             assert "finite" in str(ei.value)
 
+    def test_underflowing_number_rejected(self):
+        # a nonzero number below the smallest float used to load as 0.0
+        for value in ("1e-400", "-2.5E-999", "0.%s1" % ("0" * 400)):
+            with pytest.raises(TraceError) as ei:
+                load_trace(trace_io(
+                    '{"type": "a", "time": 1}',
+                    '{"type": "a", "time": 2, "payload": {"v": %s}}' % value,
+                ))
+            assert ei.value.line == 2
+            assert "out of range" in str(ei.value)
+        # zeros and the smallest floats still load
+        values = ["0.0", "-0.0", "0e-400", "0.000E5", "5e-324", "1e-310"]
+        got = load_trace(trace_io(*[
+            '{"type": "a", "time": 1, "payload": {"v": %s}}' % v for v in values
+        ]))
+        assert [e.payload["v"] for e in got] == [float(v) for v in values]
+        assert got[2].payload["v"] == 0.0 and got[4].payload["v"] > 0.0
+
     def test_overlong_integer_rejected(self):
         # json.loads refuses an integer longer than int() accepts with a
         # plain ValueError, in the time and in a payload alike
@@ -150,6 +169,15 @@ class TestMergeStream:
         ticks = synth_ticks((0, 5), 5)
         merged = merge_stream(trace, ticks)
         assert [e.type.name for e in merged] == ["a", "timer"]
+
+    def test_trace_order_is_kept(self):
+        # a trace out of time order stays so, for the engine to refuse
+        trace = [make_event("b", 5, id=1), make_event("a", 1, id=2)]
+        ticks = synth_ticks((0, 6), 3)  # 3, 6
+        merged = merge_stream(trace, ticks)
+        assert [(e.type.name, e.time) for e in merged] == [
+            ("timer", 3), ("b", 5), ("a", 1), ("timer", 6),
+        ]
 
     def test_interleaving(self):
         trace = [make_event("a", 1, id=1), make_event("b", 7, id=2)]
@@ -229,6 +257,14 @@ class TestRunReplay:
         eng = Engine(rules, initial_facts=CASCADE_FACTS)
         eng.ingest("dept_closed", 4, {"name": "sales"})
         assert eng.kb.replay_journal() == eng.kb.snapshot()
+
+    @pytest.mark.parametrize("tick", [None, 10, 2])
+    def test_unsorted_trace_refused_with_or_without_ticks(self, tick):
+        # with ticks, the trace used to be sorted: seq(a, b) fired over [1, 5]
+        rules = parse_rules("rule r: on seq(a, b) do assert(p)")
+        trace = [make_event("b", 5, id=1), make_event("a", 1, id=2)]
+        with pytest.raises(OutOfOrderEvent):
+            run_replay(rules, trace, tick=tick)
 
     def test_ticks_drive_timer_rules(self):
         rules = parse_rules(

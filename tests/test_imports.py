@@ -1,7 +1,9 @@
-"""No module under src/reactor imports a name it never uses.
+"""No module under src/reactor imports a name it never uses, and no
+module-level name is dead.
 
-A stdlib-only stand-in for a linter's unused-import rule. ``__init__.py``
-is skipped: its imports are the package's re-exports.
+Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
+``__init__.py`` is skipped by the first: its imports are the package's
+re-exports, and to the second only its ``__all__`` counts as a use.
 """
 
 import ast
@@ -44,3 +46,50 @@ def test_checker_flags_an_unused_import():
         "os (line 1)",
         "c (line 2)",
     ]
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level def, class or assignment that
+    no module loads or imports (``__init__`` by name in ``__all__`` only);
+    dunder names are skipped."""
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                defined += [(module, name) for name in names]
+                if module == "__init__" and names == ["__all__"]:
+                    used.update(ast.literal_eval(node.value))
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and not name.startswith("__")
+    ]
+
+
+def test_no_dead_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert "__init__" in sources
+    assert dead_names(sources) == []
+
+
+def test_checker_flags_a_dead_name():
+    sources = {
+        "__init__": "from .a import f, g\n__all__ = ['f']\n__version__ = '1'\n",
+        "a": "X = 1\nY: int = 2\nZ, W = 3, 4\ndef f(): return Y\n"
+             "def g(): pass\nclass C: pass\n",
+        "b": "from .a import Z\nprint(Z)\n",
+    }
+    assert dead_names(sources) == ["a.X", "a.W", "a.g", "a.C"]

@@ -8,8 +8,9 @@ and each has its own test in TestAllowedDifferences:
 (a) a non-ASCII digit outside a string or comment: the old loop read `٣` as
     3 and crashed on `²`; the lexer calls either an unexpected character;
 (b) an out-of-range numeral: the old loop crashed on an integer longer than
-    int() accepts and read a 400-digit decimal as inf; the lexer refuses
-    both at the literal;
+    int() accepts, read a 400-digit decimal as inf and a decimal with 400
+    zeros after the point before a nonzero digit as 0.0; the lexer refuses
+    all three at the literal;
 (c) a backslash before a line break inside a string: the old loop went on
     with the string and miscounted later lines; the lexer says
     `unterminated string`;
@@ -84,7 +85,8 @@ def difference(text):
     elif msg.endswith("literal out of range"):
         literal = _OUT_OF_RANGE.match(text, at).group()
         if "." in literal:
-            assert math.isinf(float(literal)), text
+            value = float(literal)
+            assert math.isinf(value) or (value == 0.0 and literal.strip("-0.")), text
         else:
             with pytest.raises(ValueError):
                 int(literal)
@@ -164,8 +166,14 @@ class TestAllowedDifferences:
         assert outcome(_tokenize, f"\n  -{huge_decimal}") == (
             "error", "decimal literal out of range", 2, 3)
         assert difference(f"p(-{huge_decimal})") == "b"
-        # the largest numerals still in range lex as before
-        for text in ("9" * limit, "1" * 300 + ".5", "-" + "1" * 300 + ".5"):
+        tiny_decimal = "0." + "0" * 400 + "1"
+        assert outcome(reference_tokenize, tiny_decimal)[0][1] == 0.0
+        assert outcome(_tokenize, f"p(\n -{tiny_decimal})") == (
+            "error", "decimal literal out of range", 2, 2)
+        assert difference(f"p({tiny_decimal})") == "b"
+        # the largest and smallest numerals still in range lex as before
+        for text in ("9" * limit, "1" * 300 + ".5", "-" + "1" * 300 + ".5",
+                     "0." + "0" * 322 + "5", "-0." + "0" * 400):
             assert difference(text) is None
 
     def test_c_escaped_line_break_ends_the_string(self):

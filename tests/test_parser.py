@@ -299,6 +299,7 @@ class TestMessages:
 
 HUGE_INT = "9" * (sys.get_int_max_str_digits() + 1)
 HUGE_DECIMAL = "1" * 400 + ".0"  # float() reads it as inf
+TINY_DECIMAL = "0." + "0" * 400 + "1"  # float() reads it as 0.0
 
 
 class TestNumerals:
@@ -307,10 +308,13 @@ class TestNumerals:
     REFUSED = [
         (HUGE_INT, "integer literal out of range"),
         ("-" + HUGE_DECIMAL, "decimal literal out of range"),
+        (TINY_DECIMAL, "decimal literal out of range"),
         ("²", "unexpected character '²'"),  # str.isdigit, but int() refuses it
         ("٣", "unexpected character '٣'"),  # was read as 3
     ]
-    REFUSED_IDS = ["long-int", "inf-decimal", "superscript-digit", "arabic-digit"]
+    REFUSED_IDS = [
+        "long-int", "inf-decimal", "underflow-decimal", "superscript-digit", "arabic-digit",
+    ]
 
     @pytest.mark.parametrize("literal, msg", REFUSED, ids=REFUSED_IDS)
     def test_refused_at_the_literal(self, literal, msg):
