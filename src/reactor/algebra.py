@@ -98,15 +98,24 @@ class Times(EventExpr):
 _MAX_NESTING = 100
 
 
+def _check_count(op: str, count: object) -> None:
+    if type(count) is not int or count < 1:  # bool is refused too
+        raise InvalidExpression(f"{op} needs an integer count >= 1, got {count!r}")
+
+
 def validate_expr(expr: EventExpr) -> frozenset[str]:
-    """Check structural invariants, nesting depth included (so the walk
-    recurses at most _MAX_NESTING deep), and return every event type name
-    the expression mentions; raises InvalidExpression."""
+    """Check structural invariants and field types, nesting depth included
+    (so the walk recurses at most _MAX_NESTING deep), and return every event
+    type name the expression mentions; raises InvalidExpression."""
     seen_vars: set[str] = set()
     names: set[str] = set()
 
     def walk(node: EventExpr, depth: int) -> None:
         if isinstance(node, Atomic):
+            if not isinstance(node.type, EventTypeId):
+                raise InvalidExpression(f"atomic type must be an EventTypeId: {node!r}")
+            if node.var is not None and not isinstance(node.var, str):
+                raise InvalidExpression(f"binding name must be a str: {node!r}")
             names.add(node.type.name)
             if node.var is not None:
                 if node.var in seen_vars:
@@ -122,8 +131,11 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
             walk(node.opener, depth + 1)
             walk(node.closer, depth + 1)
         elif isinstance(node, Any):
-            if node.count < 1:
-                raise InvalidExpression(f"any needs count >= 1, got {node.count}")
+            _check_count("any", node.count)
+            if not isinstance(node.types, tuple) or not all(
+                isinstance(t, EventTypeId) for t in node.types
+            ):
+                raise InvalidExpression(f"any types must be EventTypeIds: {node!r}")
             listed = [t.name for t in node.types]
             if len(set(listed)) != len(listed):
                 raise InvalidExpression("any type list contains duplicates")
@@ -133,8 +145,7 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
                 )
             names.update(listed)
         elif isinstance(node, Times):
-            if node.count < 1:
-                raise InvalidExpression(f"times needs count >= 1, got {node.count}")
+            _check_count("times", node.count)
             walk(node.of, depth + 1)
         else:
             raise InvalidExpression(f"unknown expression node {node!r}")

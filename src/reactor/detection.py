@@ -22,7 +22,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .algebra import (
     And,
@@ -83,16 +83,16 @@ def select_candidates(
 
     first -> the earliest initiator (ties to the smallest initiator id),
     last -> the latest initiator (ties to the largest id), all -> every
-    candidate ordered by initiator position.
+    candidate ordered by initiator position. A key holds the components and
+    binding ids, so no two candidates tie and min/max pick as a sort would.
     """
     if not cands:
         return []
-    ordered = sorted(cands, key=occurrence_sort_key)
     if policy is SelectionPolicy.FIRST:
-        return [ordered[0]]
+        return [min(cands, key=occurrence_sort_key)]
     if policy is SelectionPolicy.LAST:
-        return [ordered[-1]]
-    return ordered
+        return [max(cands, key=occurrence_sort_key)]
+    return sorted(cands, key=occurrence_sort_key)
 
 
 # =========================================================================
@@ -101,7 +101,7 @@ def select_candidates(
 
 
 class _Node:
-    """State node for one subexpression.
+    """State node for one subexpression, over the child nodes ``kids``.
 
     ``occs`` lists the node's occurrences so far in creation order, but only
     when ``keep`` is set: a parent that joins against them (seq, and, not,
@@ -109,16 +109,19 @@ class _Node:
     which nothing reads back, keep none.
     """
 
-    __slots__ = ("occs", "keep")
+    __slots__ = ("occs", "keep", "kids")
 
-    def __init__(self, keep: bool):
+    def __init__(self, keep: bool, *kids: _Node):
         self.occs: list[Occurrence] = []
         self.keep = keep
+        self.kids = kids
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
         raise NotImplementedError
 
-    def prune(self, removed: set[int]) -> None:
+    def prune(self, removed: AbstractSet[int]) -> None:
+        for kid in self.kids:
+            kid.prune(removed)
         if self.occs:
             self.occs = [o for o in self.occs if not (o.components & removed)]
 
@@ -130,34 +133,6 @@ class _Node:
         if self.keep:
             self.occs.extend(fresh)
         return fresh
-
-
-def _join(
-    left: _Node,
-    right: _Node,
-    e: EventInstance,
-    match: Callable[[Occurrence, Occurrence], Optional[Occurrence]],
-) -> list[Occurrence]:
-    """Feed both sides, then try every new occurrence on one side against
-    every occurrence on the other. The new right occurrences are the last
-    ones in ``right.occs``, so a pair of two new ones is tried once."""
-    new_l = left.feed(e)
-    new_r = right.feed(e)
-    fresh: list[Occurrence] = []
-    if new_r:
-        for l in left.occs:
-            for r in new_r:
-                m = match(l, r)
-                if m is not None:
-                    fresh.append(m)
-    if new_l:
-        n_old = len(right.occs) - len(new_r)
-        for l in new_l:
-            for r in itertools.islice(right.occs, n_old):
-                m = match(l, r)
-                if m is not None:
-                    fresh.append(m)
-    return fresh
 
 
 class _AtomicNode(_Node):
@@ -174,79 +149,77 @@ class _AtomicNode(_Node):
         return self._admit([occurrence_of(e, self.var)])
 
 
-class _PairNode(_Node):
-    """Shared join logic for Seq and And."""
+def _before(l: Occurrence, r: Occurrence) -> bool:
+    return l.terminator_time < r.initiator_time
 
-    __slots__ = ("left", "right", "ordered")
 
-    def __init__(self, left: _Node, right: _Node, ordered: bool, keep: bool):
-        super().__init__(keep)
+def _disjoint(l: Occurrence, r: Occurrence) -> bool:
+    return not (l.components & r.components)
+
+
+def _unblocked(absent: _Node) -> Callable[[Occurrence, Occurrence], bool]:
+    # the seq test, plus no absent occurrence strictly between the two
+    return lambda l, r: _before(l, r) and not any(
+        l.terminator_time < a.initiator_time and a.terminator_time < r.initiator_time
+        for a in absent.occs
+    )
+
+
+class _JoinNode(_Node):
+    """seq, and and not: each new occurrence on one side is tried against
+    every kept occurrence on the other, and the pair test ``ok`` says which
+    pairs join. The new right occurrences are the last ones in
+    ``right.occs``, so a pair of two new ones is tried once."""
+
+    __slots__ = ("left", "right", "ok", "absent")
+
+    def __init__(
+        self,
+        left: _Node,
+        right: _Node,
+        ok: Callable[[Occurrence, Occurrence], bool],
+        keep: bool,
+        absent: Optional[_Node] = None,
+    ):
+        kids = (left, right) if absent is None else (absent, left, right)
+        super().__init__(keep, *kids)
         self.left = left
         self.right = right
-        self.ordered = ordered  # True: sequence, False: conjunction
-
-    def _match(self, l: Occurrence, r: Occurrence) -> Optional[Occurrence]:
-        if self.ordered:
-            if l.terminator_time >= r.initiator_time:
-                return None
-        elif l.components & r.components:
-            return None
-        return merge_occurrences(l, r)
+        self.ok = ok
+        self.absent = absent
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
-        return self._admit(_join(self.left, self.right, e, self._match))
-
-    def prune(self, removed: set[int]) -> None:
-        self.left.prune(removed)
-        self.right.prune(removed)
-        super().prune(removed)
+        # absent first, so that a blocker in the same feed is visible to ok
+        if self.absent is not None:
+            self.absent.feed(e)
+        new_l = self.left.feed(e)
+        new_r = self.right.feed(e)
+        ok, lefts, rights = self.ok, self.left.occs, self.right.occs
+        # validate_expr refuses a repeated binding name, so the two sides
+        # never clash and merge_occurrences never returns None here
+        fresh = []
+        if new_r:
+            fresh = [merge_occurrences(l, r) for l in lefts for r in new_r if ok(l, r)]
+        n_old = len(rights) - len(new_r)
+        fresh += [
+            merge_occurrences(l, r)
+            for l in new_l
+            for r in itertools.islice(rights, n_old)
+            if ok(l, r)
+        ]
+        return self._admit(fresh)
 
 
 class _OrNode(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left: _Node, right: _Node, keep: bool):
-        super().__init__(keep)
+        super().__init__(keep, left, right)
         self.left = left
         self.right = right
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
         return self._admit(self.left.feed(e) + self.right.feed(e))
-
-    def prune(self, removed: set[int]) -> None:
-        self.left.prune(removed)
-        self.right.prune(removed)
-        super().prune(removed)
-
-
-class _NotNode(_Node):
-    __slots__ = ("absent", "opener", "closer")
-
-    def __init__(self, absent: _Node, opener: _Node, closer: _Node, keep: bool):
-        super().__init__(keep)
-        self.absent = absent
-        self.opener = opener
-        self.closer = closer
-
-    def feed(self, e: EventInstance) -> list[Occurrence]:
-        # absent first so same-feed blockers are visible to the pair check
-        self.absent.feed(e)
-        return self._admit(_join(self.opener, self.closer, e, self._pair))
-
-    def _pair(self, o: Occurrence, c: Occurrence) -> Optional[Occurrence]:
-        o_end, c_start = o.terminator_time, c.initiator_time
-        if o_end >= c_start:
-            return None
-        for a in self.absent.occs:
-            if o_end < a.initiator_time and a.terminator_time < c_start:
-                return None
-        return merge_occurrences(o, c)
-
-    def prune(self, removed: set[int]) -> None:
-        self.absent.prune(removed)
-        self.opener.prune(removed)
-        self.closer.prune(removed)
-        super().prune(removed)
 
 
 class _AnyNode(_Node):
@@ -270,7 +243,7 @@ class _AnyNode(_Node):
         self.insts.append(e)
         return self._admit(fresh)
 
-    def prune(self, removed: set[int]) -> None:
+    def prune(self, removed: AbstractSet[int]) -> None:
         self.insts = [x for x in self.insts if x.id not in removed]
         super().prune(removed)
 
@@ -279,7 +252,7 @@ class _TimesNode(_Node):
     __slots__ = ("count", "inner")
 
     def __init__(self, count: int, inner: _Node, keep: bool):
-        super().__init__(keep)
+        super().__init__(keep, inner)
         self.count = count
         self.inner = inner
 
@@ -295,10 +268,6 @@ class _TimesNode(_Node):
                     fresh.append(merge_group(combo))
         return self._admit(fresh)
 
-    def prune(self, removed: set[int]) -> None:
-        self.inner.prune(removed)
-        super().prune(removed)
-
 
 def _build(expr: EventExpr, keep: bool) -> _Node:
     """State tree for ``expr``; ``keep`` says whether its parent joins
@@ -306,13 +275,14 @@ def _build(expr: EventExpr, keep: bool) -> _Node:
     if isinstance(expr, Atomic):
         return _AtomicNode(expr, keep)
     if isinstance(expr, (Seq, And)):
-        left, right = _build(expr.left, True), _build(expr.right, True)
-        return _PairNode(left, right, isinstance(expr, Seq), keep)
+        ok = _before if isinstance(expr, Seq) else _disjoint
+        return _JoinNode(_build(expr.left, True), _build(expr.right, True), ok, keep)
     if isinstance(expr, Or):
         return _OrNode(_build(expr.left, False), _build(expr.right, False), keep)
     if isinstance(expr, Not):
-        kids = (_build(x, True) for x in (expr.absent, expr.opener, expr.closer))
-        return _NotNode(*kids, keep)
+        absent = _build(expr.absent, True)
+        opener, closer = _build(expr.opener, True), _build(expr.closer, True)
+        return _JoinNode(opener, closer, _unblocked(absent), keep, absent)
     if isinstance(expr, Any):
         return _AnyNode(expr, keep)
     if isinstance(expr, Times):
@@ -375,13 +345,13 @@ class Detector:
             return selected
         fired: list[Occurrence] = []
         for occ in selected:
-            if not all(cid in self.retained for cid in occ.components):
+            if not occ.components <= self.retained.keys():
                 continue  # components taken by an earlier firing this batch
-            self._remove(set(occ.components))
+            self._remove(occ.components)
             fired.append(occ)
         return fired
 
-    def _remove(self, ids: set[int]) -> None:
+    def _remove(self, ids: AbstractSet[int]) -> None:
         for cid in ids:
             self.retained.pop(cid, None)
         self._root.prune(ids)

@@ -9,7 +9,9 @@ as the overlay shows it, the transaction commits: the store applies and
 journals the effective ops, and one internal event per op (assert:NAME /
 retract:NAME with the fact args as payload) plus any emitted events join
 the dispatch queue. Otherwise the overlay is dropped and the firing reports
-rolled_back with zero events.
+rolled_back with zero events. So does a firing whose where, actions or post
+read a missing payload field or a variable bound only on another branch of
+an or, or cannot ground a template; its record carries the error text.
 
 Chaining is breadth-first at the triggering event's timestamp; the chain
 depth counts queue generations and a configurable limit guards against
@@ -46,6 +48,7 @@ from .model import (
     TimePoint,
     intern_type,
     make_event,
+    payload_dict,
     require_finite,
 )
 from .rules import (
@@ -165,6 +168,20 @@ _run_actions = apply_actions_txn
 # =========================================================================
 
 
+# the faults of a firing's own data (see the module docstring)
+_FIRING_FAULTS = (MissingField, UnboundVariable, TemplateError)
+
+
+def _audit_record(
+    rule: Rule, occ: Occurrence, bindings: dict[str, Binding],
+    depth: int, err: Exception,
+) -> ReactionRecord:
+    """A firing that failed closed: rolled back, no events, the error text."""
+    return ReactionRecord(
+        rule.id, occ, bindings, TxnOutcome.ROLLED_BACK, (), depth, error=str(err)
+    )
+
+
 def _solution_order_key(sol: dict[str, Binding]) -> str:
     scalars = {
         k: v for k, v in sol.items() if not isinstance(v, EventInstance)
@@ -229,7 +246,7 @@ class Engine:
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
-        payload = dict(payload or {})
+        payload = payload_dict(payload)
         require_finite(payload)
         e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
         if time < self._watermark:
@@ -250,14 +267,8 @@ class Engine:
                         sols = evaluate_condition(
                             rule.where, base, self.kb, at, self.fluents
                         )
-                    except MissingField as err:
-                        # fails closed, but leaves an audit record
-                        records.append(
-                            ReactionRecord(
-                                rule.id, occ, base, TxnOutcome.ROLLED_BACK,
-                                (), depth, error=str(err),
-                            )
-                        )
+                    except _FIRING_FAULTS as err:
+                        records.append(_audit_record(rule, occ, base, depth, err))
                         continue
                     if len(sols) > 1:
                         sols.sort(key=_solution_order_key)
@@ -267,14 +278,8 @@ class Engine:
                                 rule.actions, sol, self.kb, rule.post,
                                 self.fluents, at, self.next_id,
                             )
-                        except TemplateError as err:
-                            records.append(
-                                ReactionRecord(
-                                    rule.id, occ, sol,
-                                    TxnOutcome.ROLLED_BACK, (), depth,
-                                    error=str(err),
-                                )
-                            )
+                        except _FIRING_FAULTS as err:
+                            records.append(_audit_record(rule, occ, sol, depth, err))
                             continue
                         records.append(
                             ReactionRecord(

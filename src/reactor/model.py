@@ -155,6 +155,17 @@ def require_finite(payload: Mapping[str, Scalar]) -> None:
             raise NonFinitePayload(f"payload field {key!r} must be finite, got {value}")
 
 
+def payload_dict(payload: object) -> dict[str, Scalar]:
+    """A fresh dict of ``payload``, where None means no fields; anything
+    else that is not a Mapping raises InvalidEvent."""
+    if payload is None:
+        return {}
+    # a dict first: the ABC check costs a few hundred ns per event
+    if type(payload) is not dict and not isinstance(payload, Mapping):
+        raise InvalidEvent(f"event payload must be a mapping, got {payload!r}")
+    return dict(payload)
+
+
 def make_event(
     type: EventTypeId | str,
     time: TimePoint,
@@ -167,4 +178,4 @@ def make_event(
     """
     if not isinstance(type, EventTypeId):
         type = intern_type(type)
-    return EventInstance(id=id, type=type, time=time, payload=dict(payload or {}))
+    return EventInstance(id=id, type=type, time=time, payload=payload_dict(payload))

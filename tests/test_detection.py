@@ -22,6 +22,7 @@ from reactor import (
     make_event,
     occurrences,
 )
+from reactor.algebra import occurrence_sort_key
 from reactor.detection import select_candidates
 
 from helpers import history, proj, random_expr, random_history
@@ -368,6 +369,73 @@ class TestNoRepeats:
         expr = Seq(Or(A, Seq(A, B)), Or(Seq(B, C), C))
         h = history(("a", 1), ("b", 2), ("c", 3))
         assert self.fired_list(expr, h) == [(1, 3, (1, 2, 3)), (1, 3, (1, 3))]
+
+
+def reference_feed(expr, h, config):
+    """What each event fires, straight from the policy definitions and the
+    oracle: expire, select among the occurrences the event terminates, and
+    under single fire greedily over what is still visible."""
+    visible, out = [], []
+    for e in h:
+        if config.window is not None:
+            visible = [x for x in visible if x.time >= e.time - config.window]
+        visible.append(e)
+        cands = sorted(
+            (o for o in occurrences(expr, visible) if o.terminator_id == e.id),
+            key=occurrence_sort_key,
+        )
+        if config.selection is SelectionPolicy.FIRST:
+            cands = cands[:1]
+        elif config.selection is SelectionPolicy.LAST:
+            cands = cands[-1:]
+        if config.consumption is ConsumptionPolicy.SINGLE:
+            fired = []
+            for o in cands:
+                if o.components <= {x.id for x in visible}:
+                    fired.append(o)
+                    visible = [x for x in visible if x.id not in o.components]
+            cands = fired
+        out.append(cands)
+    return out
+
+
+POLICY_CONFIGS = [
+    DetectorConfig(sel, con, window)
+    for sel in SelectionPolicy
+    for con in ConsumptionPolicy
+    for window in (None, 1, 3)
+]
+
+
+class TestPolicyOracle:
+    """Every selection x consumption x window against reference_feed."""
+
+    @pytest.mark.parametrize(
+        "config",
+        POLICY_CONFIGS,
+        ids=lambda c: f"{c.selection.value}-{c.consumption.value}-window{c.window}",
+    )
+    def test_feed_matches_reference(self, config):
+        rng = random.Random(36)
+        for _ in range(500):
+            h = random_history(rng)
+            expr = random_expr(rng)
+            det = Detector(expr, config)
+            got = [det.feed(e) for e in h]
+            assert got == reference_feed(expr, h, config), (expr, h)
+
+    def test_consumed_blocker_no_longer_blocks(self):
+        # c@2 fires the or's left branch and is consumed, so it must not
+        # block not(c, a, b) at b@3: the prune has to reach the absent side
+        expr = Or(C, Not(C, A, B))
+        h = history(("a", 1), ("c", 2), ("b", 3))
+        det = Detector(expr)
+        fired = [[sorted(o.components) for o in det.feed(e)] for e in h]
+        assert fired == [[], [[2]], [[1, 3]]]
+        assert fired == [
+            [sorted(o.components) for o in step]
+            for step in reference_feed(expr, h, DetectorConfig())
+        ]
 
 
 class TestTimesScenario:

@@ -1,11 +1,14 @@
 """Transactions, reaction dispatch, chaining, and the triggering graph."""
 
 import random
+from types import MappingProxyType
 
 import pytest
 
 from reactor import (
+    Any,
     AssertAction,
+    Atomic,
     ChainLimitExceeded,
     Comparison,
     Condition,
@@ -31,13 +34,18 @@ from reactor import (
     SelectionPolicy,
     Seq,
     TemplateError,
+    Times,
     TxnOutcome,
     VarRef,
     apply_actions_txn,
+    event_type,
     is_reserved_type,
     make_event,
+    occurrences,
     parse_rules,
+    run_replay,
     triggering_graph,
+    validate_expr,
 )
 from reactor.engine import instantiate_fact
 from reactor.rules import KnowledgeBase
@@ -46,9 +54,23 @@ from helpers import MALFORMED_EVENTS, TYPES, random_expr, random_history
 
 
 def on(name, var=None):
-    from reactor import Atomic, event_type
-
     return Atomic(event_type(name), var)
+
+
+# payloads that are neither None nor a mapping; kept apart from
+# MALFORMED_EVENTS, which tests/test_loader.py also writes as trace lines
+NON_MAPPING_PAYLOADS = [5, "xy", [("v", 1)], 0, "", [], (), b"v"]
+
+# firings that their own data fails, each on the rule's trigger type
+FAULTY_RULES = {
+    "post-missing-field": ("rule r: on a as ?x do assert(bad) post ?x.w = 1", "a"),
+    "post-unbound-or-branch": (
+        "rule r: on or(a as ?x, b) do assert(bad) post ?x.v = 1", "b"
+    ),
+    "where-unbound-or-branch": (
+        "rule r: on or(a as ?x, b as ?y) where ?x.v = 1 do assert(bad)", "b"
+    ),
+}
 
 
 class TestInstantiateFact:
@@ -408,6 +430,46 @@ class TestDispatch:
         (rec,) = eng.ingest("a", 1)
         assert rec.occurrence.components == {1}
 
+    @pytest.mark.parametrize("payload", NON_MAPPING_PAYLOADS, ids=repr)
+    def test_payload_that_is_no_mapping_refused(self, payload):
+        eng = Engine(parse_rules("rule r: on a do assert(seen)"))
+        with pytest.raises(InvalidEvent, match="payload must be a mapping"):
+            eng.ingest("a", 1, payload)
+        with pytest.raises(InvalidEvent, match="payload must be a mapping"):
+            make_event("a", 1, payload)
+        # refused before an id was minted or anything was committed
+        assert len(eng.kb) == 0
+        (rec,) = eng.ingest("a", 1)
+        assert rec.occurrence.components == {1}
+
+    def test_any_mapping_is_a_payload(self):
+        eng = Engine(parse_rules("rule r: on a as ?x do assert(seen(?x.v))"))
+        eng.ingest("a", 1, MappingProxyType({"v": 2}))
+        assert eng.kb.snapshot() == {Fact("seen", (2,))}
+        assert make_event("a", 1, MappingProxyType({"v": 2})).payload == {"v": 2}
+
+    @pytest.mark.parametrize("rule, trigger", FAULTY_RULES.values(), ids=FAULTY_RULES)
+    def test_firing_fault_leaves_an_audit_record(self, rule, trigger):
+        rs = parse_rules(
+            f"rule go: on go do assert(started), emit({trigger}, {{u: 1}})\n"
+            f"{rule}\n"
+            f"rule also: on {trigger} do assert(seen)\n"
+            "rule later: on stop do assert(stopped)\n"
+        )
+        report = run_replay(rs, [make_event("go", 1, id=1), make_event("stop", 2, id=2)])
+        assert report.error is None and report.dispatched == 2
+        assert [(r.rule_id, r.depth, r.outcome) for r in report.records] == [
+            ("go", 0, TxnOutcome.COMMITTED),
+            ("r", 1, TxnOutcome.ROLLED_BACK),
+            ("also", 1, TxnOutcome.COMMITTED),
+            ("later", 0, TxnOutcome.COMMITTED),
+        ]
+        fault = report.records[1]
+        assert fault.error and fault.events == ()
+        # the faulty firing changed nothing; the rest of its cascade stays
+        assert set(report.facts) == {Fact("started"), Fact("seen"), Fact("stopped")}
+        report.to_jsonl()
+
     @pytest.mark.parametrize("limit", [0, -1, 2.5, True, "5"])
     def test_malformed_chain_limit_refused(self, limit):
         with pytest.raises(InvalidConfig) as ei:
@@ -545,6 +607,34 @@ class TestTriggeringGraph:
             assert g.cycles == tuple(expect)
 
 
+class TestMalformedExpressions:
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Atomic("a"),  # a str where an EventTypeId belongs
+            Seq(on("a"), Atomic("b")),
+            Atomic(event_type("a"), 5),  # binding name not a str
+            Any(1, ("a",)),
+            Any(1, event_type("a")),  # types not a tuple
+            Any(True, (event_type("a"),)),  # count a bool
+            Times("2", on("a")),
+            Times(True, on("a")),
+            Times(2.0, on("a")),
+        ],
+        ids=repr,
+    )
+    def test_field_of_the_wrong_type_refused(self, expr):
+        rs = RuleSet((Rule(id="r", on=expr, actions=(NoopAction(),)),))
+        with pytest.raises(InvalidExpression):
+            validate_expr(expr)
+        with pytest.raises(InvalidExpression):
+            Detector(expr)
+        with pytest.raises(InvalidExpression):
+            Engine(rs)
+        with pytest.raises(InvalidExpression):
+            occurrences(expr, [])
+
+
 class TestDeepExpressions:
     def test_api_built_expression_past_the_limit_is_refused(self):
         # built through the API, so no parser stands in front of it
@@ -562,7 +652,7 @@ class TestDeepExpressions:
 
 def _nodes(node):
     yield node
-    for attr in ("left", "right", "absent", "opener", "closer", "inner"):
+    for attr in ("left", "right", "absent", "inner"):
         child = getattr(node, attr, None)
         if child is not None:
             yield from _nodes(child)

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import reactor
 from reactor import (
     Engine,
     Fact,
@@ -434,10 +437,15 @@ class TestCli:
     def test_console_script_subprocess(self, tmp_path):
         rules = self.write(tmp_path, "r.rr", "rule r: on a do assert(p)\n")
         trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        # the child finds the package this test imported, also when pytest
+        # put src/ on the path itself and PYTHONPATH is unset
+        src = str(Path(reactor.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "reactor.cli", "run", "--rules", rules, "--trace", trace],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert '"summary"' in proc.stdout.splitlines()[-1]
