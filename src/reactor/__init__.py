@@ -43,6 +43,7 @@ from .errors import (
     InvalidEvent,
     InvalidExpression,
     InvalidPeriod,
+    InvalidRule,
     MissingField,
     NonFinitePayload,
     OutOfOrderEvent,
@@ -107,7 +108,8 @@ __all__ = [
     "Engine", "ReactionRecord", "TriggeringGraph", "TxnOutcome",
     "apply_actions_txn", "triggering_graph",
     "ChainLimitExceeded", "DuplicateEffect", "DuplicateRuleId",
-    "InvalidConfig", "InvalidEvent", "InvalidExpression", "InvalidPeriod", "MissingField",
+    "InvalidConfig", "InvalidEvent", "InvalidExpression", "InvalidPeriod", "InvalidRule",
+    "MissingField",
     "NonFinitePayload",
     "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
     "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",

@@ -1,14 +1,15 @@
 """Event expressions and their declarative occurrence semantics.
 
-Two evaluators live here:
+One evaluator lives here, deliberately brute force: it enumerates candidate
+component combinations straight from the definitions and serves as the
+reference the incremental detector is checked against. It takes the
+ordering test of ``seq`` and ``not`` as an argument, which gives the two
+semantics:
 
 * ``occurrences``: interval semantics. A composite occurrence is valid over
   the whole span of its components (the cover of their intervals), and
   sequence requires the left operand's interval to end strictly before the
-  right operand's interval starts. This evaluator is deliberately brute
-  force: it enumerates candidate component combinations straight from the
-  definitions and serves as the reference the incremental detector is
-  checked against.
+  right operand's interval starts.
 
 * ``occurrences_point``: the classic detection-time semantics, where each
   result is stamped with the time of its latest component and sequence only
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidExpression, UnsortedHistory
 from .model import EventInstance, EventTypeId, Interval, TimePoint, strictly_before
@@ -114,8 +115,8 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
         if isinstance(node, Atomic):
             if not isinstance(node.type, EventTypeId):
                 raise InvalidExpression(f"atomic type must be an EventTypeId: {node!r}")
-            if node.var is not None and not isinstance(node.var, str):
-                raise InvalidExpression(f"binding name must be a str: {node!r}")
+            if node.var is not None and (not isinstance(node.var, str) or not node.var):
+                raise InvalidExpression(f"binding name must be a non-empty str: {node!r}")
             names.add(node.type.name)
             if node.var is not None:
                 if node.var in seen_vars:
@@ -223,28 +224,21 @@ def merge_occurrences(a: Occurrence, b: Occurrence) -> Optional[Occurrence]:
     )
 
 
-def _strip_bindings(o: Occurrence) -> Occurrence:
-    if not o.bindings:
-        return o
+def merge_group(occs: Sequence[Occurrence]) -> Occurrence:
+    """One occurrence of pairwise component-disjoint occurrences: their
+    components united, the earliest initiator and the latest terminator by
+    (time, id), and no bindings (the grouping operators do not expose inner
+    bindings)."""
+    first = min(occs, key=lambda o: (o.initiator_time, o.initiator_id))
+    last = max(occs, key=lambda o: (o.terminator_time, o.terminator_id))
     return Occurrence(
         bindings={},
-        components=o.components,
-        initiator_time=o.initiator_time,
-        terminator_time=o.terminator_time,
-        initiator_id=o.initiator_id,
-        terminator_id=o.terminator_id,
+        components=frozenset().union(*(o.components for o in occs)),
+        initiator_time=first.initiator_time,
+        terminator_time=last.terminator_time,
+        initiator_id=first.initiator_id,
+        terminator_id=last.terminator_id,
     )
-
-
-def merge_group(occs: Sequence[Occurrence]) -> Occurrence:
-    """Merge pairwise component-disjoint occurrences; bindings are dropped
-    (the grouping operators do not expose inner bindings)."""
-    merged = _strip_bindings(occs[0])
-    for o in occs[1:]:
-        nxt = merge_occurrences(merged, _strip_bindings(o))
-        assert nxt is not None  # stripped bindings cannot clash
-        merged = nxt
-    return merged
 
 
 def occurrence_sort_key(o: Occurrence):
@@ -267,7 +261,15 @@ def check_sorted(history: Sequence[EventInstance]) -> None:
             )
 
 
-# -------------------------------------------------------- interval semantics
+# -------------------------------------------------------------- evaluation
+
+
+def _interval_before(l: Occurrence, r: Occurrence) -> bool:
+    return strictly_before(l.interval, r.interval)
+
+
+def _point_before(l: Occurrence, r: Occurrence) -> bool:
+    return l.terminator_time < r.terminator_time
 
 
 def occurrences(expr: EventExpr, history: Sequence[EventInstance]) -> frozenset[Occurrence]:
@@ -278,82 +280,84 @@ def occurrences(expr: EventExpr, history: Sequence[EventInstance]) -> frozenset[
     """
     validate_expr(expr)  # InvalidExpression, also for nesting past the limit
     check_sorted(history)
-    return frozenset(_eval(expr, list(history)))
+    return frozenset(_eval(expr, list(history), _interval_before))
 
 
-def _eval(expr: EventExpr, history: list[EventInstance]) -> set[Occurrence]:
+def occurrences_point(
+    expr: EventExpr, history: Sequence[EventInstance]
+) -> frozenset[tuple[TimePoint, frozenset[int]]]:
+    """Occurrences under terminator-point semantics.
+
+    Each result is (detection time, component ids) where the detection time
+    is the latest component's timestamp and ordering constraints compare
+    detection times only. Exists to demonstrate the composition anomaly that
+    interval semantics avoids. Every operator stamps a result with its
+    latest component, which is the terminator, so this is the evaluator
+    with the point test, projected.
+    """
+    validate_expr(expr)
+    check_sorted(history)
+    return frozenset(
+        (o.terminator_time, o.components)
+        for o in _eval(expr, list(history), _point_before)
+    )
+
+
+def _eval(
+    expr: EventExpr,
+    history: list[EventInstance],
+    before: Callable[[Occurrence, Occurrence], bool],
+) -> set[Occurrence]:
+    # validate_expr refuses a repeated binding name, so two joined sides
+    # never clash and merge_occurrences never returns None here
     if isinstance(expr, Atomic):
         return {
             occurrence_of(e, expr.var) for e in history if e.type.name == expr.type.name
         }
 
-    if isinstance(expr, Seq):
-        lefts = _eval(expr.left, history)
-        rights = _eval(expr.right, history)
-        out = set()
-        for l in lefts:
-            for r in rights:
-                if strictly_before(l.interval, r.interval):
-                    merged = merge_occurrences(l, r)
-                    if merged is not None:
-                        out.add(merged)
-        return out
-
-    if isinstance(expr, And):
-        lefts = _eval(expr.left, history)
-        rights = _eval(expr.right, history)
-        out = set()
-        for l in lefts:
-            for r in rights:
-                if l.components & r.components:
-                    continue
-                merged = merge_occurrences(l, r)
-                if merged is not None:
-                    out.add(merged)
-        return out
+    if isinstance(expr, (Seq, And)):
+        lefts = _eval(expr.left, history, before)
+        rights = _eval(expr.right, history, before)
+        if isinstance(expr, Seq):
+            return {merge_occurrences(l, r) for l in lefts for r in rights if before(l, r)}
+        return {
+            merge_occurrences(l, r)
+            for l in lefts
+            for r in rights
+            if not (l.components & r.components)
+        }
 
     if isinstance(expr, Or):
-        return _eval(expr.left, history) | _eval(expr.right, history)
+        return _eval(expr.left, history, before) | _eval(expr.right, history, before)
 
     if isinstance(expr, Not):
-        absents = _eval(expr.absent, history)
-        openers = _eval(expr.opener, history)
-        closers = _eval(expr.closer, history)
-        out = set()
-        for o in openers:
-            for c in closers:
-                if not strictly_before(o.interval, c.interval):
-                    continue
-                blocked = any(
-                    strictly_before(o.interval, a.interval)
-                    and strictly_before(a.interval, c.interval)
-                    for a in absents
-                )
-                if blocked:
-                    continue
-                merged = merge_occurrences(o, c)
-                if merged is not None:
-                    out.add(merged)
-        return out
+        absents = _eval(expr.absent, history, before)
+        openers = _eval(expr.opener, history, before)
+        closers = _eval(expr.closer, history, before)
+        return {
+            merge_occurrences(o, c)
+            for o in openers
+            for c in closers
+            if before(o, c)
+            and not any(before(o, a) and before(a, c) for a in absents)
+        }
 
     if isinstance(expr, Any):
         names = {t.name for t in expr.types}
         pool = [e for e in history if e.type.name in names]
-        out = set()
-        for combo in itertools.combinations(pool, expr.count):
-            types_used = {e.type.name for e in combo}
-            if len(types_used) != len(combo):
-                continue
-            out.add(merge_group([occurrence_of(e) for e in combo]))
-        return out
+        return {
+            merge_group([occurrence_of(e) for e in combo])
+            for combo in itertools.combinations(pool, expr.count)
+            if len({e.type.name for e in combo}) == len(combo)
+        }
 
     if isinstance(expr, Times):
-        inner = sorted(_eval(expr.of, history), key=occurrence_sort_key)
-        out = set()
-        for combo in itertools.combinations(inner, expr.count):
-            if combo and _pairwise_disjoint(combo):
-                out.add(merge_group(list(combo)))
-        return out
+        inner = _eval(expr.of, history, before)
+        return {
+            merge_group(combo)
+            for combo in itertools.combinations(inner, expr.count)
+            if _pairwise_disjoint(combo)
+        }
 
     raise InvalidExpression(f"unknown expression node {expr!r}")
 
@@ -365,98 +369,3 @@ def _pairwise_disjoint(occs: Iterable[Occurrence]) -> bool:
             return False
         seen |= o.components
     return True
-
-
-# ------------------------------------------------------- detection-time view
-
-
-def occurrences_point(
-    expr: EventExpr, history: Sequence[EventInstance]
-) -> frozenset[tuple[TimePoint, frozenset[int]]]:
-    """Occurrences under terminator-point semantics.
-
-    Each result is (detection time, component ids) where the detection time
-    is the latest component's timestamp and ordering constraints compare
-    detection times only. Exists to demonstrate the composition anomaly that
-    interval semantics avoids.
-    """
-    validate_expr(expr)
-    check_sorted(history)
-    return frozenset(_eval_point(expr, list(history)))
-
-
-def _eval_point(expr: EventExpr, history: list[EventInstance]) -> set:
-    if isinstance(expr, Atomic):
-        return {
-            (e.time, frozenset((e.id,)))
-            for e in history
-            if e.type.name == expr.type.name
-        }
-
-    if isinstance(expr, Seq):
-        lefts = _eval_point(expr.left, history)
-        rights = _eval_point(expr.right, history)
-        return {
-            (rt, lc | rc)
-            for (lt, lc) in lefts
-            for (rt, rc) in rights
-            if lt < rt
-        }
-
-    if isinstance(expr, And):
-        lefts = _eval_point(expr.left, history)
-        rights = _eval_point(expr.right, history)
-        return {
-            (max(lt, rt), lc | rc)
-            for (lt, lc) in lefts
-            for (rt, rc) in rights
-            if not (lc & rc)
-        }
-
-    if isinstance(expr, Or):
-        return _eval_point(expr.left, history) | _eval_point(expr.right, history)
-
-    if isinstance(expr, Not):
-        absents = _eval_point(expr.absent, history)
-        openers = _eval_point(expr.opener, history)
-        closers = _eval_point(expr.closer, history)
-        out = set()
-        for (ot, oc) in openers:
-            for (ct, cc) in closers:
-                if not ot < ct:
-                    continue
-                if any(ot < at < ct for (at, _) in absents):
-                    continue
-                out.add((ct, oc | cc))
-        return out
-
-    if isinstance(expr, Any):
-        names = {t.name for t in expr.types}
-        pool = [e for e in history if e.type.name in names]
-        out = set()
-        for combo in itertools.combinations(pool, expr.count):
-            if len({e.type.name for e in combo}) != len(combo):
-                continue
-            out.add(
-                (max(e.time for e in combo), frozenset(e.id for e in combo))
-            )
-        return out
-
-    if isinstance(expr, Times):
-        inner = sorted(_eval_point(expr.of, history))
-        out = set()
-        for combo in itertools.combinations(inner, expr.count):
-            if not combo:
-                continue
-            comps: set[int] = set()
-            ok = True
-            for (_, cc) in combo:
-                if comps & cc:
-                    ok = False
-                    break
-                comps |= cc
-            if ok:
-                out.add((max(t for (t, _) in combo), frozenset(comps)))
-        return out
-
-    raise InvalidExpression(f"unknown expression node {expr!r}")

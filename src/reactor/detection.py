@@ -19,7 +19,7 @@ Policies:
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Callable, Optional, Sequence
@@ -304,9 +304,11 @@ class Detector:
         self.config = DetectorConfig() if config is None else config
         if not isinstance(self.config, DetectorConfig):
             raise InvalidConfig(f"config must be a DetectorConfig, got {config!r}")
-        self.retained: dict[int, EventInstance] = {}
+        # feed refuses ids and times that regress, so this is in (time, id)
+        # order and expiry walks it from the front; an OrderedDict, because
+        # a dict's front fills with deleted slots that every walk would skip
+        self.retained: OrderedDict[int, EventInstance] = OrderedDict()
         self._root = _build(expr, keep=False)
-        self._order: deque[tuple[TimePoint, int]] = deque()  # (time, id), windowed
         self._watermark: TimePoint = 0
         self._last_id = 0
 
@@ -335,8 +337,6 @@ class Detector:
             return []
 
         self.retained[e.id] = e
-        if window is not None:
-            self._order.append((e.time, e.id))
 
         candidates = self._root.feed(e)
         selected = select_candidates(candidates, self.config.selection)
@@ -358,9 +358,9 @@ class Detector:
 
     def _expire_older_than(self, threshold: TimePoint) -> None:
         removed: set[int] = set()
-        while self._order and self._order[0][0] < threshold:
-            _, eid = self._order.popleft()
-            if eid in self.retained:
-                removed.add(eid)
+        for eid, e in self.retained.items():
+            if e.time >= threshold:
+                break
+            removed.add(eid)
         if removed:
             self._remove(removed)

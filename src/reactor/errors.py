@@ -57,6 +57,11 @@ class RuleSyntaxError(ReactorError):
         self.column = column
 
 
+class InvalidRule(ReactorError, ValueError):
+    """An API-built rule has a comparison op or an action the engine cannot
+    run."""
+
+
 class DuplicateRuleId(ReactorError):
     """Two rules share an id."""
 
@@ -112,4 +117,4 @@ class ReservedType(TraceError):
 
 
 class InvalidPeriod(ReactorError):
-    """Tick synthesis asked for a non-positive period."""
+    """Tick synthesis asked for a period that is not an integer >= 1."""

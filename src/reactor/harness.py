@@ -122,8 +122,8 @@ def synth_ticks(span: tuple[int, int], period: int) -> list[EventInstance]:
 
     Ids number the ticks 1..k; replay re-mints ids when merging anyway.
     """
-    if period <= 0:
-        raise InvalidPeriod(f"tick period must be positive, got {period}")
+    if type(period) is not int or period < 1:  # bool is refused too
+        raise InvalidPeriod(f"tick period must be an integer >= 1, got {period!r}")
     t0, t1 = span
     return [
         make_event(TIMER_TYPE, t, {}, id=i)

@@ -15,7 +15,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import EventExpr
 from .detection import ConsumptionPolicy, SelectionPolicy
-from .errors import DuplicateEffect, DuplicateRuleId, MissingField, UnboundVariable
+from .errors import (
+    DuplicateEffect,
+    DuplicateRuleId,
+    InvalidRule,
+    MissingField,
+    UnboundVariable,
+)
 from .fluents import EffectDecl, FluentHistory
 from .model import EventInstance, Scalar
 
@@ -89,11 +95,18 @@ def term_vars(term: Term) -> set[str]:
 # =========================================================================
 
 
+_COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+
+
 @dataclass(frozen=True)
 class Comparison:
     lhs: Term
     op: str
     rhs: Term
+
+    def __post_init__(self):
+        if not isinstance(self.op, str) or self.op not in _COMPARISON_OPS:
+            raise InvalidRule(f"unknown comparison op {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +179,16 @@ class Rule:
     selection: SelectionPolicy = SelectionPolicy.FIRST
     consumption: ConsumptionPolicy = ConsumptionPolicy.SINGLE
     window: Optional[int] = None
+
+    def __post_init__(self):
+        if not isinstance(self.actions, tuple) or not all(
+            isinstance(act, (AssertAction, RetractAction, EmitAction, NoopAction))
+            for act in self.actions
+        ):
+            raise InvalidRule(
+                f"rule {self.id!r}: actions must be a tuple of actions, "
+                f"got {self.actions!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -401,9 +424,7 @@ def _compare(a: Scalar, op: str, b: Scalar) -> bool:
         return a <= b
     if op == ">":
         return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison op {op!r}")
+    return a >= b  # Comparison admits only the six ops
 
 
 def _unify_fact(

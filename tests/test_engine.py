@@ -614,6 +614,7 @@ class TestMalformedExpressions:
             Atomic("a"),  # a str where an EventTypeId belongs
             Seq(on("a"), Atomic("b")),
             Atomic(event_type("a"), 5),  # binding name not a str
+            Atomic(event_type("a"), ""),  # binding name empty
             Any(1, ("a",)),
             Any(1, event_type("a")),  # types not a tuple
             Any(True, (event_type("a"),)),  # count a bool

@@ -160,6 +160,14 @@ class TestSynthTicks:
             synth_ticks((0, 10), 0)
         with pytest.raises(InvalidPeriod):
             synth_ticks((0, 10), -2)
+        rules = parse_rules("rule r: on a do noop")
+        trace = [make_event("a", 3, None, id=1)]
+        for period in (1.5, "2", True, None):
+            with pytest.raises(InvalidPeriod, match="integer >= 1"):
+                synth_ticks((0, 10), period)
+        for period in (0, 1.5, "2", True):
+            with pytest.raises(InvalidPeriod, match="integer >= 1"):
+                run_replay(rules, trace, tick=period)
 
     def test_tick_type(self):
         (e,) = synth_ticks((0, 5), 5)

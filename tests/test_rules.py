@@ -3,6 +3,7 @@
 import pytest
 
 from reactor import (
+    Atomic,
     Comparison,
     Condition,
     EffectMode,
@@ -11,14 +12,20 @@ from reactor import (
     FieldRef,
     FluentHistory,
     HoldsAtom,
+    InvalidRule,
     KnowledgeBase,
     Lit,
     MissingField,
+    NoopAction,
+    ReactorError,
+    Rule,
     UnboundVariable,
     VarRef,
     evaluate_condition,
+    event_type,
     fact_sort_key,
     make_event,
+    parse_rules,
 )
 from reactor.rules import eval_term
 
@@ -128,6 +135,34 @@ class TestComparisons:
     def test_event_fields(self):
         e = make_event("m", 1, {"sev": 7}, id=1)
         assert self.check(FieldRef("x", "sev"), ">", Lit(5), {"x": e})
+
+
+class TestBuildTimeChecks:
+    """An API-built rule that the engine could not run is refused when it
+    is built, not at its first firing."""
+
+    @pytest.mark.parametrize("op", ["~", "==", "<>", "", None, 1])
+    def test_unknown_comparison_op_refused(self, op):
+        with pytest.raises(InvalidRule, match="unknown comparison op"):
+            Comparison(Lit(1), op, Lit(2))
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_every_op_the_parser_reads_builds(self, op):
+        rs = parse_rules(f"rule r: on a as ?x where ?x.v {op} 1 do noop")
+        assert rs.rules[0].where.atoms[0].op == op
+
+    @pytest.mark.parametrize(
+        "actions",
+        [("x",), (NoopAction(), 5), (NoopAction,), [NoopAction()], NoopAction()],
+        ids=repr,
+    )
+    def test_action_that_is_no_action_refused(self, actions):
+        with pytest.raises(InvalidRule, match="actions must be a tuple of actions"):
+            Rule("r", Atomic(event_type("a")), actions=actions)
+
+    def test_refusal_is_a_typed_value_error(self):
+        assert issubclass(InvalidRule, ReactorError)
+        assert issubclass(InvalidRule, ValueError)
 
 
 class TestFactLookup:
