@@ -204,10 +204,9 @@ def occurrence_of(inst: EventInstance, var: Optional[str] = None) -> Occurrence:
     )
 
 
-def merge_occurrences(a: Occurrence, b: Occurrence) -> Optional[Occurrence]:
-    """Combine two occurrences; None when they bind the same variable."""
-    if a.bindings and b.bindings and (set(a.bindings) & set(b.bindings)):
-        return None
+def merge_occurrences(a: Occurrence, b: Occurrence) -> Occurrence:
+    """Combine two occurrences. validate_expr refuses a repeated binding
+    name, so the two never bind the same variable."""
     init_t, init_id = min(
         (a.initiator_time, a.initiator_id), (b.initiator_time, b.initiator_id)
     )
@@ -308,8 +307,6 @@ def _eval(
     history: list[EventInstance],
     before: Callable[[Occurrence, Occurrence], bool],
 ) -> set[Occurrence]:
-    # validate_expr refuses a repeated binding name, so two joined sides
-    # never clash and merge_occurrences never returns None here
     if isinstance(expr, Atomic):
         return {
             occurrence_of(e, expr.var) for e in history if e.type.name == expr.type.name

@@ -195,8 +195,6 @@ class _JoinNode(_Node):
         new_l = self.left.feed(e)
         new_r = self.right.feed(e)
         ok, lefts, rights = self.ok, self.left.occs, self.right.occs
-        # validate_expr refuses a repeated binding name, so the two sides
-        # never clash and merge_occurrences never returns None here
         fresh = []
         if new_r:
             fresh = [merge_occurrences(l, r) for l in lefts for r in new_r if ok(l, r)]

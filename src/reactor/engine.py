@@ -22,18 +22,20 @@ static counterpart: no cycles there means no chain can run away.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import Occurrence, validate_expr
 from .detection import Detector, DetectorConfig
 from .errors import (
     ChainLimitExceeded,
     InvalidConfig,
+    InvalidRule,
     MissingField,
     NonFinitePayload,
     OutOfOrderEvent,
@@ -65,6 +67,7 @@ from .rules import (
     RetractAction,
     Rule,
     RuleSet,
+    Term,
     UnboundVariable,
     eval_term,
     evaluate_condition,
@@ -94,18 +97,33 @@ class ReactionRecord:
 # =========================================================================
 
 
+def _ground(
+    terms: Iterable[Term], bindings: dict[str, Binding], label: str, name: str
+) -> list[Scalar]:
+    """The values of ``terms``; raises TemplateError when one cannot be
+    evaluated, naming the template as ``label.format(name)``."""
+    try:
+        return [eval_term(t, bindings) for t in terms]
+    except (MissingField, UnboundVariable) as err:
+        raise TemplateError(f"cannot instantiate {label.format(name)}: {err}") from err
+
+
 def instantiate_fact(tpl: FactTemplate, bindings: dict[str, Binding]) -> Fact:
     """Ground a fact template; raises TemplateError when it cannot be."""
-    try:
-        args = tuple(eval_term(t, bindings) for t in tpl.terms)
-    except (MissingField, UnboundVariable) as err:
-        raise TemplateError(f"cannot instantiate {tpl.name} template: {err}") from err
-    return Fact(tpl.name, args)
+    return Fact(tpl.name, tuple(_ground(tpl.terms, bindings, "{} template", tpl.name)))
 
 
-def _fact_payload(fact: Fact) -> dict[str, Scalar]:
-    # positional fact args ride along as arg0, arg1, ...
-    return {f"arg{i}": v for i, v in enumerate(fact.args)}
+def _raised_type(act: Action) -> Optional[str]:
+    """The type of the event ``act`` raises when it takes effect; None for noop."""
+    if isinstance(act, AssertAction):
+        return ASSERT_PREFIX + act.fact.name
+    if isinstance(act, RetractAction):
+        return RETRACT_PREFIX + act.fact.name
+    if isinstance(act, EmitAction):
+        return act.type_name
+    if isinstance(act, NoopAction):
+        return None
+    raise InvalidRule(f"not an action: {act!r}")
 
 
 def apply_actions_txn(
@@ -119,43 +137,34 @@ def apply_actions_txn(
 ) -> tuple[TxnOutcome, list[EventInstance]]:
     """Run one rule firing's actions transactionally.
 
-    Returns (outcome, produced events); rolled-back firings produce none.
-    Commits to kb on success; touches nothing on rollback.
+    Returns (outcome, produced events); rolled-back firings produce none,
+    and ids come from ``id_source`` or count from 1. Commits to kb on
+    success; touches nothing on rollback.
     """
     txn = Overlay(kb)
-    pending: list[tuple[str, TimePoint, dict[str, Scalar]]] = []  # event specs
+    pending: list[tuple[str, dict[str, Scalar]]] = []  # (type name, payload)
 
     for act in actions:
-        if isinstance(act, AssertAction):
+        raised = _raised_type(act)
+        if isinstance(act, EmitAction):
+            keys, terms = [k for k, _ in act.payload], [t for _, t in act.payload]
+            values = _ground(terms, bindings, "emit({}) payload", raised)
+            pending.append((raised, dict(zip(keys, values))))
+        elif raised is not None:
             fact = instantiate_fact(act.fact, bindings)
-            if txn.add(fact):
-                pending.append((ASSERT_PREFIX + fact.name, at, _fact_payload(fact)))
-        elif isinstance(act, RetractAction):
-            fact = instantiate_fact(act.fact, bindings)
-            if txn.discard(fact):
-                pending.append((RETRACT_PREFIX + fact.name, at, _fact_payload(fact)))
-        elif isinstance(act, EmitAction):
-            try:
-                payload = {k: eval_term(t, bindings) for k, t in act.payload}
-            except (MissingField, UnboundVariable) as err:
-                raise TemplateError(
-                    f"cannot instantiate emit({act.type_name}) payload: {err}"
-                ) from err
-            pending.append((act.type_name, at, payload))
-        elif not isinstance(act, NoopAction):
-            raise TypeError(f"not an action: {act!r}")
+            if txn.add(fact) if isinstance(act, AssertAction) else txn.discard(fact):
+                # positional fact args ride along as arg0, arg1, ...
+                args = {f"arg{i}": v for i, v in enumerate(fact.args)}
+                pending.append((raised, args))
 
     if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
         return TxnOutcome.ROLLED_BACK, []
 
     kb.commit(txn.ops)
-    counter = iter(range(1, len(pending) + 1))
-    mint = id_source if id_source is not None else (lambda: next(counter))
-    events = [
-        make_event(name, t, payload, mint())
-        for (name, t, payload) in pending
+    mint = id_source or itertools.count(1).__next__
+    return TxnOutcome.COMMITTED, [
+        make_event(name, at, payload, mint()) for name, payload in pending
     ]
-    return TxnOutcome.COMMITTED, events
 
 
 # the engine calls the transaction through this module-level name, so a
@@ -315,18 +324,6 @@ class TriggeringGraph:
         return not self.cycles
 
 
-def _raised_types(rule: Rule) -> set[str]:
-    out: set[str] = set()
-    for act in rule.actions:
-        if isinstance(act, AssertAction):
-            out.add(ASSERT_PREFIX + act.fact.name)
-        elif isinstance(act, RetractAction):
-            out.add(RETRACT_PREFIX + act.fact.name)
-        elif isinstance(act, EmitAction):
-            out.add(act.type_name)
-    return out
-
-
 def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
     """Edges r -> s when an action of r can raise an event s listens for.
 
@@ -343,7 +340,7 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
     edges: list[tuple[str, str]] = []
     adj: dict[str, list[str]] = {rule.id: [] for rule in ruleset.rules}
     for r in ruleset.rules:
-        targets = {i for t in _raised_types(r) for i in listeners.get(t, ())}
+        targets = {i for act in r.actions for i in listeners.get(_raised_type(act), ())}
         for i in sorted(targets):
             s = ruleset.rules[i].id
             edges.append((r.id, s))

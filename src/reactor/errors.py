@@ -58,8 +58,7 @@ class RuleSyntaxError(ReactorError):
 
 
 class InvalidRule(ReactorError, ValueError):
-    """An API-built rule has a comparison op or an action the engine cannot
-    run."""
+    """An API-built rule, or a part of one, that the engine could not run."""
 
 
 class DuplicateRuleId(ReactorError):

@@ -55,9 +55,9 @@ from .algebra import And as AndExpr
 from .algebra import Any as AnyExpr
 from .algebra import _MAX_NESTING, Atomic, EventExpr, Not, Or, Seq, Times, validate_expr
 from .detection import ConsumptionPolicy, SelectionPolicy
-from .errors import InvalidExpression, RuleSyntaxError, UnboundVariable
+from .errors import InvalidExpression, InvalidRule, RuleSyntaxError, UnboundVariable
 from .fluents import EffectMode
-from .model import EventTypeId, is_reserved_type
+from .model import EventTypeId
 from .rules import (
     Action,
     AssertAction,
@@ -372,10 +372,6 @@ class _Parser:
         if tok.value == "emit":
             self.expect("PUNCT", "(")
             tname_tok = self.expect_kind("WORD", "event type")
-            if is_reserved_type(tname_tok.value):
-                self.err(
-                    f"emit cannot raise reserved type {tname_tok.value!r}", tname_tok
-                )
             self.expect("PUNCT", ",")
             self.expect("PUNCT", "{")
             pairs = []
@@ -386,7 +382,10 @@ class _Parser:
                 self.accept("PUNCT", ",")  # comma between pairs is optional
             self.expect("PUNCT", "}")
             self.expect("PUNCT", ")")
-            return EmitAction(tname_tok.value, tuple(pairs))
+            try:
+                return EmitAction(tname_tok.value, tuple(pairs))
+            except InvalidRule as err:  # a reserved type
+                self.err(str(err), tname_tok)
         self.err("expected an action (assert / retract / emit / noop)", tok)
 
     def _parse_fact_template(self) -> FactTemplate:

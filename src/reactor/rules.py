@@ -10,20 +10,18 @@ succeed only when nothing in the fact base matches.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import EventExpr
 from .detection import ConsumptionPolicy, SelectionPolicy
 from .errors import (
-    DuplicateEffect,
-    DuplicateRuleId,
-    InvalidRule,
-    MissingField,
-    UnboundVariable,
+    DuplicateEffect, DuplicateRuleId, InvalidRule, MissingField, UnboundVariable,
 )
 from .fluents import EffectDecl, FluentHistory
-from .model import EventInstance, Scalar
+from .model import EventInstance, Scalar, is_reserved_type
 
 # =========================================================================
 # Terms
@@ -79,7 +77,7 @@ def eval_term(term: Term, bindings: dict[str, Binding]) -> Scalar:
                 f"event {inst!r} has no payload field {term.fieldname!r}"
             )
         return inst.payload[term.fieldname]
-    raise TypeError(f"not a term: {term!r}")
+    raise InvalidRule(f"not a term: {term!r}")
 
 
 def term_vars(term: Term) -> set[str]:
@@ -95,7 +93,10 @@ def term_vars(term: Term) -> set[str]:
 # =========================================================================
 
 
-_COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+_COMPARISON_OPS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,14 @@ class EmitAction:
     type_name: str
     payload: tuple[tuple[str, Term], ...]
 
+    def __post_init__(self):
+        if not isinstance(self.type_name, str) or not self.type_name:
+            raise InvalidRule(
+                f"emit type name must be a non-empty str, got {self.type_name!r}"
+            )
+        if is_reserved_type(self.type_name):
+            raise InvalidRule(f"emit cannot raise reserved type {self.type_name!r}")
+
 
 @dataclass(frozen=True)
 class NoopAction:
@@ -162,6 +171,7 @@ class NoopAction:
 
 
 Action = Union[AssertAction, RetractAction, EmitAction, NoopAction]
+_ACTIONS = (AssertAction, RetractAction, EmitAction, NoopAction)
 
 
 # =========================================================================
@@ -181,14 +191,44 @@ class Rule:
     window: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.actions, tuple) or not all(
-            isinstance(act, (AssertAction, RetractAction, EmitAction, NoopAction))
-            for act in self.actions
-        ):
-            raise InvalidRule(
-                f"rule {self.id!r}: actions must be a tuple of actions, "
-                f"got {self.actions!r}"
-            )
+        """Refuse, with InvalidRule, a rule the engine could not run."""
+        fault = _fault(self)
+        if fault is not None:
+            raise InvalidRule(f"rule {self.id!r}: {fault[0]}, got {fault[1]!r}")
+
+
+def _fault(rule: Rule) -> Optional[tuple[str, object]]:
+    """Why the engine could not run ``rule``, and the value at fault."""
+    acts = rule.actions
+    if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
+        return "actions must be a tuple of actions", acts
+    terms: list[Term] = []
+    for cond in (rule.where, rule.post):
+        if cond is not None and not isinstance(cond, Condition):
+            return "where and post must be conditions", cond
+        for atom in () if cond is None else cond.atoms:
+            if isinstance(atom, Comparison):
+                terms += (atom.lhs, atom.rhs)
+            elif isinstance(atom, FactLookup):
+                terms += atom.terms
+            elif not isinstance(atom, HoldsAtom):
+                return "not a condition atom", atom
+    for act in acts:
+        if isinstance(act, EmitAction):
+            terms += (t for _, t in act.payload)
+        elif not isinstance(act, NoopAction):
+            if not isinstance(act.fact, FactTemplate):
+                return "not a fact template", act.fact
+            terms += act.fact.terms
+    for term in terms:
+        if isinstance(term, Lit):  # it may become a fact arg or a report value
+            v = term.value
+            finite = isinstance(v, float) and math.isfinite(v)
+            if not (isinstance(v, (str, int)) or finite):
+                return "a literal must be a finite str, int, float or bool", v
+        elif not isinstance(term, (VarRef, FieldRef)):
+            return "not a term", term
+    return None
 
 
 @dataclass(frozen=True)
@@ -333,10 +373,7 @@ def _index_keys(fact: Fact) -> list[tuple]:
 
 def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
     for key in _index_keys(fact):
-        bucket = index.get(key)
-        if bucket is None:
-            bucket = index[key] = {}
-        bucket[fact] = None
+        index.setdefault(key, {})[fact] = None
 
 
 def _index_discard(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
@@ -406,63 +443,43 @@ class Overlay:
 
 
 def _compare(a: Scalar, op: str, b: Scalar) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
     # ordering comparisons fail closed across incompatible types
-    numeric = (int, float)
-    if isinstance(a, numeric) and isinstance(b, numeric):
-        pass
-    elif isinstance(a, str) and isinstance(b, str):
-        pass
-    else:
+    if op not in ("=", "!=") and not (
+        isinstance(a, (int, float)) and isinstance(b, (int, float))
+        or isinstance(a, str) and isinstance(b, str)
+    ):
         return False
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b  # Comparison admits only the six ops
+    return _COMPARISON_OPS[op](a, b)
 
 
-def _unify_fact(
-    lookup: FactLookup, fact: Fact, bindings: dict[str, Binding]
-) -> Optional[dict[str, Binding]]:
-    """Bindings extended so ``fact`` matches ``lookup``, or None.
-
-    ``fact`` must already have the lookup's name and arity.
-    """
-    extended = dict(bindings)
-    for term, arg in zip(lookup.terms, fact.args):
-        if isinstance(term, VarRef) and term.name not in extended:
-            extended[term.name] = arg
-            continue
-        value = eval_term(term, extended)
-        if value != arg:
-            return None
-    return extended
-
-
-def _bound_args(
-    lookup: FactLookup, bindings: dict[str, Binding]
-) -> list[tuple[int, Scalar]]:
-    """The (position, value) pairs ``bindings`` fix in ``lookup``.
-
-    Stops before the first term that cannot be evaluated: a fact that
-    matches the positions before it must still reach it in _unify_fact, so
-    the lookup raises exactly when a full scan would.
-    """
-    bound = []
-    for pos, term in enumerate(lookup.terms):
+def _matches(
+    lookup: FactLookup, bindings: dict[str, Binding], kb: Union[KnowledgeBase, Overlay]
+) -> Iterator[dict[str, Binding]]:
+    """``bindings`` extended by each fact in ``kb`` that matches ``lookup``, in
+    store order. The terms the bindings fix are evaluated once and pick the
+    index bucket, up to the first that cannot be: a fact matching the positions
+    before it must reach it below, so it raises exactly where a full scan would."""
+    terms = lookup.terms
+    fixed: dict[int, Scalar] = {}
+    for pos, term in enumerate(terms):
         if isinstance(term, VarRef) and term.name not in bindings:
             continue
         try:
-            bound.append((pos, eval_term(term, bindings)))
+            fixed[pos] = eval_term(term, bindings)
         except (MissingField, UnboundVariable):
             break
-    return bound
+    for fact in kb.candidates(lookup.name, len(terms), list(fixed.items())):
+        extended = dict(bindings)
+        for pos, (term, arg) in enumerate(zip(terms, fact.args)):
+            if pos in fixed:
+                if fixed[pos] != arg:
+                    break
+            elif isinstance(term, VarRef) and term.name not in extended:
+                extended[term.name] = arg
+            elif eval_term(term, extended) != arg:
+                break
+        else:
+            yield extended
 
 
 def evaluate_condition(
@@ -485,27 +502,19 @@ def evaluate_condition(
         nxt: list[dict[str, Binding]] = []
         for sol in solutions:
             if isinstance(atom, Comparison):
-                if _compare(
-                    eval_term(atom.lhs, sol), atom.op, eval_term(atom.rhs, sol)
-                ):
+                lhs, rhs = eval_term(atom.lhs, sol), eval_term(atom.rhs, sol)
+                if _compare(lhs, atom.op, rhs):
                     nxt.append(sol)
             elif isinstance(atom, HoldsAtom):
                 if fluents is not None and fluents.holds_at(atom.fluent, at):
                     nxt.append(sol)
-            elif isinstance(atom, FactLookup):
-                found = kb.candidates(
-                    atom.name, len(atom.terms), _bound_args(atom, sol)
-                )
-                if atom.negated:
-                    if not any(_unify_fact(atom, f, sol) is not None for f in found):
-                        nxt.append(sol)
-                else:
-                    for f in found:
-                        extended = _unify_fact(atom, f, sol)
-                        if extended is not None:
-                            nxt.append(extended)
+            elif not isinstance(atom, FactLookup):
+                raise InvalidRule(f"not a condition atom: {atom!r}")
+            elif atom.negated:
+                if next(_matches(atom, sol, kb), None) is None:
+                    nxt.append(sol)
             else:
-                raise TypeError(f"not a condition atom: {atom!r}")
+                nxt += _matches(atom, sol, kb)
         solutions = nxt
         if not solutions:
             break

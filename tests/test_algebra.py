@@ -113,11 +113,6 @@ class TestOccurrenceMerge:
         m = merge_occurrences(occurrence_of(e2), occurrence_of(e1))
         assert m.initiator_id == 1 and m.terminator_id == 2
 
-    def test_merge_shared_binding_key_discards_pair(self):
-        e1 = make_event("a", 1, id=1)
-        e2 = make_event("a", 2, id=2)
-        assert merge_occurrences(occurrence_of(e1, "x"), occurrence_of(e2, "x")) is None
-
     def test_merge_group_drops_bindings(self):
         e1 = make_event("a", 1, id=1)
         e2 = make_event("b", 2, id=2)

@@ -47,6 +47,7 @@ from reactor import (
     triggering_graph,
     validate_expr,
 )
+import reactor.engine
 from reactor.engine import instantiate_fact
 from reactor.rules import KnowledgeBase
 
@@ -780,3 +781,37 @@ class TestRouting:
         )
         assert [r.rule_id for r in eng.ingest("a", 1)] == ["zeta", "alpha", "mid"]
         assert [r.rule_id for r in eng.ingest("b", 2)] == ["alpha"]
+
+
+class TestTracingSeams:
+    """bench/tracing.py times transactions and condition evaluation by
+    patching ``reactor.engine._run_actions`` and
+    ``reactor.engine.evaluate_condition``, so the engine must reach both
+    through those module-level names: ``where`` from ``Engine.ingest`` and
+    ``post`` from the transaction."""
+
+    def test_engine_calls_through_the_patched_names(self, monkeypatch):
+        calls = {"cond": 0, "txn": 0}
+        evaluate = reactor.engine.evaluate_condition
+        run_actions = reactor.engine._run_actions
+
+        def counted_cond(*args, **kwargs):
+            calls["cond"] += 1
+            return evaluate(*args, **kwargs)
+
+        def counted_txn(*args, **kwargs):
+            calls["txn"] += 1
+            return run_actions(*args, **kwargs)
+
+        monkeypatch.setattr(reactor.engine, "evaluate_condition", counted_cond)
+        monkeypatch.setattr(reactor.engine, "_run_actions", counted_txn)
+        rs = parse_rules(
+            "rule r: on a where fact(emp, ?n) do assert(seen(?n)) post fact(seen, ?n)"
+        )
+        trace = [make_event(t, i, id=i) for i, t in enumerate("aba", 1)]
+        emps = [Fact("emp", ("ann",)), Fact("emp", ("bob",))]
+        report = run_replay(rs, trace, initial_facts=emps)
+        # each `a` evaluates where once, then runs a transaction and its
+        # post once per solution, of which there are two
+        assert [r.outcome for r in report.records] == [TxnOutcome.COMMITTED] * 4
+        assert calls == {"cond": 2 * (1 + 2), "txn": 2 * 2}

@@ -1,21 +1,28 @@
 """Indexed fact store and overlay transactions against a naive reference.
 
 The reference scans every fact for every lookup and runs each transaction
-on a full copy of the store, as the simplest reading of the semantics. The
-indexed store must agree with it exactly: the same solutions in the same
-order, the same exception type, the same outcomes, store order and journal.
+on a full copy of the store, as the simplest reading of the semantics. It
+evaluates terms, comparisons and templates with the frozen copies in
+tests/reference_rules.py. The indexed store must agree with it exactly: the
+same solutions in the same order, the same exception type and text, the
+same outcomes, raised events (type and payload), store order and journal.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_rules as ref
+
 from reactor import (
     AssertAction,
     Comparison,
     Condition,
+    EmitAction,
     Fact,
     FactLookup,
     FactTemplate,
@@ -32,18 +39,16 @@ from reactor import (
     evaluate_condition,
     make_event,
 )
-from reactor.engine import instantiate_fact
 from reactor.model import ASSERT_PREFIX, RETRACT_PREFIX
-from reactor.rules import Overlay, _compare, eval_term
+from reactor.rules import Overlay, _compare
 
 NAN = float("nan")
 
 # 1 == 1.0 == True and 0 == 0.0 == False collide on purpose; NaN equals
 # nothing, the shared object and fresh ones alike.
-scalars = st.one_of(
-    st.sampled_from([0, 1, 2, 0.0, 1.0, 2.5, True, False, "a", "b", NAN]),
-    st.builds(float, st.just("nan")),
-)
+SCALARS = [0, 1, 2, 0.0, 1.0, 2.5, True, False, "a", "b", NAN]
+OPS = ["=", "!=", "<", "<=", ">", ">="]
+scalars = st.one_of(st.sampled_from(SCALARS), st.builds(float, st.just("nan")))
 names = st.sampled_from(["p", "q"])
 facts = st.builds(Fact, names, st.lists(scalars, max_size=2).map(tuple))
 stores = st.lists(facts, max_size=12)
@@ -56,7 +61,7 @@ lookups = st.builds(
     FactLookup, names, st.lists(terms, max_size=2).map(tuple), st.booleans()
 )
 comparisons = st.builds(
-    Comparison, terms, st.sampled_from(["=", "!=", "<", ">="]), terms
+    Comparison, terms, st.sampled_from(OPS), terms
 )
 conditions = st.builds(
     Condition,
@@ -74,7 +79,15 @@ def bindings(draw):
 
 
 templates = st.builds(FactTemplate, names, st.lists(terms, max_size=2).map(tuple))
-actions = st.one_of(st.builds(AssertAction, templates), st.builds(RetractAction, templates))
+fact_actions = st.one_of(
+    st.builds(AssertAction, templates), st.builds(RetractAction, templates)
+)
+emits = st.builds(
+    EmitAction,
+    st.sampled_from(["out", "alert"]),
+    st.lists(st.tuples(st.sampled_from(["k", "m"]), terms), max_size=2).map(tuple),
+)
+actions = st.one_of(fact_actions, emits)
 transactions = st.tuples(
     st.lists(actions, max_size=4), st.one_of(st.none(), conditions), bindings()
 )
@@ -91,7 +104,7 @@ def ref_unify(lookup, fact, sol):
         if isinstance(term, VarRef) and term.name not in extended:
             extended[term.name] = arg
             continue
-        if eval_term(term, extended) != arg:
+        if ref.eval_term(term, extended) != arg:
             return None
     return extended
 
@@ -103,7 +116,8 @@ def ref_evaluate(cond, sol, store):
         nxt = []
         for s in solutions:
             if isinstance(atom, Comparison):
-                if _compare(eval_term(atom.lhs, s), atom.op, eval_term(atom.rhs, s)):
+                lhs, rhs = ref.eval_term(atom.lhs, s), ref.eval_term(atom.rhs, s)
+                if ref._compare(lhs, atom.op, rhs):
                     nxt.append(s)
             elif atom.negated:
                 if not any(ref_unify(atom, f, s) is not None for f in store):
@@ -125,30 +139,33 @@ class RefStore:
 
     def txn(self, acts, post, sol):
         shadow = dict(self.facts)
-        ops, names = [], []
+        ops, events = [], []  # events as (type name, payload)
         for act in acts:
-            fact = instantiate_fact(act.fact, sol)
+            if isinstance(act, EmitAction):
+                events.append((act.type_name, ref.emit_payload(act, sol)))
+                continue
+            fact = ref.instantiate_fact(act.fact, sol)
             if isinstance(act, AssertAction) and fact not in shadow:
                 shadow[fact] = None
                 ops.append(("assert", fact))
-                names.append(ASSERT_PREFIX + fact.name)
+                events.append((ASSERT_PREFIX + fact.name, ref._fact_payload(fact)))
             elif isinstance(act, RetractAction) and fact in shadow:
                 del shadow[fact]
                 ops.append(("retract", fact))
-                names.append(RETRACT_PREFIX + fact.name)
+                events.append((RETRACT_PREFIX + fact.name, ref._fact_payload(fact)))
         if post is not None and not ref_evaluate(post, sol, list(shadow)):
             return TxnOutcome.ROLLED_BACK, []
         self.facts = shadow
         self.journal.append(tuple(ops))
-        return TxnOutcome.COMMITTED, names
+        return TxnOutcome.COMMITTED, events
 
 
 def outcome_of(fn, *args):
-    """The result, or the type of the exception raised instead."""
+    """The result, or the type and text of the exception raised instead."""
     try:
         return fn(*args)
     except (MissingField, UnboundVariable, TemplateError) as err:
-        return type(err)
+        return type(err), str(err)
 
 
 def same(a, b) -> bool:
@@ -160,6 +177,13 @@ def same(a, b) -> bool:
 
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def test_compare_matches_reference():
+    # every pair of sample scalars, a fresh NaN among them, under every op
+    values = [*SCALARS, float("nan")]
+    for a, op, b in itertools.product(values, OPS, values):
+        assert _compare(a, op, b) == ref._compare(a, op, b), (a, op, b)
 
 
 @SETTINGS
@@ -176,14 +200,14 @@ def test_evaluate_condition_matches_full_scan(store, cond, sol, warm):
 
 
 @SETTINGS
-@given(stores, st.lists(actions, max_size=5), bindings(), conditions, bindings())
+@given(stores, st.lists(fact_actions, max_size=5), bindings(), conditions, bindings())
 def test_overlay_reads_like_a_copy(store, acts, sol, cond, query):
     kb = KnowledgeBase(store)
     before = kb.facts()
     txn, shadow = Overlay(kb), dict.fromkeys(kb.facts())
     for act in acts:
         try:
-            fact = instantiate_fact(act.fact, sol)
+            fact = ref.instantiate_fact(act.fact, sol)
         except TemplateError:
             continue
         if isinstance(act, AssertAction):
@@ -206,10 +230,10 @@ def test_transactions_match_copy_reference(store, txns, cond, query):
     for acts, post, sol in txns:
         want = outcome_of(ref.txn, acts, post, sol)
         got = outcome_of(apply_actions_txn, acts, sol, kb, post)
-        if isinstance(got, tuple):
+        if isinstance(got[0], TxnOutcome):
             outcome, events = got
             assert [e.id for e in events] == list(range(1, len(events) + 1))
-            got = outcome, [e.type.name for e in events]
+            got = outcome, [(e.type.name, e.payload) for e in events]
         assert same(got, want)
         assert same(kb.facts(), list(ref.facts))
         assert kb.snapshot() == frozenset(ref.facts)

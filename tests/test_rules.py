@@ -3,12 +3,15 @@
 import pytest
 
 from reactor import (
+    AssertAction,
     Atomic,
     Comparison,
     Condition,
     EffectMode,
+    EmitAction,
     Fact,
     FactLookup,
+    FactTemplate,
     FieldRef,
     FluentHistory,
     HoldsAtom,
@@ -18,9 +21,12 @@ from reactor import (
     MissingField,
     NoopAction,
     ReactorError,
+    RetractAction,
     Rule,
+    RuleSyntaxError,
     UnboundVariable,
     VarRef,
+    apply_actions_txn,
     evaluate_condition,
     event_type,
     fact_sort_key,
@@ -28,6 +34,8 @@ from reactor import (
     parse_rules,
 )
 from reactor.rules import eval_term
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestTerms:
@@ -163,6 +171,78 @@ class TestBuildTimeChecks:
     def test_refusal_is_a_typed_value_error(self):
         assert issubclass(InvalidRule, ReactorError)
         assert issubclass(InvalidRule, ValueError)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"where": "?x.v > 1"}, "where and post must be conditions"),
+            ({"post": (FactLookup("p", ()),)}, "where and post must be conditions"),
+            ({"where": Condition(("p",))}, "not a condition atom"),
+            ({"where": Condition((Comparison("x", ">", Lit(1)),))}, "not a term"),
+            ({"where": Condition((FactLookup("p", (VarRef("x"), "y")),))}, "not a term"),
+            ({"actions": (AssertAction(FactTemplate("p", ("x",))),)}, "not a term"),
+            ({"actions": (EmitAction("out", (("k", "x"),)),)}, "not a term"),
+            ({"actions": (RetractAction(Fact("p", (1,))),)}, "not a fact template"),
+            ({"actions": (EmitAction("out", (("k", Lit(NAN)),)),)}, "finite"),
+            ({"actions": (EmitAction("out", (("k", Lit(INF)),)),)}, "finite"),
+            ({"actions": (AssertAction(FactTemplate("p", (Lit(-INF),))),)}, "finite"),
+            ({"actions": (AssertAction(FactTemplate("p", (Lit(NAN),))),)}, "finite"),
+            ({"actions": (AssertAction(FactTemplate("p", (Lit([1]),))),)}, "finite"),
+            ({"actions": (RetractAction(FactTemplate("p", (Lit(None),))),)}, "finite"),
+            ({"post": Condition((Comparison(Lit({}), "=", Lit(1)),))}, "finite"),
+        ],
+        ids=repr,
+    )
+    def test_rule_that_could_not_run_refused(self, fields, match):
+        with pytest.raises(InvalidRule, match=match):
+            Rule("r", Atomic(event_type("a"), "x"), **fields)
+
+    def test_literal_itself_stays_constructible(self):
+        # evaluating it directly is how the fact-store differential tests NaN
+        assert Lit(NAN).value != Lit(NAN).value
+        assert eval_term(Lit(INF), {}) == INF
+
+    def test_every_literal_kind_builds(self):
+        lits = tuple(("k" + str(i), Lit(v)) for i, v in enumerate(["s", 1, 2.5, True]))
+        rule = Rule("r", Atomic(event_type("a")), actions=(EmitAction("out", lits),))
+        assert rule.actions[0].payload == lits
+
+    @pytest.mark.parametrize(
+        "type_name, match",
+        [
+            ("assert:p", "emit cannot raise reserved type 'assert:p'"),
+            ("retract:p", "emit cannot raise reserved type 'retract:p'"),
+            ("timer", "emit cannot raise reserved type 'timer'"),
+            ("", "emit type name must be a non-empty str"),
+            (None, "emit type name must be a non-empty str"),
+            (event_type("out"), "emit type name must be a non-empty str"),
+        ],
+        ids=repr,
+    )
+    def test_emit_of_reserved_or_malformed_type_refused(self, type_name, match):
+        with pytest.raises(InvalidRule, match=match):
+            EmitAction(type_name, ())
+
+    @pytest.mark.parametrize("type_name", ["assert:p", "retract:p", "timer"])
+    def test_parser_reports_reserved_emit_at_the_type(self, type_name):
+        text = f"rule r: on a do emit({type_name}, {{k: 1}})"
+        with pytest.raises(RuleSyntaxError) as info:
+            parse_rules(text)
+        err = info.value
+        assert str(err) == (
+            f"emit cannot raise reserved type {type_name!r} (line 1, column 22)"
+        )
+        assert (err.line, err.column) == (1, text.index(type_name) + 1)
+
+    def test_direct_evaluation_refuses_what_rule_would(self):
+        kb = KnowledgeBase()
+        with pytest.raises(InvalidRule, match="not a condition atom"):
+            evaluate_condition(Condition(("p",)), {}, kb, at=0)
+        with pytest.raises(InvalidRule, match="not a term"):
+            eval_term("x", {})
+        with pytest.raises(InvalidRule, match="not an action: 'x'"):
+            apply_actions_txn(("x",), {}, kb, at=1)
+        assert kb.facts() == [] and kb.journal == []
 
 
 class TestFactLookup:
