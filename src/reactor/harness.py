@@ -36,6 +36,7 @@ from .model import (
     is_reserved_type,
     make_event,
     require_finite,
+    scalar_json,
 )
 from .rules import Fact, RuleSet, fact_sort_key
 
@@ -150,7 +151,7 @@ class RunReport:
     error: Optional[str] = None
 
     def to_jsonl(self) -> str:
-        lines = [_canon(_record_json(r)) for r in self.records]
+        lines = [_record_line(r) for r in self.records]
         summary = {
             "dispatched": self.dispatched,
             "records": len(self.records),
@@ -165,33 +166,35 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _event_json(e: EventInstance) -> dict:
-    return {
-        "id": e.id,
-        "type": e.type.name,
-        "time": e.time,
-        "payload": dict(e.payload),
-    }
-
-
-def _binding_json(value):
-    if isinstance(value, EventInstance):
-        return _event_json(value)
-    return value
-
-
-def _record_json(r: ReactionRecord) -> dict:
+def _record_line(r: ReactionRecord) -> str:
+    """What ``_canon`` writes for the record as a dict, in one pass: keys in
+    sorted order, each scalar through scalar_json; ids, times and the depth
+    are plain ints, whose str() is their JSON."""
     occ = r.occurrence
-    return {
-        "rule": r.rule_id,
-        "interval": [occ.initiator_time, occ.terminator_time],
-        "events": sorted(occ.components),
-        "bindings": {k: _binding_json(v) for k, v in r.bindings.items()},
-        "outcome": r.outcome.value,
-        "raised": [_event_json(e) for e in r.events],
-        "depth": r.depth,
-        "error": r.error,
-    }
+    bindings = ",".join([
+        f"{scalar_json(k)}:"
+        + (_event_text(v) if isinstance(v, EventInstance) else scalar_json(v))
+        for k, v in sorted(r.bindings.items())
+    ])
+    events = ",".join(map(str, sorted(occ.components)))
+    raised = ",".join(map(_event_text, r.events))
+    return (
+        f'{{"bindings":{{{bindings}}},"depth":{r.depth},'
+        f'"error":{scalar_json(r.error)},"events":[{events}],'
+        f'"interval":[{occ.initiator_time},{occ.terminator_time}],'
+        f'"outcome":{scalar_json(r.outcome.value)},"raised":[{raised}],'
+        f'"rule":{scalar_json(r.rule_id)}}}'
+    )
+
+
+def _event_text(e: EventInstance) -> str:
+    payload = ",".join(
+        [f"{scalar_json(k)}:{scalar_json(v)}" for k, v in sorted(e.payload.items())]
+    )
+    return (
+        f'{{"id":{e.id},"payload":{{{payload}}},"time":{e.time},'
+        f'"type":{scalar_json(e.type.name)}}}'
+    )
 
 
 def run_replay(

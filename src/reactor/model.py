@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Union
 
 from .errors import InvalidEvent, NonFinitePayload, UnboundedInterval
@@ -20,6 +21,22 @@ TimePoint = int
 
 # Payload values are flat scalars only (JSON-compatible).
 Scalar = Union[str, int, float, bool]
+
+
+def scalar_json(value: Optional[Scalar]) -> str:
+    """The canonical JSON text of a scalar or None: byte for byte what
+    ``json.dumps`` writes for it (ASCII-escaped strings, ``repr`` numbers).
+    Anything else, a NaN or infinite float included, raises ValueError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"not a finite JSON scalar: {value!r}")
+
 
 ASSERT_PREFIX = "assert:"
 RETRACT_PREFIX = "retract:"

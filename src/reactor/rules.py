@@ -198,28 +198,45 @@ class Rule:
 
 
 def _fault(rule: Rule) -> Optional[tuple[str, object]]:
-    """Why the engine could not run ``rule``, and the value at fault."""
+    """Why the engine could not run ``rule``, and the value at fault. Every
+    sequence must be a tuple: a generator would be spent by this walk."""
     acts = rule.actions
     if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
         return "actions must be a tuple of actions", acts
     terms: list[Term] = []
+    facts: list[Union[FactLookup, FactTemplate]] = []
     for cond in (rule.where, rule.post):
         if cond is not None and not isinstance(cond, Condition):
             return "where and post must be conditions", cond
-        for atom in () if cond is None else cond.atoms:
+        atoms = () if cond is None else cond.atoms
+        if not isinstance(atoms, tuple):
+            return "condition atoms must be a tuple", atoms
+        for atom in atoms:
             if isinstance(atom, Comparison):
                 terms += (atom.lhs, atom.rhs)
             elif isinstance(atom, FactLookup):
-                terms += atom.terms
+                facts.append(atom)
             elif not isinstance(atom, HoldsAtom):
                 return "not a condition atom", atom
     for act in acts:
         if isinstance(act, EmitAction):
-            terms += (t for _, t in act.payload)
+            pairs = act.payload
+            if not isinstance(pairs, tuple) or not all(
+                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                for p in pairs
+            ):
+                return "an emit payload must be a tuple of (str, term) pairs", pairs
+            terms += (t for _, t in pairs)
         elif not isinstance(act, NoopAction):
             if not isinstance(act.fact, FactTemplate):
                 return "not a fact template", act.fact
-            terms += act.fact.terms
+            facts.append(act.fact)
+    for fact in facts:
+        if not isinstance(fact.name, str) or not fact.name:
+            return "a fact name must be a non-empty str", fact.name
+        if not isinstance(fact.terms, tuple):
+            return "fact terms must be a tuple", fact.terms
+        terms += fact.terms
     for term in terms:
         if isinstance(term, Lit):  # it may become a fact arg or a report value
             v = term.value
@@ -228,6 +245,9 @@ def _fault(rule: Rule) -> Optional[tuple[str, object]]:
                 return "a literal must be a finite str, int, float or bool", v
         elif not isinstance(term, (VarRef, FieldRef)):
             return "not a term", term
+        elif isinstance(term, VarRef) and not isinstance(term.name, str):
+            # it would become a binding name, which the report writes as a key
+            return "a variable name must be a str", term.name
     return None
 
 

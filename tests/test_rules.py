@@ -197,6 +197,46 @@ class TestBuildTimeChecks:
         with pytest.raises(InvalidRule, match=match):
             Rule("r", Atomic(event_type("a"), "x"), **fields)
 
+    # each row builds its fields afresh: a generator is spent by one use
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (lambda: {
+                "where": Condition(iter((Comparison(Lit(1), "=", Lit(2)),))),
+                "actions": (EmitAction("out", iter((("k", Lit(1)),))),),
+            }, "condition atoms must be a tuple"),
+            (lambda: {"post": Condition([HoldsAtom("f")])},
+             "condition atoms must be a tuple"),
+            (lambda: {"actions": (EmitAction("out", iter((("k", Lit(1)),))),)},
+             r"an emit payload must be a tuple of \(str, term\) pairs"),
+            (lambda: {"actions": (EmitAction("out", ((1, Lit(1)),)),)},
+             r"an emit payload must be a tuple of \(str, term\) pairs, got \(\(1,"),
+            (lambda: {"actions": (EmitAction("out", (("k",),)),)},
+             r"an emit payload must be a tuple of \(str, term\) pairs"),
+            (lambda: {"where": Condition((FactLookup("p", [VarRef("y")]),))},
+             "fact terms must be a tuple"),
+            (lambda: {"actions": (RetractAction(FactTemplate("p", iter(()))),)},
+             "fact terms must be a tuple"),
+            (lambda: {"actions": (AssertAction(FactTemplate(5, ())),)},
+             "a fact name must be a non-empty str, got 5"),
+            (lambda: {"actions": (AssertAction(FactTemplate("", ())),)},
+             "a fact name must be a non-empty str"),
+            (lambda: {"where": Condition((FactLookup(None, ()),))},
+             "a fact name must be a non-empty str"),
+            (lambda: {"where": Condition((FactLookup("p", (VarRef(5),)),))},
+             "a variable name must be a str, got 5"),
+        ],
+        ids=[
+            "generator-condition-and-emit-payload", "list-atoms",
+            "generator-emit-payload", "int-payload-key", "payload-entry-no-pair",
+            "list-lookup-terms", "generator-template-terms", "int-template-name",
+            "empty-template-name", "none-lookup-name", "int-variable-name",
+        ],
+    )
+    def test_sequence_name_or_key_that_could_not_run_refused(self, fields, match):
+        with pytest.raises(InvalidRule, match=match):
+            Rule("r", Atomic(event_type("a"), "x"), **fields())
+
     def test_literal_itself_stays_constructible(self):
         # evaluating it directly is how the fact-store differential tests NaN
         assert Lit(NAN).value != Lit(NAN).value
