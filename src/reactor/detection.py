@@ -104,9 +104,10 @@ class _Node:
     """State node for one subexpression, over the child nodes ``kids``.
 
     ``occs`` lists the node's occurrences so far in creation order, but only
-    when ``keep`` is set: a parent that joins against them (seq, and, not,
-    times) keeps its children's, while the root and the branches of an or,
-    which nothing reads back, keep none.
+    when ``keep`` is set: a parent that reads them back (the left of seq and
+    not, both sides of and, the absent slot, the inner of times) keeps its
+    children's, while the root, the branches of an or and the right of seq
+    and not keep none.
     """
 
     __slots__ = ("occs", "keep", "kids")
@@ -169,7 +170,9 @@ class _JoinNode(_Node):
     """seq, and and not: each new occurrence on one side is tried against
     every kept occurrence on the other, and the pair test ``ok`` says which
     pairs join. The new right occurrences are the last ones in
-    ``right.occs``, so a pair of two new ones is tried once."""
+    ``right.occs``, so a pair of two new ones is tried once. Under seq and
+    not the right side keeps nothing: a new left ends at the fed event, so
+    no old right can follow it."""
 
     __slots__ = ("left", "right", "ok", "absent")
 
@@ -198,13 +201,14 @@ class _JoinNode(_Node):
         fresh = []
         if new_r:
             fresh = [merge_occurrences(l, r) for l in lefts for r in new_r if ok(l, r)]
-        n_old = len(rights) - len(new_r)
-        fresh += [
-            merge_occurrences(l, r)
-            for l in new_l
-            for r in itertools.islice(rights, n_old)
-            if ok(l, r)
-        ]
+        if self.right.keep:
+            n_old = len(rights) - len(new_r)
+            fresh += [
+                merge_occurrences(l, r)
+                for l in new_l
+                for r in itertools.islice(rights, n_old)
+                if ok(l, r)
+            ]
         return self._admit(fresh)
 
 
@@ -274,12 +278,13 @@ def _build(expr: EventExpr, keep: bool) -> _Node:
         return _AtomicNode(expr, keep)
     if isinstance(expr, (Seq, And)):
         ok = _before if isinstance(expr, Seq) else _disjoint
-        return _JoinNode(_build(expr.left, True), _build(expr.right, True), ok, keep)
+        left, right = _build(expr.left, True), _build(expr.right, isinstance(expr, And))
+        return _JoinNode(left, right, ok, keep)
     if isinstance(expr, Or):
         return _OrNode(_build(expr.left, False), _build(expr.right, False), keep)
     if isinstance(expr, Not):
         absent = _build(expr.absent, True)
-        opener, closer = _build(expr.opener, True), _build(expr.closer, True)
+        opener, closer = _build(expr.opener, True), _build(expr.closer, False)
         return _JoinNode(opener, closer, _unblocked(absent), keep, absent)
     if isinstance(expr, Any):
         return _AnyNode(expr, keep)

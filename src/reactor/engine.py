@@ -23,7 +23,6 @@ static counterpart: no cycles there means no chain can run away.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +47,7 @@ from .model import (
     Scalar,
     TimePoint,
     intern_type,
+    is_finite_scalar,
     make_event,
     payload_dict,
     require_finite,
@@ -203,6 +203,30 @@ def _solution_order_key(sol: dict[str, Binding]) -> str:
     ]) + "}"
 
 
+def _check_facts(facts: tuple[Fact, ...]) -> None:
+    """Refuse an initial fact that no rule could have asserted: a NaN or
+    infinite argument with NonFinitePayload, anything else with InvalidConfig.
+    One flat pass, as set-up time grows with the initial facts."""
+    for f in facts:
+        if not (
+            isinstance(f, Fact) and isinstance(f.name, str) and f.name
+            and isinstance(f.args, tuple)
+        ):
+            got = (f.name, f.args) if isinstance(f, Fact) else f
+            raise InvalidConfig(
+                "an initial fact must be a Fact with a non-empty str name and "
+                f"a tuple of args, got {got!r}"
+            )
+        for v in f.args:
+            if type(v) is str or is_finite_scalar(v):  # a str without a call
+                continue
+            if isinstance(v, float):
+                raise NonFinitePayload("initial fact arguments must be finite numbers")
+            raise InvalidConfig(
+                f"an initial fact argument must be a str, int, float or bool, got {v!r}"
+            )
+
+
 class Engine:
     """Rule set + knowledge base + fluent history, fed one event at a time."""
 
@@ -216,10 +240,8 @@ class Engine:
             raise InvalidConfig(
                 f"chain limit must be an integer >= 1, got {chain_limit!r}"
             )
-        # one flat pass, as set-up time grows with the initial facts
-        floats = [v for f in initial_facts for v in f.args if isinstance(v, float)]
-        if not all(map(math.isfinite, floats)):
-            raise NonFinitePayload("initial fact arguments must be finite numbers")
+        initial_facts = tuple(initial_facts)
+        _check_facts(initial_facts)
         self.kb = KnowledgeBase(initial_facts)
         self.fluents = FluentHistory()
         for eff in ruleset.effects:

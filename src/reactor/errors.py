@@ -41,8 +41,8 @@ class OutOfOrderEvent(ReactorError):
 
 
 class InvalidConfig(ReactorError, ValueError):
-    """A detector's selection, consumption or window, or the engine's chain
-    limit, is not one the engine can run."""
+    """A detector's selection, consumption or window, the engine's chain
+    limit, or an initial fact, is not one the engine can run."""
 
 
 # -------------------------------------------------------------------- rules

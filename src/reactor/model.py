@@ -23,6 +23,14 @@ TimePoint = int
 Scalar = Union[str, int, float, bool]
 
 
+def is_finite_scalar(value: object) -> bool:
+    """A str, int, bool or finite float: what a fact can hold and a report
+    can write."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (str, int))
+
+
 def scalar_json(value: Optional[Scalar]) -> str:
     """The canonical JSON text of a scalar or None: byte for byte what
     ``json.dumps`` writes for it (ASCII-escaped strings, ``repr`` numbers).

@@ -38,10 +38,9 @@ Grammar:
     term    := INT | DECIMAL | STRING | VAR | VAR "." IDENT | IDENT
 
 A bare IDENT in term position is a string constant (`sales` == "sales"),
-except `true`/`false`, which are booleans. Parsing also checks variable
-boundness: conditions consume bindings left to right, positive fact lookups
-introduce fresh variables, negated lookups and comparisons must find theirs
-already bound, and action templates must be fully instantiable.
+except `true`/`false`, which are booleans. Variable boundness is checked
+by `Rule` itself when the parser builds it, as for a rule built through the
+API: a variable read before anything binds it raises UnboundVariable.
 """
 
 from __future__ import annotations
@@ -49,13 +48,13 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import And as AndExpr
 from .algebra import Any as AnyExpr
 from .algebra import _MAX_NESTING, Atomic, EventExpr, Not, Or, Seq, Times, validate_expr
 from .detection import ConsumptionPolicy, SelectionPolicy
-from .errors import InvalidExpression, InvalidRule, RuleSyntaxError, UnboundVariable
+from .errors import InvalidExpression, InvalidRule, RuleSyntaxError
 from .fluents import EffectMode
 from .model import EventTypeId
 from .rules import (
@@ -77,7 +76,6 @@ from .rules import (
     RuleSet,
     Term,
     VarRef,
-    term_vars,
 )
 
 # seq/and/or/not take only subexpressions: constructor and arity
@@ -260,7 +258,7 @@ class _Parser:
                 self.err("window must be positive", tok)
             window = tok.value
 
-        rule = Rule(
+        return Rule(
             id=rid,
             on=expr,
             where=where,
@@ -270,8 +268,6 @@ class _Parser:
             consumption=consumption,
             window=window,
         )
-        _check_bindings(rule)
-        return rule
 
     # --------------------------------------------------- event expressions
 
@@ -397,69 +393,6 @@ class _Parser:
                 terms.append(self.parse_term())
             self.expect("PUNCT", ")")
         return FactTemplate(name, tuple(terms))
-
-
-# ---------------------------------------------------------------- boundness
-
-
-def _require_bound(
-    terms: Iterable[Term], bound: set[str], msg: str = "?{} is not bound by the rule"
-) -> None:
-    """Every variable in ``terms`` must already be in ``bound``."""
-    for t in terms:
-        for v in term_vars(t):
-            if v not in bound:
-                raise UnboundVariable(msg.format(v))
-
-
-def _check_bindings(rule: Rule) -> None:
-    bound = _expr_vars(rule.on)
-    if rule.where is not None:
-        _walk_cond(rule.where, bound)
-    for act in rule.actions:
-        if isinstance(act, (AssertAction, RetractAction)):
-            _require_bound(act.fact.terms, bound)
-        elif isinstance(act, EmitAction):
-            _require_bound((t for _, t in act.payload), bound)
-    if rule.post is not None:
-        _walk_cond(rule.post, set(bound))
-
-
-def _walk_cond(cond: Condition, bound: set[str]) -> None:
-    """Check ``cond`` left to right, adding what its positive lookups bind."""
-    for atom in cond.atoms:
-        if isinstance(atom, Comparison):
-            _require_bound((atom.lhs, atom.rhs), bound)
-        elif isinstance(atom, FactLookup) and atom.negated:
-            _require_bound(
-                atom.terms, bound, "?{} in a negated lookup is not bound elsewhere"
-            )
-        elif isinstance(atom, FactLookup):
-            for t in atom.terms:
-                if isinstance(t, VarRef):
-                    bound.add(t.name)
-                else:
-                    _require_bound((t,), bound)
-
-
-def _expr_vars(expr: EventExpr) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: EventExpr) -> None:
-        if isinstance(node, Atomic):
-            if node.var:
-                out.add(node.var)
-        elif isinstance(node, (Seq, AndExpr, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Not):
-            # the absent slot only blocks; its bindings never reach a match
-            walk(node.opener)
-            walk(node.closer)
-        elif isinstance(node, Times):
-            pass  # grouped occurrences drop inner bindings
-    walk(expr)
-    return out
 
 
 def parse_rules(text: str) -> RuleSet:

@@ -10,18 +10,17 @@ succeed only when nothing in the fact base matches.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebra import EventExpr
+from .algebra import And, Atomic, EventExpr, Not, Or, Seq
 from .detection import ConsumptionPolicy, SelectionPolicy
 from .errors import (
     DuplicateEffect, DuplicateRuleId, InvalidRule, MissingField, UnboundVariable,
 )
 from .fluents import EffectDecl, FluentHistory
-from .model import EventInstance, Scalar, is_reserved_type
+from .model import EventInstance, Scalar, is_finite_scalar, is_reserved_type
 
 # =========================================================================
 # Terms
@@ -78,14 +77,6 @@ def eval_term(term: Term, bindings: dict[str, Binding]) -> Scalar:
             )
         return inst.payload[term.fieldname]
     raise InvalidRule(f"not a term: {term!r}")
-
-
-def term_vars(term: Term) -> set[str]:
-    if isinstance(term, VarRef):
-        return {term.name}
-    if isinstance(term, FieldRef):
-        return {term.var}
-    return set()
 
 
 # =========================================================================
@@ -191,33 +182,88 @@ class Rule:
     window: Optional[int] = None
 
     def __post_init__(self):
-        """Refuse, with InvalidRule, a rule the engine could not run."""
-        fault = _fault(self)
-        if fault is not None:
-            raise InvalidRule(f"rule {self.id!r}: {fault[0]}, got {fault[1]!r}")
+        _check(self)
 
 
-def _fault(rule: Rule) -> Optional[tuple[str, object]]:
-    """Why the engine could not run ``rule``, and the value at fault. Every
-    sequence must be a tuple: a generator would be spent by this walk."""
-    acts = rule.actions
-    if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
-        return "actions must be a tuple of actions", acts
-    terms: list[Term] = []
-    facts: list[Union[FactLookup, FactTemplate]] = []
-    for cond in (rule.where, rule.post):
+def _bindable(expr: EventExpr) -> set[str]:
+    """The variables a match of ``expr`` can bind: those of both branches of
+    an or, none of a not's absent slot or of anything inside a times.
+    Iterative, and silent on a malformed tree: validate_expr refuses that
+    where the expression is run."""
+    names: set[str] = set()
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atomic):
+            if isinstance(node.var, str):
+                names.add(node.var)
+        elif isinstance(node, (Seq, And, Or)):
+            todo += (node.left, node.right)
+        elif isinstance(node, Not):
+            todo += (node.opener, node.closer)
+    return names
+
+
+def _check(rule: Rule) -> None:
+    """Walk ``rule`` once, in run order (where, actions, post), and refuse
+    what the engine could not run: a malformed part with InvalidRule, and a
+    variable read before anything binds it with UnboundVariable. Conditions
+    bind left to right: a positive lookup binds each bare variable from that
+    term on, and nothing else binds. Every sequence must be a tuple: a
+    generator would be spent by this walk."""
+    bound = _bindable(rule.on)
+
+    def fault(why: str, value: object) -> InvalidRule:
+        return InvalidRule(f"rule {rule.id!r}: {why}, got {value!r}")
+
+    def read(
+        term: Term, binds: bool = False, unbound: str = "?{} is not bound by the rule"
+    ) -> None:
+        if isinstance(term, Lit):  # it may become a fact arg or a report value
+            if not is_finite_scalar(term.value):
+                why = "a literal must be a finite str, int, float or bool"
+                raise fault(why, term.value)
+            return
+        if not isinstance(term, (VarRef, FieldRef)):
+            raise fault("not a term", term)
+        name = term.name if isinstance(term, VarRef) else term.var
+        if not isinstance(name, str):
+            # it names a binding, which the report writes as a key
+            raise fault("a variable name must be a str", name)
+        if binds and isinstance(term, VarRef):
+            bound.add(name)
+        elif name not in bound:
+            raise UnboundVariable(unbound.format(name))
+
+    def fact(f: Union[FactLookup, FactTemplate], **how) -> None:
+        if not isinstance(f.name, str) or not f.name:
+            raise fault("a fact name must be a non-empty str", f.name)
+        if not isinstance(f.terms, tuple):
+            raise fault("fact terms must be a tuple", f.terms)
+        for term in f.terms:
+            read(term, **how)
+
+    def condition(cond: Optional[Condition]) -> None:
         if cond is not None and not isinstance(cond, Condition):
-            return "where and post must be conditions", cond
+            raise fault("where and post must be conditions", cond)
         atoms = () if cond is None else cond.atoms
         if not isinstance(atoms, tuple):
-            return "condition atoms must be a tuple", atoms
+            raise fault("condition atoms must be a tuple", atoms)
         for atom in atoms:
             if isinstance(atom, Comparison):
-                terms += (atom.lhs, atom.rhs)
+                read(atom.lhs)
+                read(atom.rhs)
+            elif isinstance(atom, FactLookup) and atom.negated:
+                fact(atom, unbound="?{} in a negated lookup is not bound elsewhere")
             elif isinstance(atom, FactLookup):
-                facts.append(atom)
+                fact(atom, binds=True)
             elif not isinstance(atom, HoldsAtom):
-                return "not a condition atom", atom
+                raise fault("not a condition atom", atom)
+
+    condition(rule.where)
+    acts = rule.actions
+    if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
+        raise fault("actions must be a tuple of actions", acts)
     for act in acts:
         if isinstance(act, EmitAction):
             pairs = act.payload
@@ -225,30 +271,14 @@ def _fault(rule: Rule) -> Optional[tuple[str, object]]:
                 isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
                 for p in pairs
             ):
-                return "an emit payload must be a tuple of (str, term) pairs", pairs
-            terms += (t for _, t in pairs)
+                raise fault("an emit payload must be a tuple of (str, term) pairs", pairs)
+            for _, term in pairs:
+                read(term)
         elif not isinstance(act, NoopAction):
             if not isinstance(act.fact, FactTemplate):
-                return "not a fact template", act.fact
-            facts.append(act.fact)
-    for fact in facts:
-        if not isinstance(fact.name, str) or not fact.name:
-            return "a fact name must be a non-empty str", fact.name
-        if not isinstance(fact.terms, tuple):
-            return "fact terms must be a tuple", fact.terms
-        terms += fact.terms
-    for term in terms:
-        if isinstance(term, Lit):  # it may become a fact arg or a report value
-            v = term.value
-            finite = isinstance(v, float) and math.isfinite(v)
-            if not (isinstance(v, (str, int)) or finite):
-                return "a literal must be a finite str, int, float or bool", v
-        elif not isinstance(term, (VarRef, FieldRef)):
-            return "not a term", term
-        elif isinstance(term, VarRef) and not isinstance(term.name, str):
-            # it would become a binding name, which the report writes as a key
-            return "a variable name must be a str", term.name
-    return None
+                raise fault("not a fact template", act.fact)
+            fact(act.fact)
+    condition(rule.post)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from reactor import (
+    And,
     Atomic,
     ConsumptionPolicy,
     Detector,
@@ -446,3 +447,37 @@ class TestTimesScenario:
         )
         fires = [det.feed(make_event("outage", t, id=t)) for t in range(1, 6)]
         assert [len(f) for f in fires] == [0, 0, 0, 1, 0]
+
+
+class TestRightSideState:
+    """Under seq and not, every left occurrence a feed makes ends at the fed
+    event, so no old right occurrence can follow it: the right child keeps
+    nothing. and joins both ways and keeps both sides. Nothing is consumed
+    and no window expires, so the kept sides hold every event of their type."""
+
+    LAST_MULTI = DetectorConfig(SelectionPolicy.LAST, ConsumptionPolicy.MULTIPLE)
+
+    def run(self, expr, n):
+        det = Detector(expr, self.LAST_MULTI)
+        events = (make_event("abc"[t % 3], t, id=t + 1) for t in range(n))
+        fired = sum(len(det.feed(e)) for e in events)
+        return det._root, fired
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_seq_keeps_no_right_side(self, n):
+        root, fired = self.run(Seq(A, B), n)
+        assert (len(root.left.occs), len(root.right.occs)) == (n // 3, 0)
+        assert fired == n // 3  # each b with the latest a
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_not_keeps_no_closer(self, n):
+        root, fired = self.run(Not(C, A, B), n)
+        kept = len(root.absent.occs), len(root.left.occs), len(root.right.occs)
+        assert kept == (n // 3, n // 3, 0)
+        assert fired == n // 3  # each b with the a just before it
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_and_keeps_both_sides(self, n):
+        root, fired = self.run(And(A, B), n)
+        assert (len(root.left.occs), len(root.right.occs)) == (n // 3, n // 3)
+        assert fired == 2 * (n // 3) - 1  # every a but the first, and every b

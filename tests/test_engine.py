@@ -491,6 +491,25 @@ class TestDispatch:
         with pytest.raises(NonFinitePayload):
             Engine(rs, initial_facts=[Fact("ok", (1.5,)), Fact("x", ("s", bad))])
 
+    @pytest.mark.parametrize(
+        "fact",
+        [
+            Fact("p", ((1, 2),)), Fact("p", ([1],)), Fact("p", (None,)),
+            Fact("p", [1]), Fact("", ()), Fact(5, ()), ("p", 1),
+        ],
+        ids=["tuple-arg", "list-arg", "none-arg", "list-args", "empty-name",
+             "int-name", "no-fact"],
+    )
+    def test_initial_fact_that_is_no_scalar_fact_refused(self, fact):
+        rs = parse_rules("rule r: on a do noop")
+        with pytest.raises(InvalidConfig) as ei:
+            Engine(rs, initial_facts=[Fact("ok", (1.5, "s", 2, True)), fact])
+        assert isinstance(ei.value, ValueError)
+
+    def test_initial_facts_may_come_from_a_generator(self):
+        eng = Engine(parse_rules("rule r: on a do noop"), (Fact(n) for n in "pq"))
+        assert eng.kb.facts() == [Fact("p"), Fact("q")]
+
     def test_effects_recorded_before_rules_run(self):
         # the initiating event is visible to its own rule's holds()
         rs = parse_rules(

@@ -20,10 +20,13 @@ from reactor import (
     Lit,
     MissingField,
     NoopAction,
+    Not,
+    Or,
     ReactorError,
     RetractAction,
     Rule,
     RuleSyntaxError,
+    Times,
     UnboundVariable,
     VarRef,
     apply_actions_txn,
@@ -225,17 +228,79 @@ class TestBuildTimeChecks:
              "a fact name must be a non-empty str"),
             (lambda: {"where": Condition((FactLookup("p", (VarRef(5),)),))},
              "a variable name must be a str, got 5"),
+            (lambda: {"where": Condition((Comparison(FieldRef([], "v"), "=", Lit(1)),))},
+             r"a variable name must be a str, got \[\]"),
         ],
         ids=[
             "generator-condition-and-emit-payload", "list-atoms",
             "generator-emit-payload", "int-payload-key", "payload-entry-no-pair",
             "list-lookup-terms", "generator-template-terms", "int-template-name",
             "empty-template-name", "none-lookup-name", "int-variable-name",
+            "list-field-variable-name",
         ],
     )
     def test_sequence_name_or_key_that_could_not_run_refused(self, fields, match):
         with pytest.raises(InvalidRule, match=match):
             Rule("r", Atomic(event_type("a"), "x"), **fields())
+
+    # test_parser.py's UnboundVariable rows, each as text and built through
+    # the API: the one check in Rule gives both the same class and text
+    @pytest.mark.parametrize(
+        "text, fields, msg",
+        [
+            ("rule r: on a where ?x = 1 do noop",
+             {"where": Condition((Comparison(VarRef("x"), "=", Lit(1)),))},
+             "?x is not bound by the rule"),
+            ("rule r: on a where not fact(p, ?x) do noop",
+             {"where": Condition((FactLookup("p", (VarRef("x"),), negated=True),))},
+             "?x in a negated lookup is not bound elsewhere"),
+            ("rule r: on a where fact(p, ?z.f) do noop",
+             {"where": Condition((FactLookup("p", (FieldRef("z", "f"),)),))},
+             "?z is not bound by the rule"),
+            ("rule r: on a do emit(b, {v: ?y})",
+             {"actions": (EmitAction("b", (("v", VarRef("y")),)),)},
+             "?y is not bound by the rule"),
+            ("rule r: on a as ?e do noop post fact(p, ?n) and ?n < ?m",
+             {"on": Atomic(event_type("a"), "e"), "post": Condition((
+                 FactLookup("p", (VarRef("n"),)),
+                 Comparison(VarRef("n"), "<", VarRef("m")),
+             ))},
+             "?m is not bound by the rule"),
+            # a lookup binds a variable from its own term on, not before
+            ("rule r: on a where fact(p, ?x.f, ?x) do noop",
+             {"where": Condition((FactLookup("p", (FieldRef("x", "f"), VarRef("x"))),))},
+             "?x is not bound by the rule"),
+        ],
+    )
+    def test_unbound_variable_refused_from_text_and_api(self, text, fields, msg):
+        with pytest.raises(UnboundVariable) as ei:
+            parse_rules(text)
+        assert str(ei.value) == msg
+        fields = {"on": Atomic(event_type("a")), "actions": (NoopAction(),), **fields}
+        with pytest.raises(UnboundVariable) as ei:
+            Rule("r", **fields)
+        assert str(ei.value) == msg
+
+    @pytest.mark.parametrize(
+        "on, var",
+        [
+            (Times(2, Atomic(event_type("a"), "x")), "x"),
+            (Not(Atomic(event_type("m"), "m"), Atomic(event_type("a")),
+                 Atomic(event_type("b"))), "m"),
+        ],
+        ids=["times", "absent-slot"],
+    )
+    def test_binding_no_match_carries_refused(self, on, var):
+        tpl = FactTemplate("p", (FieldRef(var, "id"),))
+        with pytest.raises(UnboundVariable, match=f"\\?{var} is not bound"):
+            Rule("r", on, actions=(AssertAction(tpl),))
+
+    def test_variable_of_either_or_branch_counts_as_bound(self):
+        # a firing from the other branch leaves it unbound: that is a firing
+        # fault, with an audit record, not a build-time refusal
+        on = Or(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "y"))
+        where = Condition((Comparison(FieldRef("x", "v"), "=", FieldRef("y", "v")),))
+        Rule("r", on, where=where, actions=(NoopAction(),))
 
     def test_literal_itself_stays_constructible(self):
         # evaluating it directly is how the fact-store differential tests NaN
