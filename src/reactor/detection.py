@@ -86,8 +86,8 @@ def select_candidates(
     candidate ordered by initiator position. A key holds the components and
     binding ids, so no two candidates tie and min/max pick as a sort would.
     """
-    if not cands:
-        return []
+    if len(cands) < 2:  # no key needed to pick from one
+        return list(cands)
     if policy is SelectionPolicy.FIRST:
         return [min(cands, key=occurrence_sort_key)]
     if policy is SelectionPolicy.LAST:

@@ -278,17 +278,22 @@ class Engine:
         """Mint an id for a new event and dispatch it. A malformed event
         (InvalidEvent), a NaN or infinite payload number, which the report
         could not serialise (NonFinitePayload), and a time before the last
-        one (OutOfOrderEvent) are refused before that."""
+        one (OutOfOrderEvent) are refused before that. An event no rule
+        lists only updates the fluents: nothing can fire, so nothing chains."""
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
-        payload = payload_dict(payload)
-        require_finite(payload)
+        payload = dict(payload) if type(payload) is dict else payload_dict(payload)
+        if payload:
+            require_finite(payload)
         e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
         if time < self._watermark:
             raise OutOfOrderEvent(f"event {e!r} precedes watermark {self._watermark}")
         self._seq = e.id
         self._watermark = time
+        if not self._routes.get(type_name, ()):
+            self.fluents.record(e)
+            return []
 
         records: list[ReactionRecord] = []
         queue: deque[tuple[EventInstance, int]] = deque([(e, 0)])

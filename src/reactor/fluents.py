@@ -105,10 +105,12 @@ class FluentHistory:
                 f"fluent history regresses: {e!r} after {self._last_key}"
             )
         self._last_key = key
-        matched = tuple(self._effects.get(e.type.name, ()))
+        matched = self._effects.get(e.type.name)
+        if matched is None:
+            return ()
         for rule in matched:
             self._tracks[rule.fluent].apply(rule.mode, e.time)
-        return matched
+        return tuple(matched)
 
     def holds_at(self, fluent: str, t: TimePoint) -> bool:
         track = self._tracks.get(fluent)

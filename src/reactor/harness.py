@@ -5,10 +5,13 @@ A trace file is line-delimited JSON, one stimulus per line:
     {"type": "outage", "time": 3, "payload": {"host": "w1"}}
 
 Times must be non-decreasing and types must not be reserved (``assert:*``,
-``retract:*``, ``timer``). load_trace numbers instances 1..n in line order;
-replay re-mints ids on ingestion so that events raised mid-dispatch get
-interleaved, globally fresh ids (a pre-numbered merged stream could not stay
-monotone around them).
+``retract:*``, ``timer``). Each line takes one bounded scan: the decoder's
+scanner must read one value spanning the line but for JSON whitespace at
+either end; a line it refuses is decoded again only to raise its exact
+error. Each type name is checked once per load. load_trace numbers
+instances 1..n in line order; replay re-mints ids on ingestion so that
+events raised mid-dispatch get interleaved, globally fresh ids (a
+pre-numbered merged stream could not stay monotone around them).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import (
 from .model import (
     TIMER_TYPE,
     EventInstance,
+    EventTypeId,
     intern_type,
     is_reserved_type,
     make_event,
@@ -74,39 +78,52 @@ def _parse_float(text: str) -> float:
 
 
 _DECODER = json.JSONDecoder(parse_float=_parse_float)
+_JSON_SPACE = " \t\n\r"  # what json skips around a value; str.strip skips more
 
 
 def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
     # only the trace format is checked here; intern_type, EventInstance and
-    # require_finite check the event's own fields
+    # require_finite check the event's own fields; ``types`` maps each name
+    # that passed the reserved check and intern_type to its type
     out: list[EventInstance] = []
+    types: dict[str, EventTypeId] = {}
     last_time: Optional[int] = None
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            obj = _DECODER.decode(raw)
+            line = raw.strip(_JSON_SPACE)
+            try:
+                obj, end = _DECODER.scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # no lone value: decode raises the line's error
+                obj = _DECODER.decode(raw)
         except json.JSONDecodeError as e:
             raise TraceError(f"invalid JSON: {e.msg}", lineno) from None
-        except ValueError as e:  # a number out of range, integers too
+        except (ValueError, RecursionError) as e:  # out of range, or nested too deep
             raise TraceError(f"invalid JSON: {e}", lineno) from None
         if not isinstance(obj, dict):
             raise TraceError("each line must be a JSON object", lineno)
         if "type" not in obj or "time" not in obj:
             raise TraceError("record needs 'type' and 'time' fields", lineno)
         tname = obj["type"]
+        etype = types.get(tname) if isinstance(tname, str) else None
         # a type name that is no str is left for intern_type to refuse
-        if isinstance(tname, str) and is_reserved_type(tname):
+        if etype is None and isinstance(tname, str) and is_reserved_type(tname):
             raise ReservedType(f"type {tname!r} is reserved", lineno)
         payload = {} if obj.get("payload") is None else obj["payload"]
         if not isinstance(payload, dict):
             raise TraceError("'payload' must be a JSON object", lineno)
-        extra = obj.keys() - {"type", "time", "payload"}
-        if extra:
+        if len(obj) > 2 + ("payload" in obj):
+            extra = obj.keys() - {"type", "time", "payload"}
             raise TraceError(f"unknown field {sorted(extra)[0]!r}", lineno)
         try:
-            ev = EventInstance(len(out) + 1, intern_type(tname), obj["time"], payload)
-            require_finite(payload)
+            if etype is None:
+                etype = types[tname] = intern_type(tname)
+            ev = EventInstance(len(out) + 1, etype, obj["time"], payload)
+            if payload:
+                require_finite(payload)
         except (InvalidEvent, NonFinitePayload) as e:
             raise TraceError(str(e), lineno) from None
         if last_time is not None and ev.time < last_time:

@@ -317,7 +317,7 @@ class Fact:
 
     def __repr__(self):
         if not self.args:
-            return self.name
+            return f"{self.name}"
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 

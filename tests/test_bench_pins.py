@@ -4,23 +4,26 @@
 seed. This replays ``kb_join(0)``, whose firings each order several
 solutions, and ``replay_mix(0)`` the way the benchmark's job does, and
 compares each ``to_jsonl()`` digest with that pin, and runs the
-benchmark's own self-tests. The benchmark's files are only read: ``bench/``
-goes on ``sys.path``.
+benchmark's own self-tests. It also pins the call counts that
+``bench/tracing.py`` turns into per-layer metrics. The benchmark's files are
+only read: ``bench/`` goes on ``sys.path``.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from reactor import load_trace, parse_rules, run_replay
+from reactor import TxnOutcome, load_trace, parse_rules, run_replay
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run as bench_run  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -41,3 +44,38 @@ def test_benchmark_selftest_passes():
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+TRACED_RULES = """
+rule fire: on a as ?x do assert(seen(?x.v))
+rule chain: on assert:seen do noop
+rule undo: on b do assert(q) post not fact(q)
+rule both: on or(a, b) do noop
+effect start initiates up
+"""
+
+
+def test_tracer_counts_follow_the_routes():
+    # w0, w1, pong: no rule lists them; start: only an effect names it
+    stimuli = [
+        ("a", 1, {"v": 1}), ("w0", 1, {}), ("start", 2, {}), ("b", 3, {}),
+        ("pong", 3, {}), ("a", 4, {"v": 1}), ("a", 5, {"v": 2}), ("w1", 6, {}),
+    ]
+    lines = [json.dumps({"type": t, "time": at, "payload": p}) for t, at, p in stimuli]
+    with tracing.Tracer() as tracer:
+        report = run_replay(parse_rules(TRACED_RULES), load_trace(lines))
+    counts = tracer.layers()
+    # fire raises assert:seen for v=1 and v=2; its second v=1 changes nothing
+    raised = 2
+    assert counts["engine.ingest_calls"] == len(stimuli)
+    assert counts["fluents.record_calls"] == len(stimuli) + raised
+    # (event, detector) pairs: three a's to fire and both, one b to undo and
+    # both, two assert:seen to chain
+    assert counts["detection.feed_calls"] == 3 * 2 + 1 * 2 + raised * 1
+    # every feed fires once; only undo's post fails
+    assert counts["engine.txn_calls"] == 10 == len(report.records)
+    committed = [r for r in report.records if r.outcome is TxnOutcome.COMMITTED]
+    assert counts["engine.txn_committed"] == 9 == len(committed)
+    assert sum(len(r.events) for r in report.records) == raised
+    # the effect-only stimulus still opened its fluent
+    assert [(iv.start, iv.end) for iv in report.fluents["up"]] == [(2, None)]

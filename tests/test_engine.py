@@ -431,6 +431,32 @@ class TestDispatch:
         (rec,) = eng.ingest("a", 1)
         assert rec.occurrence.components == {1}
 
+    @pytest.mark.parametrize(
+        "args, cls, text",
+        [
+            # a non-finite payload number wins over every malformed field
+            (("", 1, {"v": float("nan")}), NonFinitePayload,
+             "payload field 'v' must be finite, got nan"),
+            (("a", -1, {"v": float("inf")}), NonFinitePayload,
+             "payload field 'v' must be finite, got inf"),
+            (("a", 1, {3: "x", "v": float("nan")}), NonFinitePayload,
+             "payload field 'v' must be finite, got nan"),
+            # then the payload's shape, the type name, the time, the keys
+            (("", 1, [1]), InvalidEvent, "event payload must be a mapping, got [1]"),
+            (("a", -1, {3: "x"}), InvalidEvent,
+             "event time must be an integer >= 0, got -1"),
+        ],
+        ids=repr,
+    )
+    def test_refusal_precedence(self, args, cls, text):
+        eng = Engine(parse_rules("rule r: on a do assert(seen)"))
+        with pytest.raises(cls) as ei:
+            eng.ingest(*args)
+        assert type(ei.value) is cls and str(ei.value) == text
+        # nothing was minted: the next good event takes id 1
+        (rec,) = eng.ingest("a", 1)
+        assert rec.occurrence.components == {1}
+
     @pytest.mark.parametrize("payload", NON_MAPPING_PAYLOADS, ids=repr)
     def test_payload_that_is_no_mapping_refused(self, payload):
         eng = Engine(parse_rules("rule r: on a do assert(seen)"))

@@ -432,6 +432,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    def test_deeply_nested_trace_line_exit_2(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        deep_payload = '{"type": "a", "time": 1, "payload": {"v": %s1%s}}\n' % (
+            '{"k": ' * 50000, "}" * 50000,
+        )
+        for i, line in enumerate(["[" * 100000 + "\n", deep_payload]):
+            trace = self.write(tmp_path, f"deep{i}.jsonl", line)
+            assert cli_main(["run", "--rules", rules, "--trace", trace]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid JSON: maximum recursion")
+            assert captured.err.endswith("(trace line 1)\n")
+
     def test_overlong_trace_integer_exit_2(self, tmp_path, capsys):
         rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
         digits = "9" * (sys.get_int_max_str_digits() + 1)

@@ -161,6 +161,61 @@ class TestAllowedDifferences:
         assert difference(lines) == "underflow"
 
 
+A = '{"type": "a", "time": 0}'
+
+# each line is decoded by one scan that must end at the line's end, and each
+# type name is checked once per load: these rows sit on those boundaries
+SCAN_BOUNDARIES = [
+    # a string split over two lines, rejoined by the array around a block
+    (['{"type":"a', 'b","time":0},{"type":"c","time":1}'], ("TraceError", 1)),
+    ([A + "," + A], ("TraceError", 1)),
+    ([A + A], ("TraceError", 1)),
+    # str.strip drops \x0c and \x0b, JSON does not
+    (["\x0c" + A], ("TraceError", 1)),
+    ([A + "\x0b"], ("TraceError", 1)),
+    ([" " + A, "\t" + A + " \r\n"], [(1, "a", 0, "{}"), (2, "a", 0, "{}")]),
+    (["null"], ("TraceError", 1)),
+    (["[]"], ("TraceError", 1)),
+    (["7"], ("TraceError", 1)),
+    (['{"type": "a", "time": 0, "payload": {"v": NaN}}'], ("TraceError", 1)),
+    (['{"type": "a", "time": 0, "type": "b"}'], [(1, "b", 0, "{}")]),
+    # the type cache must not let a reserved name through
+    ([A, '{"type": "timer", "time": 1}'], ("ReservedType", 2)),
+    ([A, '{"type": "a", "time": 1}', '{"type": "assert:p", "time": 1}'],
+     ("ReservedType", 3)),
+    # a name first cached on an out-of-order line, and one cached before it
+    (['{"type": "a", "time": 5}', '{"type": "b", "time": 3}', '{"type": "b", "time": 6}'],
+     ("OutOfOrderTrace", 2)),
+    (['{"type": "a", "time": 5}', '{"type": "a", "time": 3}', '{"type": "a", "time": 6}'],
+     ("OutOfOrderTrace", 2)),
+]
+
+
+@pytest.mark.parametrize("lines, expected", SCAN_BOUNDARIES, ids=repr)
+def test_scan_boundaries_agree_with_reference(lines, expected):
+    assert difference(lines) is None
+    assert outcome(load_trace, lines) == expected
+
+
+def test_underflow_is_the_allowed_difference_on_one_line():
+    assert difference(['{"type": "a", "time": 0, "payload": {"v": 1e-400}}']) == "underflow"
+
+
+DEEP_PAYLOAD = '{"k": ' * 50000 + "1" + "}" * 50000
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[" * 100000, '{"type": "a", "time": 1, "payload": %s}' % DEEP_PAYLOAD],
+    ids=["array", "payload"],
+)
+def test_deep_nesting_is_a_trace_error(line):
+    # the reference hits the recursion limit; the loader fails closed
+    with pytest.raises(TraceError, match=r"^invalid JSON: maximum recursion") as ei:
+        load_trace([A, line])
+    assert ei.value.line == 2
+
+
 @pytest.mark.parametrize("args", MALFORMED_EVENTS)
 def test_one_check_at_both_boundaries(args):
     # the same malformed event gives the same message at Engine.ingest and,

@@ -104,6 +104,9 @@ class TestKnowledgeBase:
 
     def test_fact_repr(self):
         assert repr(Fact("emp", ("ann", "sales"))) == "emp('ann', 'sales')"
+        assert repr(Fact("p")) == "p"
+        # a name that is no str still gives a str, not a TypeError
+        assert repr(Fact(5)) == "5"
 
     def test_fact_sort_key_orders_by_name_arity_args(self):
         facts = [Fact("b", (2,)), Fact("a", ("z",)), Fact("a"), Fact("a", ("y", 1))]
