@@ -108,10 +108,17 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
     """Check structural invariants and field types, nesting depth included
     (so the walk recurses at most _MAX_NESTING deep), and return every event
     type name the expression mentions; raises InvalidExpression."""
+    return _walk_expr(expr)[0]
+
+
+def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
+    """validate_expr's walk: the type names, and the variables a match can bind
+    (both branches of an or; not a not's absent slot nor inside a times)."""
     seen_vars: set[str] = set()
     names: set[str] = set()
+    binders: set[str] = set()
 
-    def walk(node: EventExpr, depth: int) -> None:
+    def walk(node: EventExpr, depth: int, binds: bool) -> None:
         if isinstance(node, Atomic):
             if not isinstance(node.type, EventTypeId):
                 raise InvalidExpression(f"atomic type must be an EventTypeId: {node!r}")
@@ -122,15 +129,17 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
                 if node.var in seen_vars:
                     raise InvalidExpression(f"binding ?{node.var} appears twice")
                 seen_vars.add(node.var)
+                if binds:
+                    binders.add(node.var)
         elif depth > _MAX_NESTING:
             raise InvalidExpression(f"expression nested deeper than {_MAX_NESTING}")
         elif isinstance(node, (Seq, And, Or)):
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
+            walk(node.left, depth + 1, binds)
+            walk(node.right, depth + 1, binds)
         elif isinstance(node, Not):
-            walk(node.absent, depth + 1)
-            walk(node.opener, depth + 1)
-            walk(node.closer, depth + 1)
+            walk(node.absent, depth + 1, False)
+            walk(node.opener, depth + 1, binds)
+            walk(node.closer, depth + 1, binds)
         elif isinstance(node, Any):
             _check_count("any", node.count)
             if not isinstance(node.types, tuple) or not all(
@@ -147,12 +156,12 @@ def validate_expr(expr: EventExpr) -> frozenset[str]:
             names.update(listed)
         elif isinstance(node, Times):
             _check_count("times", node.count)
-            walk(node.of, depth + 1)
+            walk(node.of, depth + 1, False)
         else:
             raise InvalidExpression(f"unknown expression node {node!r}")
 
-    walk(expr, 1)
-    return frozenset(names)
+    walk(expr, 1, True)
+    return frozenset(names), binders
 
 
 # =========================================================================

@@ -128,10 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except ReactorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ReactorError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

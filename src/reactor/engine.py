@@ -243,9 +243,7 @@ class Engine:
         initial_facts = tuple(initial_facts)
         _check_facts(initial_facts)
         self.kb = KnowledgeBase(initial_facts)
-        self.fluents = FluentHistory()
-        for eff in ruleset.effects:
-            self.fluents.declare_effect(eff.type_name, eff.mode, eff.fluent)
+        self.fluents = FluentHistory(ruleset.effects)
         self.chain_limit = chain_limit
         self.detectors: list[tuple[Rule, Detector]] = [
             (

@@ -58,7 +58,8 @@ class RuleSyntaxError(ReactorError):
 
 
 class InvalidRule(ReactorError, ValueError):
-    """An API-built rule, or a part of one, that the engine could not run."""
+    """An API-built rule, effect or rule set, or a part of one, that the
+    engine could not run."""
 
 
 class DuplicateRuleId(ReactorError):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
-from .errors import OutOfOrderEvent
+from .errors import InvalidRule, OutOfOrderEvent
 from .model import EventInstance, Interval, TimePoint
 
 
@@ -30,6 +30,13 @@ class EffectDecl:
     type_name: str
     mode: EffectMode
     fluent: str
+
+    def __post_init__(self):
+        for what, name in (("type name", self.type_name), ("fluent", self.fluent)):
+            if not isinstance(name, str) or not name:
+                raise InvalidRule(f"effect {what} must be a non-empty str, got {name!r}")
+        if not isinstance(self.mode, EffectMode):
+            raise InvalidRule(f"effect mode must be an EffectMode, got {self.mode!r}")
 
 
 class _FluentTrack:
@@ -83,34 +90,27 @@ class _FluentTrack:
 class FluentHistory:
     """Declared effects and the validity intervals they give each fluent.
 
-    Effects are taken as declared; a RuleSet has already rejected duplicates.
+    Effects are taken as built; a RuleSet has already rejected duplicates.
     """
 
-    def __init__(self):
+    def __init__(self, effects: Iterable[EffectDecl] = ()):
         self._effects: dict[str, list[EffectDecl]] = {}  # by event type name
         self._tracks: dict[str, _FluentTrack] = {}
         self._last_key: tuple[TimePoint, int] = (0, 0)
+        for eff in effects:
+            self._effects.setdefault(eff.type_name, []).append(eff)
+            self._tracks.setdefault(eff.fluent, _FluentTrack())
 
-    def declare_effect(self, type_name: str, mode: EffectMode, fluent: str) -> None:
-        self._effects.setdefault(type_name, []).append(
-            EffectDecl(type_name, mode, fluent)
-        )
-        self._tracks.setdefault(fluent, _FluentTrack())
-
-    def record(self, e: EventInstance) -> tuple[EffectDecl, ...]:
-        """Apply the event's declared effects; returns the matched ones."""
+    def record(self, e: EventInstance) -> None:
+        """Apply the event's declared effects."""
         key = (e.time, e.id)
         if key < self._last_key:
             raise OutOfOrderEvent(
                 f"fluent history regresses: {e!r} after {self._last_key}"
             )
         self._last_key = key
-        matched = self._effects.get(e.type.name)
-        if matched is None:
-            return ()
-        for rule in matched:
-            self._tracks[rule.fluent].apply(rule.mode, e.time)
-        return tuple(matched)
+        for eff in self._effects.get(e.type.name, ()):
+            self._tracks[eff.fluent].apply(eff.mode, e.time)
 
     def holds_at(self, fluent: str, t: TimePoint) -> bool:
         track = self._tracks.get(fluent)

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebra import And, Atomic, EventExpr, Not, Or, Seq
+from .algebra import EventExpr, _walk_expr
 from .detection import ConsumptionPolicy, SelectionPolicy
 from .errors import (
     DuplicateEffect, DuplicateRuleId, InvalidRule, MissingField, UnboundVariable,
@@ -185,33 +185,15 @@ class Rule:
         _check(self)
 
 
-def _bindable(expr: EventExpr) -> set[str]:
-    """The variables a match of ``expr`` can bind: those of both branches of
-    an or, none of a not's absent slot or of anything inside a times.
-    Iterative, and silent on a malformed tree: validate_expr refuses that
-    where the expression is run."""
-    names: set[str] = set()
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Atomic):
-            if isinstance(node.var, str):
-                names.add(node.var)
-        elif isinstance(node, (Seq, And, Or)):
-            todo += (node.left, node.right)
-        elif isinstance(node, Not):
-            todo += (node.opener, node.closer)
-    return names
-
-
 def _check(rule: Rule) -> None:
     """Walk ``rule`` once, in run order (where, actions, post), and refuse
     what the engine could not run: a malformed part with InvalidRule, and a
     variable read before anything binds it with UnboundVariable. Conditions
     bind left to right: a positive lookup binds each bare variable from that
     term on, and nothing else binds. Every sequence must be a tuple: a
-    generator would be spent by this walk."""
-    bound = _bindable(rule.on)
+    generator would be spent by this walk. The event expression goes first,
+    through validate_expr's walk, which names the variables it binds."""
+    bound = _walk_expr(rule.on)[1]
 
     def fault(why: str, value: object) -> InvalidRule:
         return InvalidRule(f"rule {rule.id!r}: {why}, got {value!r}")
@@ -259,7 +241,11 @@ def _check(rule: Rule) -> None:
                 fact(atom, binds=True)
             elif not isinstance(atom, HoldsAtom):
                 raise fault("not a condition atom", atom)
+            elif not isinstance(atom.fluent, str) or not atom.fluent:
+                raise fault("a fluent name must be a non-empty str", atom.fluent)
 
+    if not isinstance(rule.id, str) or not rule.id:
+        raise fault("a rule id must be a non-empty str", rule.id)
     condition(rule.where)
     acts = rule.actions
     if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
@@ -287,6 +273,11 @@ class RuleSet:
     effects: tuple[EffectDecl, ...] = ()
 
     def __post_init__(self):
+        for part, kind in ((self.rules, Rule), (self.effects, EffectDecl)):
+            if not isinstance(part, tuple) or not all(isinstance(x, kind) for x in part):
+                raise InvalidRule(
+                    f"a rule set takes a tuple of {kind.__name__}s, got {part!r}"
+                )
         declared = set()
         for eff in self.effects:
             if eff in declared:
@@ -300,9 +291,6 @@ class RuleSet:
             if r.id in seen:
                 raise DuplicateRuleId(f"rule id {r.id!r} defined twice")
             seen.add(r.id)
-
-    def __iter__(self):
-        return iter(self.rules)
 
 
 # =========================================================================

@@ -7,10 +7,15 @@ Frozen as the reference that tests/test_kb_differential.py checks
 ``emit_payload`` is the emit branch of the old ``apply_actions_txn``, its
 body verbatim. Do not edit it to match the new code: the test allows no
 difference.
+
+``_bindable`` is the walk ``Rule`` used to name the variables its event
+expression binds before validate_expr's own walk took that job, verbatim;
+tests/test_rules.py checks ``algebra._walk_expr``'s binders against it.
 """
 
 from __future__ import annotations
 
+from reactor.algebra import And, Atomic, EventExpr, Not, Or, Seq
 from reactor.errors import MissingField, TemplateError, UnboundVariable
 from reactor.model import EventInstance, Scalar
 from reactor.rules import (
@@ -96,3 +101,22 @@ def emit_payload(act: EmitAction, bindings: dict[str, Binding]) -> dict[str, Sca
             f"cannot instantiate emit({act.type_name}) payload: {err}"
         ) from err
     return payload
+
+
+def _bindable(expr: EventExpr) -> set[str]:
+    """The variables a match of ``expr`` can bind: those of both branches of
+    an or, none of a not's absent slot or of anything inside a times.
+    Iterative, and silent on a malformed tree: validate_expr refuses that
+    where the expression is run."""
+    names: set[str] = set()
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atomic):
+            if isinstance(node.var, str):
+                names.add(node.var)
+        elif isinstance(node, (Seq, And, Or)):
+            todo += (node.left, node.right)
+        elif isinstance(node, Not):
+            todo += (node.opener, node.closer)
+    return names

@@ -20,6 +20,7 @@ from reactor import (
     ConsumptionPolicy,
     Detector,
     DetectorConfig,
+    EffectDecl,
     EffectMode,
     Engine,
     Fact,
@@ -270,10 +271,12 @@ def holds_by_membership(intervals, t):
 
 class TestFluentConsistency:
     def make_history(self):
-        fh = FluentHistory()
-        fh.declare_effect("go", EffectMode.INITIATES, "f")
-        fh.declare_effect("stop", EffectMode.TERMINATES, "f")
-        return fh
+        return FluentHistory(
+            (
+                EffectDecl("go", EffectMode.INITIATES, "f"),
+                EffectDecl("stop", EffectMode.TERMINATES, "f"),
+            )
+        )
 
     def test_start_one_stop_five(self):
         fh = self.make_history()

@@ -78,6 +78,11 @@ class TestValidateExpr:
             with pytest.raises(InvalidExpression, match="nested deeper than 100"):
                 oracle(deep, h)
 
+    def test_node_that_is_no_expression_refused(self):
+        with pytest.raises(InvalidExpression) as ei:
+            validate_expr(Seq(A, "x"))
+        assert str(ei.value) == "unknown expression node 'x'"
+
     def test_well_formed_pass(self):
         validate_expr(Seq(A, Not(X, B, C)))
         validate_expr(Times(1, Or(A, B)))

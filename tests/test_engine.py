@@ -653,33 +653,44 @@ class TestTriggeringGraph:
             assert g.cycles == tuple(expect)
 
 
+MALFORMED_EXPRS = [
+    Atomic("a"),  # a str where an EventTypeId belongs
+    Seq(on("a"), Atomic("b")),
+    Atomic(event_type("a"), 5),  # binding name not a str
+    Atomic(event_type("a"), ""),  # binding name empty
+    Any(1, ("a",)),
+    Any(1, event_type("a")),  # types not a tuple
+    Any(True, (event_type("a"),)),  # count a bool
+    Times("2", on("a")),
+    Times(True, on("a")),
+    Times(2.0, on("a")),
+]
+
+
 class TestMalformedExpressions:
-    @pytest.mark.parametrize(
-        "expr",
-        [
-            Atomic("a"),  # a str where an EventTypeId belongs
-            Seq(on("a"), Atomic("b")),
-            Atomic(event_type("a"), 5),  # binding name not a str
-            Atomic(event_type("a"), ""),  # binding name empty
-            Any(1, ("a",)),
-            Any(1, event_type("a")),  # types not a tuple
-            Any(True, (event_type("a"),)),  # count a bool
-            Times("2", on("a")),
-            Times(True, on("a")),
-            Times(2.0, on("a")),
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("expr", MALFORMED_EXPRS, ids=repr)
     def test_field_of_the_wrong_type_refused(self, expr):
-        rs = RuleSet((Rule(id="r", on=expr, actions=(NoopAction(),)),))
+        with pytest.raises(InvalidExpression):
+            Rule(id="r", on=expr, actions=(NoopAction(),))
         with pytest.raises(InvalidExpression):
             validate_expr(expr)
         with pytest.raises(InvalidExpression):
             Detector(expr)
         with pytest.raises(InvalidExpression):
-            Engine(rs)
-        with pytest.raises(InvalidExpression):
             occurrences(expr, [])
+
+    @pytest.mark.parametrize("expr", MALFORMED_EXPRS, ids=repr)
+    def test_rule_refuses_with_validate_exprs_text(self, expr):
+        with pytest.raises(InvalidExpression) as walked:
+            validate_expr(expr)
+        with pytest.raises(InvalidExpression) as built:
+            Rule(id="r", on=expr, where=Condition(()), actions=(NoopAction(),))
+        assert type(built.value) is type(walked.value)
+        assert str(built.value) == str(walked.value)
+
+    def test_on_is_checked_before_any_other_part(self):
+        with pytest.raises(InvalidExpression, match="atomic type must be"):
+            Rule(id=5, on=Atomic("a"), where="not a condition", actions=None)
 
 
 class TestDeepExpressions:
@@ -688,13 +699,10 @@ class TestDeepExpressions:
         expr = on("a")
         for _ in range(2000):
             expr = Seq(expr, on("b"))
-        rs = RuleSet((Rule(id="deep", on=expr, actions=(NoopAction(),)),))
         with pytest.raises(InvalidExpression, match="nested deeper than 100"):
             Detector(expr)
         with pytest.raises(InvalidExpression, match="nested deeper than 100"):
-            Engine(rs)
-        with pytest.raises(InvalidExpression, match="nested deeper than 100"):
-            triggering_graph(rs)
+            Rule(id="deep", on=expr, actions=(NoopAction(),))
 
 
 def _nodes(node):

@@ -10,17 +10,20 @@ from reactor import (
     EffectMode,
     FluentHistory,
     Interval,
+    InvalidRule,
     OutOfOrderEvent,
     RuleSet,
+    event_type,
     make_event,
+    parse_rules,
+    run_replay,
 )
 
 
 def fh(*effects):
-    h = FluentHistory()
-    for tname, mode, fluent in effects:
-        h.declare_effect(tname, EffectMode(mode), fluent)
-    return h
+    return FluentHistory(
+        EffectDecl(tname, EffectMode(mode), fluent) for tname, mode, fluent in effects
+    )
 
 
 class TestDeclare:
@@ -36,6 +39,37 @@ class TestDeclare:
 
     def test_same_fluent_opposite_modes_ok(self):
         fh(("go", "initiates", "f"), ("go", "terminates", "f"))
+
+    # a str mode would be applied as an initiation, and a fluent named 5
+    # next to a str-named one would break the sort of the report's names
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (("down", "terminates", "f"),
+             "effect mode must be an EffectMode, got 'terminates'"),
+            (("up", EffectMode.INITIATES, 5),
+             "effect fluent must be a non-empty str, got 5"),
+            (("up", EffectMode.INITIATES, ""), "effect fluent must be a non-empty str"),
+            (("", EffectMode.INITIATES, "f"), "effect type name must be a non-empty str"),
+            ((event_type("up"), EffectMode.INITIATES, "f"),
+             "effect type name must be a non-empty str"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_effect_refused(self, fields, match):
+        with pytest.raises(InvalidRule, match=match):
+            EffectDecl(*fields)
+
+    def test_parsed_effects_are_the_declared_ones(self):
+        rs = parse_rules(
+            "effect up initiates f\neffect down terminates f\nrule r: on up do noop"
+        )
+        assert rs.effects == (
+            EffectDecl("up", EffectMode.INITIATES, "f"),
+            EffectDecl("down", EffectMode.TERMINATES, "f"),
+        )
+        trace = [make_event("up", 1, id=1), make_event("down", 3, id=2)]
+        assert '"fluents":{"f":[[1,3]]}' in run_replay(rs, trace).to_jsonl()
 
 
 class TestHalfOpenInterval:
@@ -112,11 +146,14 @@ class TestRecord:
         with pytest.raises(OutOfOrderEvent):
             h.record(make_event("start", 5, id=1))
 
-    def test_returns_matched_effects(self):
+    def test_applies_every_effect_of_the_type(self):
         h = fh(("go", "initiates", "f"), ("go", "initiates", "g"))
-        matched = h.record(make_event("go", 1, id=1))
-        assert sorted(e.fluent for e in matched) == ["f", "g"]
-        assert h.record(make_event("other", 2, id=2)) == ()
+        assert h.record(make_event("go", 1, id=1)) is None
+        assert h.holds_at("f", 1) and h.holds_at("g", 1)
+        h.record(make_event("other", 2, id=2))  # no effect declared
+        assert h.holds_at("f", 2) and h.holds_at("g", 2)
+        assert h.fluent_intervals("f") == h.fluent_intervals("g") == [Interval(1, None)]
+        assert h.fluents == ["f", "g"]
 
     def test_internal_update_events_can_drive_fluents(self):
         h = fh(("assert:busy", "initiates", "busy"), ("retract:busy", "terminates", "busy"))

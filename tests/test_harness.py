@@ -401,6 +401,20 @@ class TestCli:
         assert cli_main(["oracle", "--expr", "seq(a,", "--trace", trace]) == 2
         capsys.readouterr()
 
+    def test_unreadable_trace_or_report_exit_2(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        missing = str(tmp_path / "missing.jsonl")
+        unwritable = str(tmp_path / "no-such-dir" / "out.jsonl")
+        for args in (
+            ["run", "--rules", rules, "--trace", missing],
+            ["run", "--rules", rules, "--trace", trace, "--report", unwritable],
+        ):
+            assert cli_main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["run"]) == 2
         capsys.readouterr()

@@ -296,6 +296,22 @@ class TestMessages:
             parse_rules(text)
         assert str(ei.value) == msg
 
+    @pytest.mark.parametrize(
+        "text, msg, line, column",
+        [
+            ("rule r: on a do noop\nfoo", "expected 'rule' or 'effect'", 2, 1),
+            ("rule r: on any(1) do noop", "any needs at least one event type", 1, 16),
+            ("rule r: on a where 1 = ) do noop", "expected a term", 1, 24),
+            ("rule r: on a do explode",
+             "expected an action (assert / retract / emit / noop)", 1, 17),
+        ],
+    )
+    def test_syntax_message_and_position(self, text, msg, line, column):
+        with pytest.raises(RuleSyntaxError) as ei:
+            parse_rules(text)
+        assert str(ei.value) == f"{msg} (line {line}, column {column})"
+        assert (ei.value.line, ei.value.column) == (line, column)
+
 
 HUGE_INT = "9" * (sys.get_int_max_str_digits() + 1)
 HUGE_DECIMAL = "1" * 400 + ".0"  # float() reads it as inf

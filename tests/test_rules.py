@@ -1,12 +1,19 @@
 """Terms, conditions, fact unification, and the journaled knowledge base."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from reactor import (
+    And,
+    Any,
     AssertAction,
     Atomic,
     Comparison,
     Condition,
+    EffectDecl,
     EffectMode,
     EmitAction,
     Fact,
@@ -15,6 +22,7 @@ from reactor import (
     FieldRef,
     FluentHistory,
     HoldsAtom,
+    Interval,
     InvalidRule,
     KnowledgeBase,
     Lit,
@@ -25,7 +33,9 @@ from reactor import (
     ReactorError,
     RetractAction,
     Rule,
+    RuleSet,
     RuleSyntaxError,
+    Seq,
     Times,
     UnboundVariable,
     VarRef,
@@ -35,8 +45,14 @@ from reactor import (
     fact_sort_key,
     make_event,
     parse_rules,
+    run_replay,
+    validate_expr,
 )
+from reactor.algebra import EventExpr, _walk_expr
 from reactor.rules import eval_term
+
+import reference_rules as ref
+from helpers import random_expr
 
 NAN, INF = float("nan"), float("inf")
 
@@ -342,6 +358,19 @@ class TestBuildTimeChecks:
         )
         assert (err.line, err.column) == (1, text.index(type_name) + 1)
 
+    # a number or a tuple id would reach the report as a JSON number or
+    # fail its encoder; a list fluent is unhashable at the first firing
+    @pytest.mark.parametrize("rule_id", [5, (1, 2), "", None], ids=repr)
+    def test_rule_id_that_is_no_name_refused(self, rule_id):
+        with pytest.raises(InvalidRule, match="a rule id must be a non-empty str"):
+            Rule(rule_id, Atomic(event_type("a")), actions=(NoopAction(),))
+
+    @pytest.mark.parametrize("fluent", [["x"], "", 5, None], ids=repr)
+    def test_holds_of_no_fluent_name_refused(self, fluent):
+        where = Condition((HoldsAtom(fluent),))
+        with pytest.raises(InvalidRule, match="a fluent name must be a non-empty str"):
+            Rule("r", Atomic(event_type("a")), where=where, actions=(NoopAction(),))
+
     def test_direct_evaluation_refuses_what_rule_would(self):
         kb = KnowledgeBase()
         with pytest.raises(InvalidRule, match="not a condition atom"):
@@ -351,6 +380,95 @@ class TestBuildTimeChecks:
         with pytest.raises(InvalidRule, match="not an action: 'x'"):
             apply_actions_txn(("x",), {}, kb, at=1)
         assert kb.facts() == [] and kb.journal == []
+
+
+class TestBinderWalk:
+    """validate_expr's walk names the variables a match can bind exactly as
+    the separate walk Rule used before it (tests/reference_rules.py)."""
+
+    @staticmethod
+    def with_vars(rng, node, fresh):
+        """``node`` with a fresh variable on some of its atomics."""
+        if isinstance(node, Atomic):
+            return Atomic(node.type, next(fresh)) if rng.random() < 0.6 else node
+        return dataclasses.replace(node, **{
+            f.name: TestBinderWalk.with_vars(rng, getattr(node, f.name), fresh)
+            for f in dataclasses.fields(node)
+            if isinstance(getattr(node, f.name), EventExpr)
+        })
+
+    def test_binders_agree_with_the_reference(self):
+        rng = random.Random(20260819)
+        ops, bound, unbound = set(), 0, 0
+        for _ in range(3000):
+            fresh = (f"v{i}" for i in itertools.count())
+            expr = self.with_vars(rng, random_expr(rng, depth=4), fresh)
+            names, binders = _walk_expr(expr)
+            assert binders == ref._bindable(expr), expr
+            assert names == validate_expr(expr)
+            todo, variables = [expr], set()
+            while todo:
+                node = todo.pop()
+                ops.add(type(node))
+                if isinstance(node, Atomic) and node.var:
+                    variables.add(node.var)
+                todo += [getattr(node, f.name) for f in dataclasses.fields(node)
+                         if isinstance(getattr(node, f.name), EventExpr)]
+            bound += len(binders)
+            unbound += len(variables - binders)
+        # every operator took part, and variables both did and did not bind
+        assert ops == {Atomic, Seq, And, Or, Not, Any, Times}
+        assert bound > 1000 and unbound > 1000
+
+    @pytest.mark.parametrize(
+        "on, binders",
+        [
+            (Or(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "y")), {"x", "y"}),
+            (Not(Atomic(event_type("m"), "m"), Atomic(event_type("a"), "o"),
+                 Atomic(event_type("b"), "c")), {"o", "c"}),
+            (Times(2, Seq(Atomic(event_type("a"), "x"), Atomic(event_type("b")))), set()),
+            (And(Any(1, (event_type("a"),)), Atomic(event_type("b"), "y")), {"y"}),
+        ],
+        ids=["or", "not", "times", "any"],
+    )
+    def test_binders_of_each_operator(self, on, binders):
+        assert _walk_expr(on)[1] == ref._bindable(on) == binders
+
+
+RULE = Rule("r", Atomic(event_type("a")), actions=(NoopAction(),))
+EFFECT = EffectDecl("a", EffectMode.INITIATES, "f")
+
+
+class TestRuleSetParts:
+    """A rule set takes tuples only: a generator would be spent by its own
+    duplicate checks and leave the engine no rules."""
+
+    # each row builds its parts afresh: a generator is spent by one use
+    @pytest.mark.parametrize(
+        "parts, match",
+        [
+            (lambda: ((x for x in (RULE,)),), "tuple of Rules"),
+            (lambda: (("x",),), r"tuple of Rules, got \('x',\)"),
+            (lambda: ([RULE],), "tuple of Rules"),
+            (lambda: (RULE,), "tuple of Rules"),
+            (lambda: ((RULE,), [EFFECT]), "tuple of EffectDecls"),
+            (lambda: ((RULE,), (x for x in (EFFECT,))), "tuple of EffectDecls"),
+            (lambda: ((RULE,), (("a", EffectMode.INITIATES, "f"),)),
+             "tuple of EffectDecls"),
+        ],
+        ids=[
+            "generator-rules", "str-rule", "list-rules", "bare-rule",
+            "list-effects", "generator-effects", "tuple-effect",
+        ],
+    )
+    def test_part_that_is_no_tuple_of_its_kind_refused(self, parts, match):
+        with pytest.raises(InvalidRule, match=match):
+            RuleSet(*parts())
+
+    def test_tuples_build_and_run(self):
+        report = run_replay(RuleSet((RULE,), (EFFECT,)), [make_event("a", 1, id=1)])
+        assert [r.rule_id for r in report.records] == ["r"]
+        assert report.fluents == {"f": (Interval(1, None),)}
 
 
 class TestFactLookup:
@@ -407,9 +525,12 @@ class TestFactLookup:
 
 class TestHolds:
     def test_holds_queries_fluents_at_time(self):
-        fl = FluentHistory()
-        fl.declare_effect("up", EffectMode.INITIATES, "f")
-        fl.declare_effect("down", EffectMode.TERMINATES, "f")
+        fl = FluentHistory(
+            (
+                EffectDecl("up", EffectMode.INITIATES, "f"),
+                EffectDecl("down", EffectMode.TERMINATES, "f"),
+            )
+        )
         fl.record(make_event("up", 2, id=1))
         fl.record(make_event("down", 6, id=2))
         cond = Condition((HoldsAtom("f"),))
