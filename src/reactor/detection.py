@@ -33,7 +33,6 @@ from .algebra import (
     Occurrence,
     Or,
     Seq,
-    Times,
     _pairwise_disjoint,
     merge_group,
     merge_occurrences,
@@ -41,7 +40,7 @@ from .algebra import (
     occurrence_sort_key,
     validate_expr,
 )
-from .errors import InvalidConfig, InvalidExpression, OutOfOrderEvent
+from .errors import InvalidConfig, OutOfOrderEvent
 from .model import EventInstance, TimePoint
 
 
@@ -105,9 +104,9 @@ class _Node:
 
     ``occs`` lists the node's occurrences so far in creation order, but only
     when ``keep`` is set: a parent that reads them back (the left of seq and
-    not, both sides of and, the absent slot, the inner of times) keeps its
-    children's, while the root, the branches of an or and the right of seq
-    and not keep none.
+    not, both sides of and, the absent slot, the inner of times, the leaves
+    of any) keeps its children's, while the root, the branches of an or and
+    the right of seq and not keep none.
     """
 
     __slots__ = ("occs", "keep", "kids")
@@ -116,9 +115,6 @@ class _Node:
         self.occs: list[Occurrence] = []
         self.keep = keep
         self.kids = kids
-
-    def feed(self, e: EventInstance) -> list[Occurrence]:
-        raise NotImplementedError
 
     def prune(self, removed: AbstractSet[int]) -> None:
         for kid in self.kids:
@@ -225,29 +221,25 @@ class _OrNode(_Node):
 
 
 class _AnyNode(_Node):
-    __slots__ = ("count", "names", "insts")
+    """any: one kept leaf per listed type. A new member joins one kept occurrence
+    of each of count - 1 other leaves, so their types differ by construction."""
 
-    def __init__(self, expr: Any, keep: bool):
-        super().__init__(keep)
-        self.count = expr.count
-        self.names = {t.name for t in expr.types}
-        self.insts: list[EventInstance] = []
+    __slots__ = ("count",)
+
+    def __init__(self, count: int, leaves: list[_Node], keep: bool):
+        super().__init__(keep, *leaves)
+        self.count = count
 
     def feed(self, e: EventInstance) -> list[Occurrence]:
-        if e.type.name not in self.names:
+        taken = [leaf for leaf in self.kids if leaf.feed(e)]  # at most one
+        if not taken:
             return []
-        fresh: list[Occurrence] = []
-        pool = [x for x in self.insts if x.type.name != e.type.name]
-        for combo in itertools.combinations(pool, self.count - 1):
-            if len({x.type.name for x in combo}) != len(combo):
-                continue
-            fresh.append(merge_group([occurrence_of(x) for x in (*combo, e)]))
-        self.insts.append(e)
-        return self._admit(fresh)
-
-    def prune(self, removed: AbstractSet[int]) -> None:
-        self.insts = [x for x in self.insts if x.id not in removed]
-        super().prune(removed)
+        others = [leaf for leaf in self.kids if leaf is not taken[0]]
+        return self._admit([
+            merge_group((*rest, taken[0].occs[-1]))
+            for group in itertools.combinations(others, self.count - 1)
+            for rest in itertools.product(*(leaf.occs for leaf in group))
+        ])
 
 
 class _TimesNode(_Node):
@@ -272,7 +264,8 @@ class _TimesNode(_Node):
 
 
 def _build(expr: EventExpr, keep: bool) -> _Node:
-    """State tree for ``expr``; ``keep`` says whether its parent joins
+    """State tree for ``expr``, which validate_expr has checked, so what is
+    left at the end is a times; ``keep`` says whether its parent joins
     against its occurrences."""
     if isinstance(expr, Atomic):
         return _AtomicNode(expr, keep)
@@ -287,10 +280,8 @@ def _build(expr: EventExpr, keep: bool) -> _Node:
         opener, closer = _build(expr.opener, True), _build(expr.closer, False)
         return _JoinNode(opener, closer, _unblocked(absent), keep, absent)
     if isinstance(expr, Any):
-        return _AnyNode(expr, keep)
-    if isinstance(expr, Times):
-        return _TimesNode(expr.count, _build(expr.of, True), keep)
-    raise InvalidExpression(f"unknown expression node {expr!r}")
+        return _AnyNode(expr.count, [_build(Atomic(t), True) for t in expr.types], keep)
+    return _TimesNode(expr.count, _build(expr.of, True), keep)
 
 
 # =========================================================================

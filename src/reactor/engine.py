@@ -204,9 +204,9 @@ def _solution_order_key(sol: dict[str, Binding]) -> str:
 
 
 def _check_facts(facts: tuple[Fact, ...]) -> None:
-    """Refuse an initial fact that no rule could have asserted: a NaN or
-    infinite argument with NonFinitePayload, anything else with InvalidConfig.
-    One flat pass, as set-up time grows with the initial facts."""
+    """Refuse an initial fact that no rule could have asserted: a number no
+    report can write (is_finite_scalar) with NonFinitePayload, anything else
+    with InvalidConfig. One flat pass, as set-up time grows with the facts."""
     for f in facts:
         if not (
             isinstance(f, Fact) and isinstance(f.name, str) and f.name
@@ -220,8 +220,8 @@ def _check_facts(facts: tuple[Fact, ...]) -> None:
         for v in f.args:
             if type(v) is str or is_finite_scalar(v):  # a str without a call
                 continue
-            if isinstance(v, float):
-                raise NonFinitePayload("initial fact arguments must be finite numbers")
+            if isinstance(v, (int, float)):  # NaN, inf or too many digits: no repr
+                raise NonFinitePayload("initial fact arguments must be writable numbers")
             raise InvalidConfig(
                 f"an initial fact argument must be a str, int, float or bool, got {v!r}"
             )
@@ -245,21 +245,15 @@ class Engine:
         self.kb = KnowledgeBase(initial_facts)
         self.fluents = FluentHistory(ruleset.effects)
         self.chain_limit = chain_limit
-        self.detectors: list[tuple[Rule, Detector]] = [
-            (
-                rule,
-                Detector(
-                    rule.on,
-                    DetectorConfig(rule.selection, rule.consumption, rule.window),
-                ),
-            )
-            for rule in ruleset.rules
-        ]
+        self.detectors: list[tuple[Rule, Detector]] = []
         # type name -> the detectors whose expression names it, in rule
         # order; an event reaches only these, and a windowed detector
         # expires at its next routed feed (its threshold only moves forward)
         self._routes: dict[str, list[tuple[Rule, Detector]]] = {}
-        for rule, det in self.detectors:
+        for rule in ruleset.rules:
+            config = DetectorConfig(rule.selection, rule.consumption, rule.window)
+            det = Detector(rule.on, config)
+            self.detectors.append((rule, det))
             for type_name in det.type_names:
                 self._routes.setdefault(type_name, []).append((rule, det))
         self._seq = 0  # last issued event id

@@ -79,7 +79,9 @@ class TemplateError(ReactorError):
 
 
 class NonFinitePayload(ReactorError):
-    """An event or initial fact given to the engine has a NaN or inf number."""
+    """An event or initial fact given to the engine has a number a report
+    cannot write: a NaN, an infinity, or an int with more digits than
+    sys.get_int_max_str_digits()."""
 
 
 class ChainLimitExceeded(ReactorError):

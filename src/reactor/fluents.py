@@ -98,6 +98,8 @@ class FluentHistory:
         self._tracks: dict[str, _FluentTrack] = {}
         self._last_key: tuple[TimePoint, int] = (0, 0)
         for eff in effects:
+            if not isinstance(eff, EffectDecl):
+                raise InvalidRule(f"a fluent effect must be an EffectDecl, got {eff!r}")
             self._effects.setdefault(eff.type_name, []).append(eff)
             self._tracks.setdefault(eff.fluent, _FluentTrack())
 

@@ -9,6 +9,7 @@ components' intervals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -24,11 +25,15 @@ Scalar = Union[str, int, float, bool]
 
 
 def is_finite_scalar(value: object) -> bool:
-    """A str, int, bool or finite float: what a fact can hold and a report
-    can write."""
+    """A str, bool, finite float or int of at most sys.get_int_max_str_digits()
+    digits (0: no limit): what a fact can hold and a report can write."""
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, (str, int))
+    if not isinstance(value, int):
+        return isinstance(value, str)
+    # over 3 bits a digit: an int below 8**limit has fewer digits than that
+    bits, limit = value.bit_length(), sys.get_int_max_str_digits()
+    return bits <= 3 * limit or not limit or abs(value) < 10**limit
 
 
 def scalar_json(value: Optional[Scalar]) -> str:
@@ -173,11 +178,12 @@ class EventInstance:
 
 
 def require_finite(payload: Mapping[str, Scalar]) -> None:
-    """Refuse a NaN or infinite payload number, which a report could not
-    serialise, with NonFinitePayload."""
+    """Refuse a payload number a report could not write (see is_finite_scalar)
+    with NonFinitePayload."""
     for key, value in payload.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise NonFinitePayload(f"payload field {key!r} must be finite, got {value}")
+        if isinstance(value, (int, float)) and not is_finite_scalar(value):
+            got = value if isinstance(value, float) else "an int too long to write"
+            raise NonFinitePayload(f"payload field {key!r} must be finite, got {got}")
 
 
 def payload_dict(payload: object) -> dict[str, Scalar]:

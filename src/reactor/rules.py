@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import EventExpr, _walk_expr
-from .detection import ConsumptionPolicy, SelectionPolicy
+from .detection import ConsumptionPolicy, DetectorConfig, SelectionPolicy
 from .errors import (
     DuplicateEffect, DuplicateRuleId, InvalidRule, MissingField, UnboundVariable,
 )
@@ -192,8 +192,10 @@ def _check(rule: Rule) -> None:
     bind left to right: a positive lookup binds each bare variable from that
     term on, and nothing else binds. Every sequence must be a tuple: a
     generator would be spent by this walk. The event expression goes first,
-    through validate_expr's walk, which names the variables it binds."""
+    through validate_expr's walk, which names the variables it binds, then
+    the detection policy, through the detector's own check (InvalidConfig)."""
     bound = _walk_expr(rule.on)[1]
+    DetectorConfig(rule.selection, rule.consumption, rule.window)
 
     def fault(why: str, value: object) -> InvalidRule:
         return InvalidRule(f"rule {rule.id!r}: {why}, got {value!r}")
@@ -202,9 +204,10 @@ def _check(rule: Rule) -> None:
         term: Term, binds: bool = False, unbound: str = "?{} is not bound by the rule"
     ) -> None:
         if isinstance(term, Lit):  # it may become a fact arg or a report value
-            if not is_finite_scalar(term.value):
+            value = term.value
+            if not is_finite_scalar(value):  # an int refused here has no repr
                 why = "a literal must be a finite str, int, float or bool"
-                raise fault(why, term.value)
+                raise fault(why, "too many digits" if isinstance(value, int) else value)
             return
         if not isinstance(term, (VarRef, FieldRef)):
             raise fault("not a term", term)

@@ -24,7 +24,7 @@ from reactor import (
     occurrences,
 )
 from reactor.algebra import occurrence_sort_key
-from reactor.detection import select_candidates
+from reactor.detection import _AnyNode, select_candidates
 
 from helpers import history, proj, random_expr, random_history
 
@@ -481,3 +481,51 @@ class TestRightSideState:
         root, fired = self.run(And(A, B), n)
         assert (len(root.left.occs), len(root.right.occs)) == (n // 3, n // 3)
         assert fired == 2 * (n // 3) - 1  # every a but the first, and every b
+
+
+def any_nodes(node):
+    """The any nodes of a detector's state tree, root first."""
+    found = [node] if isinstance(node, _AnyNode) else []
+    for kid in node.kids:
+        found += any_nodes(kid)
+    return found
+
+
+class TestAnyState:
+    """An any keeps its members as occurrences in one kept leaf per listed
+    type, and the tree's one prune walk removes them: after every feed each
+    leaf holds exactly the retained events of its type, in arrival order, so
+    a member consumed under single or expired by a window is gone."""
+
+    @pytest.mark.parametrize(
+        "config",
+        POLICY_CONFIGS,
+        ids=lambda c: f"{c.selection.value}-{c.consumption.value}-window{c.window}",
+    )
+    def test_leaves_hold_the_retained_events_of_their_type(self, config):
+        rng = random.Random(15)
+        shapes = {"root": 0, "nested": 0}
+        dropped = 0  # members fed to a leaf and since pruned from it
+        for _ in range(600):
+            expr = random_expr(rng)
+            det = Detector(expr, config)
+            nodes = any_nodes(det._root)
+            if not nodes:
+                continue
+            shapes["root" if nodes[0] is det._root else "nested"] += 1
+            h = random_history(rng, max_events=16)
+            for step, e in enumerate(h, start=1):
+                det.feed(e)
+                for node in nodes:
+                    for leaf in node.kids:
+                        held = [o.components for o in leaf.occs]
+                        want = [
+                            frozenset((eid,)) for eid, x in det.retained.items()
+                            if x.type.name == leaf.type_name
+                        ]
+                        assert held == want, (expr, h[:step])
+                        fed = sum(x.type.name == leaf.type_name for x in h[:step])
+                        dropped += fed - len(held)
+        assert shapes["root"] > 50 and shapes["nested"] > 100, shapes
+        removes = config.consumption is ConsumptionPolicy.SINGLE or config.window
+        assert (dropped > 0) == bool(removes)

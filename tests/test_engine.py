@@ -1,6 +1,7 @@
 """Transactions, reaction dispatch, chaining, and the triggering graph."""
 
 import random
+import sys
 from types import MappingProxyType
 
 import pytest
@@ -14,6 +15,7 @@ from reactor import (
     Condition,
     ConsumptionPolicy,
     Detector,
+    DetectorConfig,
     EmitAction,
     Engine,
     Fact,
@@ -23,6 +25,7 @@ from reactor import (
     InvalidConfig,
     InvalidEvent,
     InvalidExpression,
+    InvalidRule,
     Lit,
     NonFinitePayload,
     NoopAction,
@@ -504,12 +507,24 @@ class TestDispatch:
         assert isinstance(ei.value, ValueError)
 
     @pytest.mark.parametrize(
-        "policy", [{"selection": "first"}, {"consumption": "single"}, {"window": 2.5}]
+        "policy",
+        [{"selection": "first"}, {"consumption": "single"}, {"window": 2.5},
+         {"window": 0}],
     )
     def test_api_built_rule_with_malformed_policy_refused(self, policy):
-        rule = Rule("r", Seq(on("a"), on("b")), actions=(NoopAction(),), **policy)
-        with pytest.raises(InvalidConfig):
-            Engine(RuleSet((rule,)))
+        # refused when built, with the text the detector's own check gives
+        with pytest.raises(InvalidConfig) as ei:
+            Rule("r", Seq(on("a"), on("b")), actions=(NoopAction(),), **policy)
+        with pytest.raises(InvalidConfig) as detector:
+            DetectorConfig(**policy)
+        assert str(ei.value) == str(detector.value)
+
+    def test_malformed_policy_never_reaches_the_triggering_graph(self):
+        go = Rule("go", on("a"), actions=(EmitAction("b", ()),))
+        with pytest.raises(InvalidConfig, match="window must be a positive integer"):
+            triggering_graph(
+                RuleSet((go, Rule("r", on("b"), actions=(NoopAction(),), window=0)))
+            )
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_initial_fact_refused(self, bad):
@@ -551,6 +566,76 @@ class TestDispatch:
         eng = self.cascade_engine()
         records = eng.ingest("dept_closed", 9, {"name": "sales"})
         assert all(e.time == 9 for r in records for e in r.events)
+
+
+# an int with more digits than sys.get_int_max_str_digits() has no str(),
+# so no report could write it; these sit just past and just at the limit
+TOO_LONG = 10 ** sys.get_int_max_str_digits()
+LONGEST = TOO_LONG - 1
+
+
+class TestIntDigits:
+    """Every way into the engine refuses an int that no report could write,
+    and no error text shows the value, whose repr would raise as well."""
+
+    @pytest.mark.parametrize("v", [TOO_LONG, -TOO_LONG], ids=["pos", "neg"])
+    def test_payload_int_too_long_refused(self, v):
+        eng = Engine(parse_rules("rule r: on a as ?e do assert(seen(?e.v))"))
+        with pytest.raises(NonFinitePayload) as ei:
+            eng.ingest("a", 1, {"v": v})
+        text = "payload field 'v' must be finite, got an int too long to write"
+        assert type(ei.value) is NonFinitePayload and str(ei.value) == text
+        # refused before an id was minted or anything was committed
+        (rec,) = eng.ingest("a", 1, {"v": 1})
+        assert rec.occurrence.components == {1} and len(eng.kb) == 1
+
+    def test_initial_fact_int_too_long_refused(self):
+        # built, this engine would commit rule one's q and then raise a plain
+        # ValueError from rule two's solution sort
+        rs = parse_rules(
+            "rule one: on a do assert(q), emit(b, {})\n"
+            "rule two: on b where fact(p, ?x) do noop"
+        )
+        with pytest.raises(NonFinitePayload):
+            Engine(rs, initial_facts=[Fact("p", (TOO_LONG,)), Fact("p", (1,))])
+
+    @pytest.mark.parametrize(
+        "where, actions",
+        [
+            (Condition((Comparison(Lit(TOO_LONG), "=", Lit(1)),)), ()),
+            (None, (EmitAction("b", (("v", Lit(-TOO_LONG)),)),)),
+            (None, (AssertAction(FactTemplate("p", (Lit(TOO_LONG),))),)),
+        ],
+        ids=["comparison", "emit", "assert"],
+    )
+    def test_literal_int_too_long_refused(self, where, actions):
+        with pytest.raises(InvalidRule, match="got 'too many digits'"):
+            Rule("r", on("a"), where=where, actions=actions)
+
+    def test_int_with_the_limits_digits_replays_and_writes(self):
+        rs = parse_rules("rule r: on a as ?e where fact(p, ?x) do emit(b, {w: ?x})")
+        q = AssertAction(FactTemplate("q", (Lit(-LONGEST),)))
+        rs = RuleSet(rs.rules + (Rule("lit", on("b"), actions=(q,)),))
+        trace = [make_event("a", 1, {"v": LONGEST}, id=1)]
+        report = run_replay(rs, trace, initial_facts=[Fact("p", (LONGEST,))])
+        assert report.error is None and len(report.records) == 2
+        text = report.to_jsonl()
+        # a's payload, ?x, b's payload, q's assert event, facts p and q
+        assert text.count(str(LONGEST)) == 6
+
+    def test_the_limit_is_read_when_checked(self):
+        eng = Engine(parse_rules("rule r: on a as ?e do assert(seen(?e.v))"))
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(1000)
+            eng.ingest("a", 1, {"v": 10**1000 - 1})
+            with pytest.raises(NonFinitePayload):
+                eng.ingest("a", 2, {"v": 10**1000})
+            sys.set_int_max_str_digits(0)  # no limit
+            eng.ingest("a", 3, {"v": TOO_LONG})
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(eng.kb) == 2
 
 
 class TestTriggeringGraph:

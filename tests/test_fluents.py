@@ -60,6 +60,15 @@ class TestDeclare:
         with pytest.raises(InvalidRule, match=match):
             EffectDecl(*fields)
 
+    @pytest.mark.parametrize(
+        "item", [("up", "initiates", "f"), ("up", EffectMode.INITIATES, "f"), None],
+        ids=repr,
+    )
+    def test_effect_that_is_no_effect_decl_refused(self, item):
+        good = EffectDecl("down", EffectMode.TERMINATES, "f")
+        with pytest.raises(InvalidRule, match="a fluent effect must be an EffectDecl"):
+            FluentHistory([good, item])
+
     def test_parsed_effects_are_the_declared_ones(self):
         rs = parse_rules(
             "effect up initiates f\neffect down terminates f\nrule r: on up do noop"

@@ -1,6 +1,7 @@
 """Intervals, event types, event instances."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from reactor import (
     strictly_before,
 )
 from reactor.algebra import merge_occurrences, occurrence_of
-from reactor.model import intern_type
+from reactor.model import intern_type, is_finite_scalar
 
 BOUNDED = [
     Interval(s, e) for s, e in itertools.product(range(5), repeat=2) if e >= s
@@ -182,3 +183,39 @@ class TestEventInstance:
         assert e.type == EventTypeId("assert:p") and is_reserved_type(e.type.name)
         e2 = make_event(event_type("b"), 1, id=1)
         assert e2.type.name == "b"
+
+
+def _has_str(v):
+    try:
+        str(v)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return False
+    return True
+
+
+class TestFiniteScalar:
+    @pytest.mark.parametrize("limit", [640, 1001, 4300])
+    def test_an_int_passes_exactly_when_str_takes_it(self, limit):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(limit)
+            for digits in range(limit - 2, limit + 3):
+                lo, hi = 10 ** (digits - 1), 10**digits - 1
+                for v in (lo, hi, -lo, -hi):
+                    assert is_finite_scalar(v) == _has_str(v) == (digits <= limit)
+            # each bit length from the one-comparison bound (3 bits a
+            # digit) to past the last one with at most ``limit`` digits
+            for bits in range(3 * limit - 2, 4 * limit):
+                v = 1 << bits
+                assert is_finite_scalar(v) == _has_str(v)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize(
+        "value, ok",
+        [(1, True), (True, True), ("s", True), (1.5, True), (float("nan"), False),
+         (float("-inf"), False), (None, False), ((1,), False)],
+        ids=repr,
+    )
+    def test_scalars(self, value, ok):
+        assert is_finite_scalar(value) is ok
