@@ -93,6 +93,7 @@ from .rules import (
     Rule,
     RuleSet,
     VarRef,
+    eval_term,
     evaluate_condition,
     fact_sort_key,
 )
@@ -123,6 +124,6 @@ __all__ = [
     "AssertAction", "Comparison", "Condition", "EffectDecl", "EmitAction",
     "Fact", "FactLookup", "FactTemplate", "FieldRef", "HoldsAtom",
     "KnowledgeBase", "Lit", "NoopAction", "RetractAction", "Rule", "RuleSet",
-    "VarRef", "evaluate_condition", "fact_sort_key",
+    "VarRef", "eval_term", "evaluate_condition", "fact_sort_key",
     "__version__",
 ]

@@ -1,5 +1,8 @@
 """Rule dispatch: transactional actions, reaction chaining, cycle analysis.
 
+A firing runs the plan its rule compiled when built (see rules.py): steps
+for where and post, a step per action. Its records share their occurrence's
+event bindings, which the report (harness) writes once, by a one-entry cache.
 Each firing runs its actions as a transaction: an overlay of pending asserts
 and retracts over the live fact base, which stays untouched until commit.
 Updates are set-semantic: asserting a present fact or retracting an absent
@@ -26,14 +29,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .algebra import Occurrence, validate_expr
-from .detection import Detector, DetectorConfig
+from .algebra import Occurrence
+from .detection import Detector
 from .errors import (
     ChainLimitExceeded,
     InvalidConfig,
-    InvalidRule,
     MissingField,
     NonFinitePayload,
     OutOfOrderEvent,
@@ -41,35 +43,28 @@ from .errors import (
 )
 from .fluents import FluentHistory
 from .model import (
-    ASSERT_PREFIX,
-    RETRACT_PREFIX,
     EventInstance,
+    EventTypeId,
     Scalar,
     TimePoint,
     intern_type,
     is_finite_scalar,
-    make_event,
     payload_dict,
     require_finite,
     scalar_json,
 )
 from .rules import (
     Action,
-    AssertAction,
     Binding,
     Condition,
-    EmitAction,
     Fact,
-    FactTemplate,
     KnowledgeBase,
-    NoopAction,
     Overlay,
-    RetractAction,
+    Plan,
     Rule,
     RuleSet,
-    Term,
     UnboundVariable,
-    eval_term,
+    _plan_actions,
     evaluate_condition,
 )
 
@@ -97,40 +92,11 @@ class ReactionRecord:
 # =========================================================================
 
 
-def _ground(
-    terms: Iterable[Term], bindings: dict[str, Binding], label: str, name: str
-) -> list[Scalar]:
-    """The values of ``terms``; raises TemplateError when one cannot be
-    evaluated, naming the template as ``label.format(name)``."""
-    try:
-        return [eval_term(t, bindings) for t in terms]
-    except (MissingField, UnboundVariable) as err:
-        raise TemplateError(f"cannot instantiate {label.format(name)}: {err}") from err
-
-
-def instantiate_fact(tpl: FactTemplate, bindings: dict[str, Binding]) -> Fact:
-    """Ground a fact template; raises TemplateError when it cannot be."""
-    return Fact(tpl.name, tuple(_ground(tpl.terms, bindings, "{} template", tpl.name)))
-
-
-def _raised_type(act: Action) -> Optional[str]:
-    """The type of the event ``act`` raises when it takes effect; None for noop."""
-    if isinstance(act, AssertAction):
-        return ASSERT_PREFIX + act.fact.name
-    if isinstance(act, RetractAction):
-        return RETRACT_PREFIX + act.fact.name
-    if isinstance(act, EmitAction):
-        return act.type_name
-    if isinstance(act, NoopAction):
-        return None
-    raise InvalidRule(f"not an action: {act!r}")
-
-
 def apply_actions_txn(
-    actions: Sequence[Action],
+    actions: Union[Sequence[Action], Plan],
     bindings: dict[str, Binding],
     kb: KnowledgeBase,
-    post: Optional[Condition] = None,
+    post: Union[Condition, Plan, None] = None,
     fluents: Optional[FluentHistory] = None,
     at: TimePoint = 0,
     id_source: Optional[Callable[[], int]] = None,
@@ -139,31 +105,28 @@ def apply_actions_txn(
 
     Returns (outcome, produced events); rolled-back firings produce none,
     and ids come from ``id_source`` or count from 1. Commits to kb on
-    success; touches nothing on rollback.
+    success; touches nothing on rollback. A rule passes its compiled actions
+    and post; any others are compiled here.
     """
     txn = Overlay(kb)
-    pending: list[tuple[str, dict[str, Scalar]]] = []  # (type name, payload)
-
-    for act in actions:
-        raised = _raised_type(act)
-        if isinstance(act, EmitAction):
-            keys, terms = [k for k, _ in act.payload], [t for _, t in act.payload]
-            values = _ground(terms, bindings, "emit({}) payload", raised)
+    pending: list[tuple[EventTypeId, dict[str, Scalar]]] = []  # (type, payload)
+    steps = actions if type(actions) is Plan else _plan_actions(actions)
+    for update, raised, name, keys, getters, label in steps:
+        try:
+            values = [get(bindings) for get in getters]
+        except (MissingField, UnboundVariable) as err:
+            raise TemplateError(f"cannot instantiate {label}: {err}") from err
+        if update is None or update(txn, Fact(name, tuple(values))):
             pending.append((raised, dict(zip(keys, values))))
-        elif raised is not None:
-            fact = instantiate_fact(act.fact, bindings)
-            if txn.add(fact) if isinstance(act, AssertAction) else txn.discard(fact):
-                # positional fact args ride along as arg0, arg1, ...
-                args = {f"arg{i}": v for i, v in enumerate(fact.args)}
-                pending.append((raised, args))
 
     if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
         return TxnOutcome.ROLLED_BACK, []
 
     kb.commit(txn.ops)
     mint = id_source or itertools.count(1).__next__
+    # each type is interned and each payload a fresh dict
     return TxnOutcome.COMMITTED, [
-        make_event(name, at, payload, mint()) for name, payload in pending
+        EventInstance(mint(), raised, at, payload) for raised, payload in pending
     ]
 
 
@@ -251,10 +214,9 @@ class Engine:
         # expires at its next routed feed (its threshold only moves forward)
         self._routes: dict[str, list[tuple[Rule, Detector]]] = {}
         for rule in ruleset.rules:
-            config = DetectorConfig(rule.selection, rule.consumption, rule.window)
-            det = Detector(rule.on, config)
+            det = Detector(rule.on, rule.config)
             self.detectors.append((rule, det))
-            for type_name in det.type_names:
+            for type_name in rule.type_names:
                 self._routes.setdefault(type_name, []).append((rule, det))
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
@@ -293,12 +255,13 @@ class Engine:
             ev, depth = queue.popleft()
             self.fluents.record(ev)
             for rule, det in self._routes.get(ev.type.name, ()):
+                where, actions, post = rule.plan
                 for occ in det.feed(ev):
                     at = occ.terminator_time
                     base = dict(occ.bindings)
                     try:
                         sols = evaluate_condition(
-                            rule.where, base, self.kb, at, self.fluents
+                            where, base, self.kb, at, self.fluents
                         )
                     except _FIRING_FAULTS as err:
                         records.append(_audit_record(rule, occ, base, depth, err))
@@ -308,7 +271,7 @@ class Engine:
                     for sol in sols:
                         try:
                             outcome, events = _run_actions(
-                                rule.actions, sol, self.kb, rule.post,
+                                actions, sol, self.kb, post,
                                 self.fluents, at, self.next_id,
                             )
                         except _FIRING_FAULTS as err:
@@ -353,18 +316,19 @@ def triggering_graph(ruleset: RuleSet) -> TriggeringGraph:
 
     Listening is judged conservatively over every type name in s's event
     expression, so an empty cycle list certifies that no reaction chain can
-    loop. validate_expr both checks each rule's expression
-    (InvalidExpression) and names the types it listens for.
+    loop. Both sides come from each rule's check: the types it listens for
+    are its ``type_names``, and the types its actions raise are in its plan.
     """
     order = {rule.id: i for i, rule in enumerate(ruleset.rules)}
     listeners: dict[str, list[int]] = {}
     for i, rule in enumerate(ruleset.rules):
-        for type_name in validate_expr(rule.on):
+        for type_name in rule.type_names:
             listeners.setdefault(type_name, []).append(i)
     edges: list[tuple[str, str]] = []
     adj: dict[str, list[str]] = {rule.id: [] for rule in ruleset.rules}
     for r in ruleset.rules:
-        targets = {i for act in r.actions for i in listeners.get(_raised_type(act), ())}
+        _, actions, _ = r.plan
+        targets = {i for _, raised, *_ in actions for i in listeners.get(raised.name, ())}
         for i in sorted(targets):
             s = ruleset.rules[i].id
             edges.append((r.id, s))

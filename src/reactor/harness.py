@@ -20,7 +20,7 @@ import heapq
 import io
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from .engine import Engine, ReactionRecord
 from .errors import (
@@ -168,7 +168,16 @@ class RunReport:
     error: Optional[str] = None
 
     def to_jsonl(self) -> str:
-        lines = [_record_line(r) for r in self.records]
+        # the firings of one occurrence are adjacent records that share its
+        # event bindings: one entry, the last one written, writes each once
+        last: list = [None, ""]  # [event, its text]
+
+        def binding_text(e: EventInstance) -> str:
+            if e is not last[0]:
+                last[:] = e, _event_text(e)
+            return last[1]
+
+        lines = [_record_line(r, binding_text) for r in self.records]
         summary = {
             "dispatched": self.dispatched,
             "records": len(self.records),
@@ -183,14 +192,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _record_line(r: ReactionRecord) -> str:
+def _record_line(r: ReactionRecord, binding_text: Callable[[EventInstance], str]) -> str:
     """What ``_canon`` writes for the record as a dict, in one pass: keys in
-    sorted order, each scalar through scalar_json; ids, times and the depth
-    are plain ints, whose str() is their JSON."""
+    sorted order, each scalar through scalar_json, each event binding
+    through ``binding_text``; ids, times and the depth are plain ints, whose
+    str() is their JSON."""
     occ = r.occurrence
     bindings = ",".join([
         f"{scalar_json(k)}:"
-        + (_event_text(v) if isinstance(v, EventInstance) else scalar_json(v))
+        + (binding_text(v) if isinstance(v, EventInstance) else scalar_json(v))
         for k, v in sorted(r.bindings.items())
     ])
     events = ",".join(map(str, sorted(occ.components)))

@@ -36,6 +36,21 @@ def is_finite_scalar(value: object) -> bool:
     return bits <= 3 * limit or not limit or abs(value) < 10**limit
 
 
+# no limit is below the threshold, so an int below this is always writable
+_WRITABLE = 8**sys.int_info.str_digits_check_threshold
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` for an error text; an int too long to write has none
+    (see is_finite_scalar), so it shows as its type and digit count."""
+    if not isinstance(value, int) or is_finite_scalar(value):
+        return repr(value)
+    n = abs(value)
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
+    digits += n >= 10**digits
+    return f"<{type(value).__name__} of {digits} digits>"
+
+
 def scalar_json(value: Optional[Scalar]) -> str:
     """The canonical JSON text of a scalar or None: byte for byte what
     ``json.dumps`` writes for it (ASCII-escaped strings, ``repr`` numbers).
@@ -109,8 +124,9 @@ class EventTypeId:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise InvalidEvent(f"event type name must be a non-empty str: {self.name!r}")
+        name = self.name
+        if not isinstance(name, str) or not name:
+            raise InvalidEvent(f"event type name must be a non-empty str: {shown(name)}")
 
     def __repr__(self):
         return self.name
@@ -145,7 +161,8 @@ def is_reserved_type(name: str) -> bool:
 @dataclass(frozen=True, slots=True)
 class EventInstance:
     """One concrete event on the timeline; a malformed id, time, payload key
-    or value raises InvalidEvent (NaN and inf pass: see require_finite).
+    or value raises InvalidEvent (NaN and inf pass: see require_finite), and
+    so does a time too long to write.
 
     ids are unique within an engine run and increase in arrival order; they
     break reporting ties between simultaneous events but never affect the
@@ -160,12 +177,15 @@ class EventInstance:
     def __post_init__(self):
         # type() rather than isinstance: a bool is no id or time point
         if type(self.id) is not int or self.id < 1:
-            raise InvalidEvent(f"event id must be an integer >= 1, got {self.id!r}")
-        if type(self.time) is not int or self.time < 0:
-            raise InvalidEvent(f"event time must be an integer >= 0, got {self.time!r}")
+            raise InvalidEvent(f"event id must be an integer >= 1, got {shown(self.id)}")
+        time = self.time
+        if type(time) is not int or time < 0:
+            raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
+        if time >= _WRITABLE and not is_finite_scalar(time):
+            raise InvalidEvent(f"event time is too long to write: {shown(time)}")
         for key, value in self.payload.items():
             if not isinstance(key, str):
-                raise InvalidEvent(f"payload key {key!r} is not a string")
+                raise InvalidEvent(f"payload key {shown(key)} is not a string")
             if not isinstance(value, (str, int, float, bool)):
                 raise InvalidEvent(f"payload value {key}={value!r} is not a scalar")
 

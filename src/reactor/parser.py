@@ -38,9 +38,11 @@ Grammar:
     term    := INT | DECIMAL | STRING | VAR | VAR "." IDENT | IDENT
 
 A bare IDENT in term position is a string constant (`sales` == "sales"),
-except `true`/`false`, which are booleans. Variable boundness is checked
-by `Rule` itself when the parser builds it, as for a rule built through the
-API: a variable read before anything binds it raises UnboundVariable.
+except `true`/`false`, which are booleans. The event expression and
+variable boundness are checked by `Rule` itself when the parser builds it,
+as for a rule built through the API; the parser reports an InvalidExpression
+at the expression, and a variable read before anything binds it raises
+UnboundVariable.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ class _Tok(NamedTuple):
     col: int
 
 
+# builds a _Tok without its Python-level __new__, half of a token's cost
+_new_tuple = tuple.__new__
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, line_start = 1, 0
@@ -146,7 +152,7 @@ def _tokenize(text: str) -> list[_Tok]:
         elif kind == "BAD":
             msg = _BAD_START.get(value, f"unexpected character {value!r}")
             raise RuleSyntaxError(msg, line, col)
-        toks.append(_Tok(kind, value, line, col))
+        toks.append(_new_tuple(_Tok, (kind, value, line, col)))
     toks.append(_Tok("EOF", None, line, len(text) - line_start + 1))
     return toks
 
@@ -234,11 +240,6 @@ class _Parser:
         self.expect("WORD", "on")
         expr_tok = self.peek()
         expr = self.parse_eexpr()
-        try:
-            validate_expr(expr)
-        except InvalidExpression as e:
-            self.err(str(e), expr_tok)
-
         where = self.parse_cond() if self.accept("WORD", "where") else None
         self.expect("WORD", "do")
         actions = [self.parse_action()]
@@ -258,16 +259,19 @@ class _Parser:
                 self.err("window must be positive", tok)
             window = tok.value
 
-        return Rule(
-            id=rid,
-            on=expr,
-            where=where,
-            actions=tuple(actions),
-            post=post,
-            selection=selection,
-            consumption=consumption,
-            window=window,
-        )
+        try:  # Rule checks ``on`` first, so this is its first fault
+            return Rule(
+                id=rid,
+                on=expr,
+                where=where,
+                actions=tuple(actions),
+                post=post,
+                selection=selection,
+                consumption=consumption,
+                window=window,
+            )
+        except InvalidExpression as e:
+            self.err(str(e), expr_tok)
 
     # --------------------------------------------------- event expressions
 

@@ -6,13 +6,20 @@ Conditions are conjunctions evaluated left to right; positive fact lookups
 unify and may introduce new variable bindings (one solution per matching
 fact), negated lookups require all their variables to be bound already and
 succeed only when nothing in the fact base matches.
+
+Building a Rule checks it and compiles it in one walk (``_check``). Its plan
+holds a getter per term, a step per condition atom, with each lookup's bare
+variables marked, and per action its update, interned raised type, payload
+keys, getters and error label; firings run the plan and test no term or
+atom type. Conditions and actions that no Rule checked are compiled where
+they are run.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import EventExpr, _walk_expr
 from .detection import ConsumptionPolicy, DetectorConfig, SelectionPolicy
@@ -20,7 +27,10 @@ from .errors import (
     DuplicateEffect, DuplicateRuleId, InvalidRule, MissingField, UnboundVariable,
 )
 from .fluents import EffectDecl, FluentHistory
-from .model import EventInstance, Scalar, is_finite_scalar, is_reserved_type
+from .model import (
+    ASSERT_PREFIX, RETRACT_PREFIX, EventInstance, Scalar, intern_type,
+    is_finite_scalar, is_reserved_type, shown,
+)
 
 # =========================================================================
 # Terms
@@ -52,31 +62,46 @@ Term = Union[Lit, VarRef, FieldRef]
 Binding = Union[EventInstance, Scalar]
 
 
+Getter = Callable[[dict[str, Binding]], Scalar]
+
+
+def _getter(term: Term) -> Getter:
+    """``term`` as a function of the bindings that returns its value or
+    raises MissingField / UnboundVariable; InvalidRule if it is no term."""
+    if isinstance(term, Lit):
+        return lambda bindings, value=term.value: value
+    if isinstance(term, VarRef):
+        name = term.name
+
+        def var(bindings: dict[str, Binding]) -> Scalar:
+            if name not in bindings:
+                raise UnboundVariable(f"?{name} is not bound")
+            value = bindings[name]
+            if isinstance(value, EventInstance):
+                raise MissingField(f"?{name} is an event binding; use ?{name}.<field>")
+            return value
+
+        return var
+    if not isinstance(term, FieldRef):
+        raise InvalidRule(f"not a term: {shown(term)}")
+    name, key = term.var, term.fieldname
+
+    def payload_field(bindings: dict[str, Binding]) -> Scalar:
+        if name not in bindings:
+            raise UnboundVariable(f"?{name} is not bound")
+        inst = bindings[name]
+        if not isinstance(inst, EventInstance):
+            raise MissingField(f"?{name} is not an event binding")
+        if key not in inst.payload:
+            raise MissingField(f"event {inst!r} has no payload field {shown(key)}")
+        return inst.payload[key]
+
+    return payload_field
+
+
 def eval_term(term: Term, bindings: dict[str, Binding]) -> Scalar:
     """Resolve a term to a scalar; raises MissingField / UnboundVariable."""
-    if isinstance(term, Lit):
-        return term.value
-    if isinstance(term, VarRef):
-        if term.name not in bindings:
-            raise UnboundVariable(f"?{term.name} is not bound")
-        value = bindings[term.name]
-        if isinstance(value, EventInstance):
-            raise MissingField(
-                f"?{term.name} is an event binding; use ?{term.name}.<field>"
-            )
-        return value
-    if isinstance(term, FieldRef):
-        if term.var not in bindings:
-            raise UnboundVariable(f"?{term.var} is not bound")
-        inst = bindings[term.var]
-        if not isinstance(inst, EventInstance):
-            raise MissingField(f"?{term.var} is not an event binding")
-        if term.fieldname not in inst.payload:
-            raise MissingField(
-                f"event {inst!r} has no payload field {term.fieldname!r}"
-            )
-        return inst.payload[term.fieldname]
-    raise InvalidRule(f"not a term: {term!r}")
+    return _getter(term)(bindings)
 
 
 # =========================================================================
@@ -163,6 +188,7 @@ class NoopAction:
 
 Action = Union[AssertAction, RetractAction, EmitAction, NoopAction]
 _ACTIONS = (AssertAction, RetractAction, EmitAction, NoopAction)
+_UNBOUND = "?{} is not bound by the rule"
 
 
 # =========================================================================
@@ -172,6 +198,12 @@ _ACTIONS = (AssertAction, RetractAction, EmitAction, NoopAction)
 
 @dataclass(frozen=True)
 class Rule:
+    """A reaction rule, checked when built (see _check), which leaves the
+    type names its event expression lists in ``type_names``, its detector
+    policy in ``config`` and the firing it compiles to in ``plan``:
+    ``(where, actions, post)``, each condition a Plan of steps or None, the
+    actions a Plan of action steps."""
+
     id: str
     on: EventExpr
     where: Optional[Condition] = None
@@ -180,94 +212,65 @@ class Rule:
     selection: SelectionPolicy = SelectionPolicy.FIRST
     consumption: ConsumptionPolicy = ConsumptionPolicy.SINGLE
     window: Optional[int] = None
+    type_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    config: DetectorConfig = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check(self)
+        names, config, plan = _check(self)
+        object.__setattr__(self, "type_names", names)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "plan", plan)
+
+    def __reduce__(self):  # the plan's closures do not pickle: build it again
+        fields = (self.where, self.actions, self.post, self.selection, self.consumption)
+        return Rule, (self.id, self.on, *fields, self.window)
 
 
-def _check(rule: Rule) -> None:
-    """Walk ``rule`` once, in run order (where, actions, post), and refuse
-    what the engine could not run: a malformed part with InvalidRule, and a
-    variable read before anything binds it with UnboundVariable. Conditions
-    bind left to right: a positive lookup binds each bare variable from that
-    term on, and nothing else binds. Every sequence must be a tuple: a
-    generator would be spent by this walk. The event expression goes first,
-    through validate_expr's walk, which names the variables it binds, then
-    the detection policy, through the detector's own check (InvalidConfig)."""
-    bound = _walk_expr(rule.on)[1]
-    DetectorConfig(rule.selection, rule.consumption, rule.window)
+def _check(rule: Rule) -> tuple[frozenset[str], DetectorConfig, tuple]:
+    """Walk ``rule`` once, in run order (where, actions, post), refusing what
+    the engine could not run and compiling each part as it is checked: a
+    malformed part raises InvalidRule, and a variable read before anything
+    binds it UnboundVariable. Conditions bind left to right: a positive
+    lookup binds each bare variable from that term on, and nothing else
+    binds. Every sequence must be a tuple: a generator would be spent by
+    this walk. The event expression goes first, through validate_expr's
+    walk, which names its types and the variables it binds, then the
+    detection policy, through the detector's own check (InvalidConfig)."""
+    names, bound = _walk_expr(rule.on)
+    config = DetectorConfig(rule.selection, rule.consumption, rule.window)
 
     def fault(why: str, value: object) -> InvalidRule:
-        return InvalidRule(f"rule {rule.id!r}: {why}, got {value!r}")
+        return InvalidRule(f"rule {shown(rule.id)}: {why}, got {shown(value)}")
 
-    def read(
-        term: Term, binds: bool = False, unbound: str = "?{} is not bound by the rule"
-    ) -> None:
+    def read(term: Term, binds: bool = False, unbound: str = _UNBOUND) -> Getter:
         if isinstance(term, Lit):  # it may become a fact arg or a report value
             value = term.value
             if not is_finite_scalar(value):  # an int refused here has no repr
                 why = "a literal must be a finite str, int, float or bool"
                 raise fault(why, "too many digits" if isinstance(value, int) else value)
-            return
-        if not isinstance(term, (VarRef, FieldRef)):
+        elif not isinstance(term, (VarRef, FieldRef)):
             raise fault("not a term", term)
-        name = term.name if isinstance(term, VarRef) else term.var
-        if not isinstance(name, str):
-            # it names a binding, which the report writes as a key
-            raise fault("a variable name must be a str", name)
-        if binds and isinstance(term, VarRef):
-            bound.add(name)
-        elif name not in bound:
-            raise UnboundVariable(unbound.format(name))
-
-    def fact(f: Union[FactLookup, FactTemplate], **how) -> None:
-        if not isinstance(f.name, str) or not f.name:
-            raise fault("a fact name must be a non-empty str", f.name)
-        if not isinstance(f.terms, tuple):
-            raise fault("fact terms must be a tuple", f.terms)
-        for term in f.terms:
-            read(term, **how)
-
-    def condition(cond: Optional[Condition]) -> None:
-        if cond is not None and not isinstance(cond, Condition):
-            raise fault("where and post must be conditions", cond)
-        atoms = () if cond is None else cond.atoms
-        if not isinstance(atoms, tuple):
-            raise fault("condition atoms must be a tuple", atoms)
-        for atom in atoms:
-            if isinstance(atom, Comparison):
-                read(atom.lhs)
-                read(atom.rhs)
-            elif isinstance(atom, FactLookup) and atom.negated:
-                fact(atom, unbound="?{} in a negated lookup is not bound elsewhere")
-            elif isinstance(atom, FactLookup):
-                fact(atom, binds=True)
-            elif not isinstance(atom, HoldsAtom):
-                raise fault("not a condition atom", atom)
-            elif not isinstance(atom.fluent, str) or not atom.fluent:
-                raise fault("a fluent name must be a non-empty str", atom.fluent)
+        else:
+            bare = isinstance(term, VarRef)
+            name = term.name if bare else term.var
+            if not isinstance(name, str):
+                # it names a binding, which the report writes as a key
+                raise fault("a variable name must be a str", name)
+            if binds and bare:
+                bound.add(name)
+            elif name not in bound:
+                raise UnboundVariable(unbound.format(name))
+        return _getter(term)
 
     if not isinstance(rule.id, str) or not rule.id:
         raise fault("a rule id must be a non-empty str", rule.id)
-    condition(rule.where)
+    where = _plan_condition(rule.where, read, fault)
     acts = rule.actions
     if not isinstance(acts, tuple) or not all(isinstance(a, _ACTIONS) for a in acts):
         raise fault("actions must be a tuple of actions", acts)
-    for act in acts:
-        if isinstance(act, EmitAction):
-            pairs = act.payload
-            if not isinstance(pairs, tuple) or not all(
-                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
-                for p in pairs
-            ):
-                raise fault("an emit payload must be a tuple of (str, term) pairs", pairs)
-            for _, term in pairs:
-                read(term)
-        elif not isinstance(act, NoopAction):
-            if not isinstance(act.fact, FactTemplate):
-                raise fault("not a fact template", act.fact)
-            fact(act.fact)
-    condition(rule.post)
+    actions = _plan_actions(acts, read, fault)
+    return names, config, (where, actions, _plan_condition(rule.post, read, fault))
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,7 @@ class KnowledgeBase:
 
     def __init__(self, initial_facts: Sequence[Fact] = ()):
         self.initial: tuple[Fact, ...] = tuple(initial_facts)
-        self._facts: dict[Fact, None] = {f: None for f in self.initial}
+        self._facts: dict[Fact, None] = dict.fromkeys(self.initial)
         self._index: Optional[dict[tuple, dict[Fact, None]]] = None
         self.journal: list[tuple[tuple[str, Fact], ...]] = []
 
@@ -493,38 +496,115 @@ def _compare(a: Scalar, op: str, b: Scalar) -> bool:
     return _COMPARISON_OPS[op](a, b)
 
 
-def _matches(
-    lookup: FactLookup, bindings: dict[str, Binding], kb: Union[KnowledgeBase, Overlay]
-) -> Iterator[dict[str, Binding]]:
-    """``bindings`` extended by each fact in ``kb`` that matches ``lookup``, in
-    store order. The terms the bindings fix are evaluated once and pick the
-    index bucket, up to the first that cannot be: a fact matching the positions
-    before it must reach it below, so it raises exactly where a full scan would."""
-    terms = lookup.terms
-    fixed: dict[int, Scalar] = {}
-    for pos, term in enumerate(terms):
-        if isinstance(term, VarRef) and term.name not in bindings:
-            continue
-        try:
-            fixed[pos] = eval_term(term, bindings)
-        except (MissingField, UnboundVariable):
-            break
-    for fact in kb.candidates(lookup.name, len(terms), list(fixed.items())):
-        extended = dict(bindings)
-        for pos, (term, arg) in enumerate(zip(terms, fact.args)):
-            if pos in fixed:
-                if fixed[pos] != arg:
-                    break
-            elif isinstance(term, VarRef) and term.name not in extended:
-                extended[term.name] = arg
-            elif eval_term(term, extended) != arg:
+class Plan(tuple):
+    """A compiled condition or compiled actions. A condition's steps, one per
+    atom, each map the solutions so far, the store (or an overlay), the time
+    and the fluents to the solutions the atom passes. An action step (see
+    _action_step) is a tuple; a noop compiles to none."""
+
+
+def _compare_step(lhs: Getter, op: str, rhs: Getter):
+    return lambda sols, kb, at, fluents: [
+        s for s in sols if _compare(lhs(s), op, rhs(s))
+    ]
+
+
+def _holds_step(fluent: str):
+    return lambda sols, kb, at, fluents: (
+        sols if fluents is not None and fluents.holds_at(fluent, at) else []
+    )
+
+
+def _lookup_step(lookup: FactLookup, getters: Sequence[Getter]):
+    """A fact lookup in one pass per solution. Its bare variables are marked
+    once, here; whether one is bound is tested per solution, since a rule
+    binds some only on one branch of an or. The terms the solution fixes are
+    evaluated once and pick the index bucket, up to the first that cannot be:
+    a fact matching the positions before it must reach it below, so it
+    raises exactly where a full scan would. Each candidate then extends the
+    solution in store order; a negated lookup wants none."""
+    name, arity = lookup.name, len(getters)
+    terms = [
+        (pos, term.name if isinstance(term, VarRef) else None, get)
+        for pos, (term, get) in enumerate(zip(lookup.terms, getters))
+    ]
+
+    def matches(bindings: dict[str, Binding], kb) -> Iterator[dict[str, Binding]]:
+        fixed: dict[int, Scalar] = {}
+        for pos, var, get in terms:
+            if var is not None and var not in bindings:
+                continue
+            try:
+                fixed[pos] = get(bindings)
+            except (MissingField, UnboundVariable):
                 break
+        for fact in kb.candidates(name, arity, list(fixed.items())):
+            extended = dict(bindings)
+            for (pos, var, get), arg in zip(terms, fact.args):
+                if pos in fixed:
+                    if fixed[pos] != arg:
+                        break
+                elif var is not None and var not in extended:
+                    extended[var] = arg
+                elif get(extended) != arg:
+                    break
+            else:
+                yield extended
+
+    if lookup.negated:
+        return lambda sols, kb, at, fluents: [
+            s for s in sols if next(matches(s, kb), None) is None
+        ]
+    return lambda sols, kb, at, fluents: [x for s in sols for x in matches(s, kb)]
+
+
+def _read_any(term: Term, binds: bool = False, unbound: str = _UNBOUND) -> Getter:
+    return _getter(term)
+
+
+def _refuse(why: str, value: object) -> InvalidRule:
+    return InvalidRule(f"{why}: {shown(value)}")
+
+
+def _fact_getters(f, read, fault, binds: bool = False, unbound: str = _UNBOUND) -> list:
+    if not isinstance(f.name, str) or not f.name:
+        raise fault("a fact name must be a non-empty str", f.name)
+    if not isinstance(f.terms, tuple):
+        raise fault("fact terms must be a tuple", f.terms)
+    return [read(term, binds, unbound) for term in f.terms]
+
+
+def _plan_condition(cond, read=_read_any, fault=_refuse) -> Optional[Plan]:
+    """``cond`` compiled, one step per atom. ``read`` compiles a term and
+    ``fault`` words a refusal: Rule passes its checking ones (see _check);
+    the defaults, for a condition that no Rule checked, check no literal and
+    no boundness, so such a term fails as its firing reaches it."""
+    if cond is not None and not isinstance(cond, Condition):
+        raise fault("where and post must be conditions", cond)
+    if cond is None:
+        return None
+    if not isinstance(cond.atoms, tuple):
+        raise fault("condition atoms must be a tuple", cond.atoms)
+    steps = []
+    for atom in cond.atoms:
+        if isinstance(atom, Comparison):
+            steps.append(_compare_step(read(atom.lhs), atom.op, read(atom.rhs)))
+        elif isinstance(atom, FactLookup):
+            negated = "?{} in a negated lookup is not bound elsewhere"
+            unbound = negated if atom.negated else _UNBOUND
+            getters = _fact_getters(atom, read, fault, not atom.negated, unbound)
+            steps.append(_lookup_step(atom, getters))
+        elif not isinstance(atom, HoldsAtom):
+            raise fault("not a condition atom", atom)
+        elif not isinstance(atom.fluent, str) or not atom.fluent:
+            raise fault("a fluent name must be a non-empty str", atom.fluent)
         else:
-            yield extended
+            steps.append(_holds_step(atom.fluent))
+    return Plan(steps)
 
 
 def evaluate_condition(
-    cond: Optional[Condition],
+    cond: Union[Condition, Plan, None],
     bindings: dict[str, Binding],
     kb: Union[KnowledgeBase, Overlay],
     at: int,
@@ -535,28 +615,53 @@ def evaluate_condition(
     An absent/None condition is vacuously true (one solution: the input
     bindings). holds() atoms are judged at time `at`. Fact lookups read
     ``kb.candidates``, so a transaction's overlay can stand in for the store.
+    A rule passes its compiled condition; any other is compiled here.
     """
     solutions = [dict(bindings)]
     if cond is None:
         return solutions
-    for atom in cond.atoms:
-        nxt: list[dict[str, Binding]] = []
-        for sol in solutions:
-            if isinstance(atom, Comparison):
-                lhs, rhs = eval_term(atom.lhs, sol), eval_term(atom.rhs, sol)
-                if _compare(lhs, atom.op, rhs):
-                    nxt.append(sol)
-            elif isinstance(atom, HoldsAtom):
-                if fluents is not None and fluents.holds_at(atom.fluent, at):
-                    nxt.append(sol)
-            elif not isinstance(atom, FactLookup):
-                raise InvalidRule(f"not a condition atom: {atom!r}")
-            elif atom.negated:
-                if next(_matches(atom, sol, kb), None) is None:
-                    nxt.append(sol)
-            else:
-                nxt += _matches(atom, sol, kb)
-        solutions = nxt
+    for step in cond if type(cond) is Plan else _plan_condition(cond):
+        solutions = step(solutions, kb, at, fluents)
         if not solutions:
             break
     return solutions
+
+
+def _action_step(act: Union[AssertAction, RetractAction, EmitAction], getters) -> tuple:
+    """``(update, raised type, fact name, payload keys, getters, label)``:
+    update is Overlay.add or .discard (None for an emit), the type is
+    interned, a fact's args ride along as arg0, arg1, ..., and the label
+    names the action in a TemplateError."""
+    if isinstance(act, EmitAction):
+        name = act.type_name
+        keys, label = tuple([k for k, _ in act.payload]), f"emit({name}) payload"
+        return None, intern_type(name), name, keys, tuple(getters), label
+    name = act.fact.name
+    if isinstance(act, AssertAction):
+        update, raised = Overlay.add, ASSERT_PREFIX + name
+    else:
+        update, raised = Overlay.discard, RETRACT_PREFIX + name
+    keys = tuple(map("arg{}".format, range(len(getters))))
+    return update, intern_type(raised), name, keys, tuple(getters), f"{name} template"
+
+
+def _plan_actions(actions: Iterable[Action], read=_read_any, fault=_refuse) -> Plan:
+    """``actions`` compiled, one step per action but noop; ``read`` and
+    ``fault`` as for _plan_condition."""
+    steps = []
+    for act in actions:
+        if isinstance(act, EmitAction):
+            pairs = act.payload
+            if not isinstance(pairs, tuple) or not all(
+                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                for p in pairs
+            ):
+                raise fault("an emit payload must be a tuple of (str, term) pairs", pairs)
+            steps.append(_action_step(act, [read(term) for _, term in pairs]))
+        elif isinstance(act, (AssertAction, RetractAction)):
+            if not isinstance(act.fact, FactTemplate):
+                raise fault("not a fact template", act.fact)
+            steps.append(_action_step(act, _fact_getters(act.fact, read, fault)))
+        elif not isinstance(act, NoopAction):
+            raise fault("not an action", act)
+    return Plan(steps)

@@ -51,7 +51,6 @@ from reactor import (
     validate_expr,
 )
 import reactor.engine
-from reactor.engine import instantiate_fact
 from reactor.rules import KnowledgeBase
 
 from helpers import MALFORMED_EVENTS, TYPES, random_expr, random_history
@@ -78,21 +77,30 @@ FAULTY_RULES = {
 
 
 class TestInstantiateFact:
+    """A fact template is grounded where its action runs."""
+
+    @staticmethod
+    def instantiate(tpl, bindings):
+        kb = KnowledgeBase()
+        apply_actions_txn((AssertAction(tpl),), bindings, kb)
+        (fact,) = kb.facts()
+        return fact
+
     def test_grounds_templates(self):
         e = make_event("dept_closed", 4, {"name": "sales"}, id=1)
         tpl = FactTemplate("dept", (FieldRef("c", "name"),))
-        assert instantiate_fact(tpl, {"c": e}) == Fact("dept", ("sales",))
+        assert self.instantiate(tpl, {"c": e}) == Fact("dept", ("sales",))
 
     def test_missing_field_becomes_template_error(self):
         e = make_event("dept_closed", 4, {}, id=1)
         tpl = FactTemplate("dept", (FieldRef("c", "name"),))
         with pytest.raises(TemplateError):
-            instantiate_fact(tpl, {"c": e})
+            self.instantiate(tpl, {"c": e})
 
     def test_unbound_variable_becomes_template_error(self):
         tpl = FactTemplate("dept", (VarRef("missing"),))
         with pytest.raises(TemplateError):
-            instantiate_fact(tpl, {})
+            self.instantiate(tpl, {})
 
 
 class TestTransactions:
@@ -636,6 +644,40 @@ class TestIntDigits:
         finally:
             sys.set_int_max_str_digits(old)
         assert len(eng.kb) == 2
+
+    @pytest.mark.parametrize("t", [TOO_LONG, -TOO_LONG], ids=["pos", "neg"])
+    def test_time_too_long_refused(self, t):
+        # such a time used to be taken, and to_jsonl then raised a plain
+        # ValueError after the whole run
+        digits = sys.get_int_max_str_digits() + 1
+        text = (
+            f"event time is too long to write: <int of {digits} digits>" if t > 0
+            else f"event time must be an integer >= 0, got <int of {digits} digits>"
+        )
+        eng = Engine(parse_rules("rule r: on a do noop"))
+        for make in (lambda: eng.ingest("a", t), lambda: make_event("a", t)):
+            with pytest.raises(InvalidEvent) as ei:
+                make()
+            assert type(ei.value) is InvalidEvent and str(ei.value) == text
+        (rec,) = eng.ingest("a", LONGEST)  # nothing was minted before it
+        assert rec.occurrence.components == {1}
+        report = run_replay(parse_rules("rule r: on a do noop"), [make_event("a", LONGEST)])
+        assert report.to_jsonl().count(str(LONGEST)) == 2  # the record's interval
+
+    def test_error_texts_show_a_long_int_by_its_digits(self):
+        # each used to raise a plain ValueError from its own error text
+        shown = f"<int of {sys.get_int_max_str_digits() + 1} digits>"
+        eng = Engine(parse_rules("rule r: on a do noop"))
+        with pytest.raises(InvalidEvent) as ei:
+            eng.ingest(TOO_LONG, 1)
+        assert str(ei.value) == f"event type name must be a non-empty str: {shown}"
+        with pytest.raises(InvalidEvent) as ei:
+            eng.ingest("a", 1, {TOO_LONG: 1})
+        assert str(ei.value) == f"payload key {shown} is not a string"
+        with pytest.raises(InvalidRule) as ei:
+            Rule(TOO_LONG, on("a"))
+        assert str(ei.value) == f"rule {shown}: a rule id must be a non-empty str, got {shown}"
+        assert eng._seq == 0
 
 
 class TestTriggeringGraph:

@@ -6,23 +6,36 @@ evaluates terms, comparisons and templates with the frozen copies in
 tests/reference_rules.py. The indexed store must agree with it exactly: the
 same solutions in the same order, the same exception type and text, the
 same outcomes, raised events (type and payload), store order and journal.
+
+Conditions and actions built here go through no Rule, so they run as
+compiled where they are run. ``TestPlanFaults`` runs rules compiled when
+built, through the engine, against the same reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_report
 import reference_rules as ref
 
+import reactor.engine
+import reactor.rules
 from reactor import (
     AssertAction,
+    Atomic,
     Comparison,
     Condition,
     EmitAction,
+    Engine,
     Fact,
     FactLookup,
     FactTemplate,
@@ -30,17 +43,27 @@ from reactor import (
     KnowledgeBase,
     Lit,
     MissingField,
+    Or,
     RetractAction,
+    Rule,
+    RuleSet,
     TemplateError,
     TxnOutcome,
     UnboundVariable,
     VarRef,
     apply_actions_txn,
     evaluate_condition,
+    event_type,
+    load_trace,
     make_event,
+    parse_rules,
+    run_replay,
 )
 from reactor.model import ASSERT_PREFIX, RETRACT_PREFIX
 from reactor.rules import Overlay, _compare
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 NAN = float("nan")
 
@@ -301,3 +324,124 @@ class TestIndex:
         assert list(txn.candidates("p", 1, [])) == [Fact("p", ("b",)), Fact("p", ("a",))]
         assert txn.ops == [("retract", Fact("p", ("a",))), ("assert", Fact("p", ("a",)))]
         assert kb.facts() == [Fact("p", ("a",)), Fact("p", ("b",))]  # untouched
+
+
+# ----------------------------------------------------- compiled rule faults
+
+
+A, B = event_type("a"), event_type("b")
+
+# each fault: the rule's event expression, the trigger (type and payload)
+# and the terms that fail when that trigger fires it: ?x bound only on the
+# other branch of an or, a payload field the event lacks, and an event
+# binding read as a scalar
+FAULTS = {
+    "or-branch": (Or(Atomic(A, "x"), Atomic(B, "y")), "b", [FieldRef("x", "v"), VarRef("x")]),
+    "missing-field": (Atomic(A, "x"), "a", [FieldRef("x", "v")]),
+    "event-as-scalar": (Atomic(A, "x"), "a", [VarRef("x")]),
+}
+
+
+def fault_atom(rng, term):
+    """A condition atom that reads ``term``, or for a lookup may bind it."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        lhs, rhs = term, Lit(rng.choice([1, "x"]))
+        if rng.random() < 0.5:
+            lhs, rhs = rhs, lhs
+        return Comparison(lhs, rng.choice(OPS), rhs)
+    terms = [Lit(rng.randrange(3)) for _ in range(rng.randrange(2))]
+    terms.insert(rng.randrange(len(terms) + 1), term)
+    return FactLookup("p", tuple(terms), negated=kind == 3)
+
+
+def fault_action(rng, term):
+    kind = rng.randrange(3)
+    if kind == 2:
+        return EmitAction("out", (("k", Lit(1)), ("m", term))[rng.randrange(2):])
+    terms = (term, VarRef("n")) if rng.random() < 0.5 else (VarRef("n"), term)
+    act = AssertAction if kind == 0 else RetractAction
+    return act(FactTemplate("q", terms))
+
+
+def fault_rule(rng, place, expr, term):
+    """A rule that reads ``term`` in ``place``; a lookup that binds ?n comes
+    first, so that a firing can have several solutions."""
+    lookup = FactLookup("p", (VarRef("n"),))
+    where, post = [lookup], None
+    actions = [AssertAction(FactTemplate("q", (VarRef("n"), Lit(rng.randrange(3)))))]
+    if place == "where":
+        where.insert(rng.randrange(2), fault_atom(rng, term))
+    elif place == "actions":
+        actions.insert(rng.randrange(2), fault_action(rng, term))
+    else:
+        post = Condition((fault_atom(rng, term),))
+    return Rule("r", expr, Condition(tuple(where)), tuple(actions), post)
+
+
+def reference_firing(rule, base, facts):
+    """(outcome, error text, bindings) per solution, as the engine records
+    them, from the reference evaluator and a copied store."""
+    where = outcome_of(ref_evaluate, rule.where, base, facts)
+    if isinstance(where, tuple):  # an exception's type and text
+        return [(TxnOutcome.ROLLED_BACK, where[1], base)]
+    store, out = RefStore(facts), []
+    for sol in sorted(where, key=reference_report._solution_order_key):
+        got = outcome_of(store.txn, rule.actions, rule.post, sol)
+        if isinstance(got[0], type):
+            out.append((TxnOutcome.ROLLED_BACK, got[1], sol))
+        else:
+            out.append((got[0], None, sol))
+    return out
+
+
+class TestPlanFaults:
+    """A firing of a rule compiled when built fails exactly as the
+    reference does: the same records, error texts byte for byte."""
+
+    @pytest.mark.parametrize("place", ["where", "actions", "post"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_texts_match_reference(self, fault, place):
+        expr, trigger, fault_terms = FAULTS[fault]
+        errors = Counter()
+        for seed in range(40):
+            rng = random.Random(seed)
+            rule = fault_rule(rng, place, expr, rng.choice(fault_terms))
+            facts = [Fact("p", (rng.randrange(3),)) for _ in range(rng.randint(1, 3))]
+            facts += [Fact("q", (f.args[0], 0)) for f in facts if rng.random() < 0.5]
+            facts = list(dict.fromkeys(facts))
+            payload = {"w": 1} if fault == "missing-field" else {"v": rng.randrange(3)}
+            records = Engine(RuleSet((rule,)), initial_facts=facts).ingest(trigger, 1, payload)
+            event = make_event(trigger, 1, payload, id=1)
+            base = {"y" if trigger == "b" else "x": event}
+            want = reference_firing(rule, base, facts)
+            got = [(r.outcome, r.error, r.bindings) for r in records]
+            assert same(got, want), (seed, rule)
+            errors.update(r.error.partition(":")[0] for r in records if r.error)
+        assert errors, "no firing failed: the cases test nothing"
+
+
+def test_plans_are_built_with_the_rules_and_never_per_firing(monkeypatch):
+    """On a kb_join-shaped replay each rule compiles once, when built; its
+    firings run that plan and compile nothing."""
+    builds = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (reactor.rules, reactor.engine):
+        for name in ("_check", "_plan_condition", "_plan_actions", "_getter"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    inst = workloads.kb_join(0, depts=4, n=60)
+    rs = parse_rules(inst.rules)
+    # per rule: one check, its where and post, its actions, and four terms
+    assert builds == {"_check": 2, "_plan_condition": 4, "_plan_actions": 2, "_getter": 8}
+    builds.clear()
+    report = run_replay(rs, load_trace(inst.lines), initial_facts=inst.facts)
+    firings = sum(inst.expected.committed.values())
+    assert firings > 100 and len(report.records) == firings
+    assert builds == {}

@@ -18,7 +18,7 @@ from reactor import (
     strictly_before,
 )
 from reactor.algebra import merge_occurrences, occurrence_of
-from reactor.model import intern_type, is_finite_scalar
+from reactor.model import intern_type, is_finite_scalar, shown
 
 BOUNDED = [
     Interval(s, e) for s, e in itertools.product(range(5), repeat=2) if e >= s
@@ -208,6 +208,24 @@ class TestFiniteScalar:
             for bits in range(3 * limit - 2, 4 * limit):
                 v = 1 << bits
                 assert is_finite_scalar(v) == _has_str(v)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_shown_counts_the_digits_of_an_int_too_long_to_write(self, limit):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(limit)
+            assert shown(10**limit - 1) == repr(10**limit - 1)  # writable
+            for digits in range(limit + 1, limit + 40):
+                for v in (10 ** (digits - 1), 10**digits - 1, -(10**digits - 1)):
+                    assert shown(v) == f"<int of {digits} digits>"
+            for bits in range(3 * limit + 1, 4 * limit, 7):
+                v = (1 << bits) - 1
+                sys.set_int_max_str_digits(0)
+                digits = len(str(v))
+                sys.set_int_max_str_digits(limit)
+                assert shown(v) == (repr(v) if digits <= limit else f"<int of {digits} digits>")
         finally:
             sys.set_int_max_str_digits(old)
 

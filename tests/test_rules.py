@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -370,6 +371,19 @@ class TestBuildTimeChecks:
         where = Condition((HoldsAtom(fluent),))
         with pytest.raises(InvalidRule, match="a fluent name must be a non-empty str"):
             Rule("r", Atomic(event_type("a")), where=where, actions=(NoopAction(),))
+
+    def test_rule_pickles_and_compiles_again(self):
+        (rule,) = parse_rules(
+            "rule r: on a as ?e where fact(p, ?x) and ?e.v > ?x do emit(b, {w: ?x})"
+            " select last window 5"
+        ).rules
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and copy.type_names == rule.type_names
+        assert copy.plan is not rule.plan
+        kb = KnowledgeBase([Fact("p", (1,)), Fact("p", (3,))])
+        sol = {"e": make_event("a", 1, {"v": 2}, id=1)}
+        (got,) = evaluate_condition(copy.plan[0], sol, kb, 1)
+        assert got == evaluate_condition(rule.where, sol, kb, 1)[0] == {**sol, "x": 1}
 
     def test_direct_evaluation_refuses_what_rule_would(self):
         kb = KnowledgeBase()
