@@ -15,16 +15,24 @@ semantics:
   result is stamped with the time of its latest component and sequence only
   compares those stamps. Kept side by side because composing sequences under
   it is not associative; the interval evaluator repairs exactly that.
+
+An Occurrence, built per detection, is a slotted frozen dataclass with one
+positional constructor that writes each slot once (see model.slot_setters);
+the merges pick the earliest initiator and latest terminator field by field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidExpression, UnsortedHistory
-from .model import EventInstance, EventTypeId, Interval, TimePoint, strictly_before
+from .model import (
+    EventInstance, EventTypeId, Interval, TimePoint, shown, slot_setters,
+    strictly_before,
+)
 
 # =========================================================================
 # Expression tree
@@ -101,7 +109,7 @@ _MAX_NESTING = 100
 
 def _check_count(op: str, count: object) -> None:
     if type(count) is not int or count < 1:  # bool is refused too
-        raise InvalidExpression(f"{op} needs an integer count >= 1, got {count!r}")
+        raise InvalidExpression(f"{op} needs an integer count >= 1, got {shown(count)}")
 
 
 def validate_expr(expr: EventExpr) -> frozenset[str]:
@@ -151,7 +159,7 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
                 raise InvalidExpression("any type list contains duplicates")
             if node.count > len(listed):
                 raise InvalidExpression(
-                    f"any count {node.count} exceeds {len(listed)} listed types"
+                    f"any count {shown(node.count)} exceeds {len(listed)} listed types"
                 )
             names.update(listed)
         elif isinstance(node, Times):
@@ -169,7 +177,7 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
 # =========================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Occurrence:
     """One detected occurrence of an expression.
 
@@ -184,6 +192,15 @@ class Occurrence:
     terminator_time: TimePoint
     initiator_id: int
     terminator_id: int
+
+    def __init__(self, bindings, components, initiator_time, terminator_time,
+                 initiator_id, terminator_id):
+        _set_bindings(self, bindings)
+        _set_components(self, components)
+        _set_initiator_time(self, initiator_time)
+        _set_terminator_time(self, terminator_time)
+        _set_initiator_id(self, initiator_id)
+        _set_terminator_id(self, terminator_id)
 
     @property
     def interval(self) -> Interval:
@@ -201,34 +218,36 @@ class Occurrence:
         return f"<{self.interval} {sorted(self.components)}>"
 
 
+(_set_bindings, _set_components, _set_initiator_time, _set_terminator_time,
+ _set_initiator_id, _set_terminator_id) = slot_setters(Occurrence)
+
+
 def occurrence_of(inst: EventInstance, var: Optional[str] = None) -> Occurrence:
     """Atomic occurrence of one instance."""
-    return Occurrence(
-        bindings={var: inst} if var else {},
-        components=frozenset((inst.id,)),
-        initiator_time=inst.time,
-        terminator_time=inst.time,
-        initiator_id=inst.id,
-        terminator_id=inst.id,
-    )
+    t, i = inst.time, inst.id
+    return Occurrence({var: inst} if var else {}, frozenset((i,)), t, t, i, i)
+
+
+def _first(a: Occurrence, b: Occurrence) -> Occurrence:
+    """The earlier initiator by (time, id), a on a tie as ``min`` picks."""
+    t, u = a.initiator_time, b.initiator_time
+    return b if u < t or u == t and b.initiator_id < a.initiator_id else a
+
+
+def _last(a: Occurrence, b: Occurrence) -> Occurrence:
+    """The later terminator by (time, id), a on a tie as ``max`` picks."""
+    t, u = a.terminator_time, b.terminator_time
+    return b if u > t or u == t and b.terminator_id > a.terminator_id else a
 
 
 def merge_occurrences(a: Occurrence, b: Occurrence) -> Occurrence:
     """Combine two occurrences. validate_expr refuses a repeated binding
     name, so the two never bind the same variable."""
-    init_t, init_id = min(
-        (a.initiator_time, a.initiator_id), (b.initiator_time, b.initiator_id)
-    )
-    term_t, term_id = max(
-        (a.terminator_time, a.terminator_id), (b.terminator_time, b.terminator_id)
-    )
+    first, last = _first(a, b), _last(a, b)
     return Occurrence(
-        bindings={**a.bindings, **b.bindings},
-        components=a.components | b.components,
-        initiator_time=init_t,
-        terminator_time=term_t,
-        initiator_id=init_id,
-        terminator_id=term_id,
+        {**a.bindings, **b.bindings}, a.components | b.components,
+        first.initiator_time, last.terminator_time,
+        first.initiator_id, last.terminator_id,
     )
 
 
@@ -237,15 +256,11 @@ def merge_group(occs: Sequence[Occurrence]) -> Occurrence:
     components united, the earliest initiator and the latest terminator by
     (time, id), and no bindings (the grouping operators do not expose inner
     bindings)."""
-    first = min(occs, key=lambda o: (o.initiator_time, o.initiator_id))
-    last = max(occs, key=lambda o: (o.terminator_time, o.terminator_id))
+    first, last = reduce(_first, occs), reduce(_last, occs)
     return Occurrence(
-        bindings={},
-        components=frozenset().union(*(o.components for o in occs)),
-        initiator_time=first.initiator_time,
-        terminator_time=last.terminator_time,
-        initiator_id=first.initiator_id,
-        terminator_id=last.terminator_id,
+        {}, frozenset().union(*[o.components for o in occs]),
+        first.initiator_time, last.terminator_time,
+        first.initiator_id, last.terminator_id,
     )
 
 

@@ -41,7 +41,7 @@ from .algebra import (
     validate_expr,
 )
 from .errors import InvalidConfig, OutOfOrderEvent
-from .model import EventInstance, TimePoint
+from .model import EventInstance, TimePoint, shown
 
 
 class SelectionPolicy(Enum):
@@ -72,7 +72,7 @@ class DetectorConfig:
             )
         w = self.window
         if w is not None and (type(w) is not int or w <= 0):  # bool is refused too
-            raise InvalidConfig(f"window must be a positive integer, got {w!r}")
+            raise InvalidConfig(f"window must be a positive integer, got {shown(w)}")
 
 
 def select_candidates(

@@ -52,6 +52,8 @@ from .model import (
     payload_dict,
     require_finite,
     scalar_json,
+    shown,
+    slot_setters,
 )
 from .rules import (
     Action,
@@ -74,7 +76,7 @@ class TxnOutcome(Enum):
     ROLLED_BACK = "rolled_back"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReactionRecord:
     """One rule firing: what triggered it, what it raised, how it ended."""
 
@@ -84,7 +86,21 @@ class ReactionRecord:
     outcome: TxnOutcome
     events: tuple[EventInstance, ...]
     depth: int
-    error: Optional[str] = None
+    error: Optional[str]
+
+    def __init__(self, rule_id, occurrence, bindings, outcome, events, depth,
+                 error=None):
+        _set_rule_id(self, rule_id)
+        _set_occurrence(self, occurrence)
+        _set_bindings(self, bindings)
+        _set_outcome(self, outcome)
+        _set_events(self, events)
+        _set_depth(self, depth)
+        _set_error(self, error)
+
+
+(_set_rule_id, _set_occurrence, _set_bindings, _set_outcome, _set_events,
+ _set_depth, _set_error) = slot_setters(ReactionRecord)
 
 
 # =========================================================================
@@ -175,10 +191,11 @@ def _check_facts(facts: tuple[Fact, ...]) -> None:
             isinstance(f, Fact) and isinstance(f.name, str) and f.name
             and isinstance(f.args, tuple)
         ):
-            got = (f.name, f.args) if isinstance(f, Fact) else f
+            fact = isinstance(f, Fact)  # shown as the repr of (name, args)
+            got = f"({shown(f.name)}, {shown(f.args)})" if fact else shown(f)
             raise InvalidConfig(
                 "an initial fact must be a Fact with a non-empty str name and "
-                f"a tuple of args, got {got!r}"
+                f"a tuple of args, got {got}"
             )
         for v in f.args:
             if type(v) is str or is_finite_scalar(v):  # a str without a call
@@ -201,7 +218,7 @@ class Engine:
     ):
         if type(chain_limit) is not int or chain_limit < 1:  # bool is refused too
             raise InvalidConfig(
-                f"chain limit must be an integer >= 1, got {chain_limit!r}"
+                f"chain limit must be an integer >= 1, got {shown(chain_limit)}"
             )
         initial_facts = tuple(initial_facts)
         _check_facts(initial_facts)

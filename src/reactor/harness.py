@@ -41,6 +41,7 @@ from .model import (
     make_event,
     require_finite,
     scalar_json,
+    shown,
 )
 from .rules import Fact, RuleSet, fact_sort_key
 
@@ -141,7 +142,7 @@ def synth_ticks(span: tuple[int, int], period: int) -> list[EventInstance]:
     Ids number the ticks 1..k; replay re-mints ids when merging anyway.
     """
     if type(period) is not int or period < 1:  # bool is refused too
-        raise InvalidPeriod(f"tick period must be an integer >= 1, got {period!r}")
+        raise InvalidPeriod(f"tick period must be an integer >= 1, got {shown(period)}")
     t0, t1 = span
     return [
         make_event(TIMER_TYPE, t, {}, id=i)

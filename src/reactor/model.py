@@ -4,13 +4,18 @@ Everything here is immutable. Times are non-negative integers (milliseconds
 on an abstract timeline); an atomic event's validity interval is the
 degenerate [time, time]. Complex detections get the cover of their
 components' intervals.
+
+EventInstance, built for every event, is a slotted frozen dataclass with one
+hand-written constructor: it checks its arguments, then writes each slot once
+through the slot's setter (``slot_setters``), which the other values built
+per event or firing (Occurrence, ReactionRecord, Fact) share.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Union
@@ -38,6 +43,7 @@ def is_finite_scalar(value: object) -> bool:
 
 # no limit is below the threshold, so an int below this is always writable
 _WRITABLE = 8**sys.int_info.str_digits_check_threshold
+_type_of = type  # the builtin, which EventInstance's field name shadows
 
 
 def shown(value: object) -> str:
@@ -158,11 +164,11 @@ def is_reserved_type(name: str) -> bool:
 # =========================================================================
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EventInstance:
     """One concrete event on the timeline; a malformed id, time, payload key
     or value raises InvalidEvent (NaN and inf pass: see require_finite), and
-    so does a time too long to write.
+    so does a time too long to write. A payload of None is no fields.
 
     ids are unique within an engine run and increase in arrival order; they
     break reporting ties between simultaneous events but never affect the
@@ -172,22 +178,26 @@ class EventInstance:
     id: int
     type: EventTypeId
     time: TimePoint
-    payload: Mapping[str, Scalar] = field(default_factory=dict)
+    payload: Mapping[str, Scalar]
 
-    def __post_init__(self):
+    def __init__(self, id, type, time, payload=None):
         # type() rather than isinstance: a bool is no id or time point
-        if type(self.id) is not int or self.id < 1:
-            raise InvalidEvent(f"event id must be an integer >= 1, got {shown(self.id)}")
-        time = self.time
-        if type(time) is not int or time < 0:
+        if _type_of(id) is not int or id < 1:
+            raise InvalidEvent(f"event id must be an integer >= 1, got {shown(id)}")
+        if _type_of(time) is not int or time < 0:
             raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
         if time >= _WRITABLE and not is_finite_scalar(time):
             raise InvalidEvent(f"event time is too long to write: {shown(time)}")
-        for key, value in self.payload.items():
+        payload = {} if payload is None else payload
+        for key, value in payload.items():
             if not isinstance(key, str):
                 raise InvalidEvent(f"payload key {shown(key)} is not a string")
             if not isinstance(value, (str, int, float, bool)):
                 raise InvalidEvent(f"payload value {key}={value!r} is not a scalar")
+        _set_id(self, id)
+        _set_type(self, type)
+        _set_time(self, time)
+        _set_payload(self, payload)
 
     # payload is a plain dict, so hashing must not touch it
     def __hash__(self):
@@ -195,6 +205,15 @@ class EventInstance:
 
     def __repr__(self):
         return f"{self.type.name}@{self.time}#{self.id}"
+
+
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot ``__set__``, in field order: what a slotted frozen
+    dataclass's own constructor writes each field with, once."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_id, _set_type, _set_time, _set_payload = slot_setters(EventInstance)
 
 
 def require_finite(payload: Mapping[str, Scalar]) -> None:
@@ -213,7 +232,7 @@ def payload_dict(payload: object) -> dict[str, Scalar]:
         return {}
     # a dict first: the ABC check costs a few hundred ns per event
     if type(payload) is not dict and not isinstance(payload, Mapping):
-        raise InvalidEvent(f"event payload must be a mapping, got {payload!r}")
+        raise InvalidEvent(f"event payload must be a mapping, got {shown(payload)}")
     return dict(payload)
 
 

@@ -29,7 +29,7 @@ from .errors import (
 from .fluents import EffectDecl, FluentHistory
 from .model import (
     ASSERT_PREFIX, RETRACT_PREFIX, EventInstance, Scalar, intern_type,
-    is_finite_scalar, is_reserved_type, shown,
+    is_finite_scalar, is_reserved_type, shown, slot_setters,
 )
 
 # =========================================================================
@@ -304,15 +304,38 @@ class RuleSet:
 # =========================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Fact:
+    """A ground fact. Its hash, that of (name, args), is taken when it is built
+    (None for unhashable args, which raise when hashed, as ever); a pickle
+    holds (name, args) alone, as str hashes differ between processes."""
+
     name: str
-    args: tuple[Scalar, ...] = ()
+    args: tuple[Scalar, ...]
+    _hash: Optional[int] = field(init=False, repr=False, compare=False)
+
+    def __init__(self, name, args=()):
+        _set_name(self, name)
+        _set_args(self, args)
+        try:
+            _set_hash(self, hash((name, args)))
+        except TypeError:
+            _set_hash(self, None)
+
+    def __hash__(self):
+        h = self._hash
+        return hash((self.name, self.args)) if h is None else h
+
+    def __reduce__(self):
+        return Fact, (self.name, self.args)
 
     def __repr__(self):
         if not self.args:
             return f"{self.name}"
         return f"{self.name}({', '.join(map(repr, self.args))})"
+
+
+_set_name, _set_args, _set_hash = slot_setters(Fact)
 
 
 def fact_sort_key(f: Fact):

@@ -25,6 +25,7 @@ from reactor import (
     InvalidConfig,
     InvalidEvent,
     InvalidExpression,
+    InvalidPeriod,
     InvalidRule,
     Lit,
     NonFinitePayload,
@@ -47,6 +48,7 @@ from reactor import (
     occurrences,
     parse_rules,
     run_replay,
+    synth_ticks,
     triggering_graph,
     validate_expr,
 )
@@ -678,6 +680,38 @@ class TestIntDigits:
             Rule(TOO_LONG, on("a"))
         assert str(ei.value) == f"rule {shown}: a rule id must be a non-empty str, got {shown}"
         assert eng._seq == 0
+
+    @pytest.mark.parametrize(
+        "make, error, text",
+        [
+            (lambda rs: Engine(rs, chain_limit=-TOO_LONG), InvalidConfig,
+             "chain limit must be an integer >= 1, got {}"),
+            (lambda rs: DetectorConfig(window=-TOO_LONG), InvalidConfig,
+             "window must be a positive integer, got {}"),
+            (lambda rs: synth_ticks((0, 10), -TOO_LONG), InvalidPeriod,
+             "tick period must be an integer >= 1, got {}"),
+            (lambda rs: validate_expr(Any(-TOO_LONG, (event_type("a"),))),
+             InvalidExpression, "any needs an integer count >= 1, got {}"),
+            (lambda rs: validate_expr(Any(TOO_LONG, (event_type("a"),))),
+             InvalidExpression, "any count {} exceeds 1 listed types"),
+            (lambda rs: Engine(rs).ingest("a", 1, TOO_LONG), InvalidEvent,
+             "event payload must be a mapping, got {}"),
+            (lambda rs: Engine(rs, initial_facts=[TOO_LONG]), InvalidConfig,
+             "an initial fact must be a Fact with a non-empty str name and a "
+             "tuple of args, got {}"),
+            (lambda rs: Engine(rs, initial_facts=[Fact("x", TOO_LONG)]), InvalidConfig,
+             "an initial fact must be a Fact with a non-empty str name and a "
+             "tuple of args, got ('x', {})"),
+        ],
+        ids=["chain-limit", "window", "tick-period", "any-count", "any-count-over",
+             "payload", "initial-fact", "initial-fact-args"],
+    )
+    def test_outside_int_in_an_error_text_is_shown_by_its_digits(self, make, error, text):
+        # each used to raise a plain ValueError from its own error text
+        shown = f"<int of {sys.get_int_max_str_digits() + 1} digits>"
+        with pytest.raises(error) as ei:
+            make(parse_rules("rule r: on a do noop"))
+        assert type(ei.value) is error and str(ei.value) == text.format(shown)
 
 
 class TestTriggeringGraph:
