@@ -129,9 +129,11 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
     def walk(node: EventExpr, depth: int, binds: bool) -> None:
         if isinstance(node, Atomic):
             if not isinstance(node.type, EventTypeId):
-                raise InvalidExpression(f"atomic type must be an EventTypeId: {node!r}")
+                raise InvalidExpression("atomic type must be an EventTypeId: "
+                                        + shown(node))
             if node.var is not None and (not isinstance(node.var, str) or not node.var):
-                raise InvalidExpression(f"binding name must be a non-empty str: {node!r}")
+                raise InvalidExpression("binding name must be a non-empty str: "
+                                        + shown(node))
             names.add(node.type.name)
             if node.var is not None:
                 if node.var in seen_vars:
@@ -153,7 +155,7 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
             if not isinstance(node.types, tuple) or not all(
                 isinstance(t, EventTypeId) for t in node.types
             ):
-                raise InvalidExpression(f"any types must be EventTypeIds: {node!r}")
+                raise InvalidExpression(f"any types must be EventTypeIds: {shown(node)}")
             listed = [t.name for t in node.types]
             if len(set(listed)) != len(listed):
                 raise InvalidExpression("any type list contains duplicates")
@@ -166,7 +168,7 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
             _check_count("times", node.count)
             walk(node.of, depth + 1, False)
         else:
-            raise InvalidExpression(f"unknown expression node {node!r}")
+            raise InvalidExpression(f"unknown expression node {shown(node)}")
 
     walk(expr, 1, True)
     return frozenset(names), binders

@@ -116,12 +116,6 @@ class _Node:
         self.keep = keep
         self.kids = kids
 
-    def prune(self, removed: AbstractSet[int]) -> None:
-        for kid in self.kids:
-            kid.prune(removed)
-        if self.occs:
-            self.occs = [o for o in self.occs if not (o.components & removed)]
-
     def _admit(self, fresh: list[Occurrence]) -> list[Occurrence]:
         # every occurrence a feed makes contains the fed event, whose id is
         # fresh, so it can only repeat one made by the same feed
@@ -303,6 +297,10 @@ class Detector:
         # a dict's front fills with deleted slots that every walk would skip
         self.retained: OrderedDict[int, EventInstance] = OrderedDict()
         self._root = _build(expr, keep=False)
+        nodes = [self._root]  # the loop reaches every node: it extends the list
+        for node in nodes:
+            nodes.extend(node.kids)
+        self._kept = [node for node in nodes if node.keep]  # only these hold occs
         self._watermark: TimePoint = 0
         self._last_id = 0
 
@@ -348,7 +346,9 @@ class Detector:
     def _remove(self, ids: AbstractSet[int]) -> None:
         for cid in ids:
             self.retained.pop(cid, None)
-        self._root.prune(ids)
+        for node in self._kept:
+            if node.occs:
+                node.occs = [o for o in node.occs if not (o.components & ids)]
 
     def _expire_older_than(self, threshold: TimePoint) -> None:
         removed: set[int] = set()

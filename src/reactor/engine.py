@@ -1,8 +1,7 @@
 """Rule dispatch: transactional actions, reaction chaining, cycle analysis.
 
 A firing runs the plan its rule compiled when built (see rules.py): steps
-for where and post, a step per action. Its records share their occurrence's
-event bindings, which the report (harness) writes once, by a one-entry cache.
+for where and post, a step per action.
 Each firing runs its actions as a transaction: an overlay of pending asserts
 and retracts over the live fact base, which stays untouched until commit.
 Updates are set-semantic: asserting a present fact or retracting an absent
@@ -166,20 +165,22 @@ def _audit_record(
 ) -> ReactionRecord:
     """A firing that failed closed: rolled back, no events, the error text."""
     return ReactionRecord(
-        rule.id, occ, bindings, TxnOutcome.ROLLED_BACK, (), depth, error=str(err)
+        rule.id, occ, dict(bindings), TxnOutcome.ROLLED_BACK, (), depth, error=str(err)
     )
 
 
-def _solution_order_key(sol: dict[str, Binding]) -> str:
-    """The text ``json.dumps(scalars, sort_keys=True)`` writes for the
-    solution's scalar bindings; its string order is the order in which a
-    firing's solutions run. (A tuple of per-value texts would order them
-    otherwise: the string puts {"n": 12} before {"n": 1}.)"""
-    return "{" + ", ".join([
-        f"{scalar_json(k)}: {scalar_json(v)}"
-        for k, v in sorted(sol.items())
-        if not isinstance(v, EventInstance)
-    ]) + "}"
+def _order_names(sol: dict[str, Binding]) -> list[tuple[str, str]]:
+    """The solution's scalar names, sorted, each with its ``"name": `` text."""
+    return [(k, f"{scalar_json(k)}: ") for k, v in sorted(sol.items())
+            if not isinstance(v, EventInstance)]
+
+
+def _solution_order_key(sol: dict[str, Binding], names=None) -> str:
+    """``json.dumps(scalars, sort_keys=True)`` for the solution's scalar
+    bindings, whose ``_order_names`` are passed or found. Its string order is
+    the run order: {"n": 12} before {"n": 1}, unlike per-value texts."""
+    names = _order_names(sol) if names is None else names
+    return "{" + ", ".join([text + scalar_json(sol[k]) for k, text in names]) + "}"
 
 
 def _check_facts(facts: tuple[Fact, ...]) -> None:
@@ -203,7 +204,8 @@ def _check_facts(facts: tuple[Fact, ...]) -> None:
             if isinstance(v, (int, float)):  # NaN, inf or too many digits: no repr
                 raise NonFinitePayload("initial fact arguments must be writable numbers")
             raise InvalidConfig(
-                f"an initial fact argument must be a str, int, float or bool, got {v!r}"
+                "an initial fact argument must be a str, int, float or bool, "
+                f"got {shown(v)}"
             )
 
 
@@ -275,7 +277,7 @@ class Engine:
                 where, actions, post = rule.plan
                 for occ in det.feed(ev):
                     at = occ.terminator_time
-                    base = dict(occ.bindings)
+                    base = occ.bindings  # each solution, and an audit record, copies it
                     try:
                         sols = evaluate_condition(
                             where, base, self.kb, at, self.fluents
@@ -283,8 +285,9 @@ class Engine:
                     except _FIRING_FAULTS as err:
                         records.append(_audit_record(rule, occ, base, depth, err))
                         continue
-                    if len(sols) > 1:
-                        sols.sort(key=_solution_order_key)
+                    if len(sols) > 1:  # one occurrence, one plan: the same names
+                        names = _order_names(sols[0])
+                        sols.sort(key=lambda sol: _solution_order_key(sol, names))
                     for sol in sols:
                         try:
                             outcome, events = _run_actions(

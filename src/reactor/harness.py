@@ -20,9 +20,9 @@ import heapq
 import io
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union
 
-from .engine import Engine, ReactionRecord
+from .engine import Engine, ReactionRecord, TxnOutcome
 from .errors import (
     ChainLimitExceeded,
     InvalidEvent,
@@ -169,16 +169,7 @@ class RunReport:
     error: Optional[str] = None
 
     def to_jsonl(self) -> str:
-        # the firings of one occurrence are adjacent records that share its
-        # event bindings: one entry, the last one written, writes each once
-        last: list = [None, ""]  # [event, its text]
-
-        def binding_text(e: EventInstance) -> str:
-            if e is not last[0]:
-                last[:] = e, _event_text(e)
-            return last[1]
-
-        lines = [_record_line(r, binding_text) for r in self.records]
+        lines = list(map(_Writer().line, self.records))
         summary = {
             "dispatched": self.dispatched,
             "records": len(self.records),
@@ -193,36 +184,51 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _record_line(r: ReactionRecord, binding_text: Callable[[EventInstance], str]) -> str:
-    """What ``_canon`` writes for the record as a dict, in one pass: keys in
-    sorted order, each scalar through scalar_json, each event binding
-    through ``binding_text``; ids, times and the depth are plain ints, whose
-    str() is their JSON."""
-    occ = r.occurrence
-    bindings = ",".join([
-        f"{scalar_json(k)}:"
-        + (binding_text(v) if isinstance(v, EventInstance) else scalar_json(v))
-        for k, v in sorted(r.bindings.items())
-    ])
-    events = ",".join(map(str, sorted(occ.components)))
-    raised = ",".join(map(_event_text, r.events))
-    return (
-        f'{{"bindings":{{{bindings}}},"depth":{r.depth},'
-        f'"error":{scalar_json(r.error)},"events":[{events}],'
-        f'"interval":[{occ.initiator_time},{occ.terminator_time}],'
-        f'"outcome":{scalar_json(r.outcome.value)},"raised":[{raised}],'
-        f'"rule":{scalar_json(r.rule_id)}}}'
-    )
+class _Writer(dict):
+    """One report's record lines, each what ``_canon`` writes, in one pass.
+    It is a dict of the texts of str names (rule ids, binding names, payload
+    keys, type names); a value, or a name that is no str (1, True and 1.0
+    are one key), is encoded each time. A firing's records are adjacent."""
 
+    last = occ = (object(), "")  # (the last event bound or occurrence, its text)
+    outcomes = {o: scalar_json(o.value) for o in TxnOutcome}
 
-def _event_text(e: EventInstance) -> str:
-    payload = ",".join(
-        [f"{scalar_json(k)}:{scalar_json(v)}" for k, v in sorted(e.payload.items())]
-    )
-    return (
-        f'{{"id":{e.id},"payload":{{{payload}}},"time":{e.time},'
-        f'"type":{scalar_json(e.type.name)}}}'
-    )
+    def __missing__(self, k: str) -> str:
+        text = self[k] = scalar_json(k)
+        return text
+
+    def event(self, e: EventInstance) -> str:
+        t = e.type.name
+        payload = ",".join([
+            f"{self[k] if type(k) is str else scalar_json(k)}:{scalar_json(v)}"
+            for k, v in sorted(e.payload.items())
+        ])
+        return (
+            f'{{"id":{e.id},"payload":{{{payload}}},"time":{e.time},'
+            f'"type":{self[t] if type(t) is str else scalar_json(t)}}}'
+        )
+
+    def line(self, r: ReactionRecord) -> str:
+        occ, rule, bindings = r.occurrence, r.rule_id, []
+        for k, v in sorted(r.bindings.items()):
+            is_event = isinstance(v, EventInstance)
+            if is_event and v is not self.last[0]:
+                self.last = v, self.event(v)
+            v = self.last[1] if is_event else scalar_json(v)
+            bindings.append(f"{self[k] if type(k) is str else scalar_json(k)}:{v}")
+        if occ is not self.occ[0]:
+            self.occ = occ, (
+                f'"events":[{",".join(map(str, sorted(occ.components)))}],'
+                f'"interval":[{occ.initiator_time},{occ.terminator_time}]'
+            )
+        raised = ",".join(map(self.event, r.events))
+        error = "null" if r.error is None else scalar_json(r.error)
+        return (
+            f'{{"bindings":{{{",".join(bindings)}}},"depth":{r.depth},'
+            f'"error":{error},{self.occ[1]},'
+            f'"outcome":{self.outcomes[r.outcome]},"raised":[{raised}],'
+            f'"rule":{self[rule] if type(rule) is str else scalar_json(rule)}}}'
+        )
 
 
 def run_replay(

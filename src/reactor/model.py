@@ -48,9 +48,13 @@ _type_of = type  # the builtin, which EventInstance's field name shadows
 
 def shown(value: object) -> str:
     """``repr(value)`` for an error text; an int too long to write has none
-    (see is_finite_scalar), so it shows as its type and digit count."""
+    (see is_finite_scalar), so it shows as its type and digit count, and a
+    value whose repr would hold one as its type."""
     if not isinstance(value, int) or is_finite_scalar(value):
-        return repr(value)
+        try:
+            return repr(value)
+        except ValueError:  # "Exceeds the limit": an int inside is too long
+            return f"<{type(value).__name__} holding an int too long to write>"
     n = abs(value)
     digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
     digits += n >= 10**digits

@@ -55,6 +55,7 @@ from reactor import (
 import reactor.engine
 from reactor.rules import KnowledgeBase
 
+import reference_report
 from helpers import MALFORMED_EVENTS, TYPES, random_expr, random_history
 
 
@@ -578,6 +579,26 @@ class TestDispatch:
         assert all(e.time == 9 for r in records for e in r.events)
 
 
+class TestSolutionOrder:
+    def test_solutions_run_in_the_reference_key_order(self):
+        # every solution binds ?e to the event and ?m, ?n to scalars; the
+        # order names are worked out once per firing, from the scalars only
+        rs = parse_rules(
+            "rule r: on a as ?e where fact(p, ?m, ?n) do emit(b, {m: ?m, n: ?n})"
+        )
+        args = [("x", 1), ("y", 2), ("x", 12), ("x", "1"), ("w", 3.5), ("x", False),
+                ("x", -1), ("\u00e9", 0), ("x", "12")]
+        eng = Engine(rs, initial_facts=[Fact("p", a) for a in args])
+        records = eng.ingest("a", 1, {"k": "v"})
+        sols = [r.bindings for r in records]
+        assert sorted(sols, key=reference_report._solution_order_key) == sols
+        assert len(sols) == len(args) and all(s["e"].type.name == "a" for s in sols)
+        order = [(s["m"], s["n"]) for s in sols]
+        assert order.index(("x", 12)) < order.index(("x", 1))  # '2' sorts before '}'
+        emitted = [tuple(r.events[0].payload.values()) for r in records]
+        assert emitted == order
+
+
 # an int with more digits than sys.get_int_max_str_digits() has no str(),
 # so no report could write it; these sit just past and just at the limit
 TOO_LONG = 10 ** sys.get_int_max_str_digits()
@@ -712,6 +733,35 @@ class TestIntDigits:
         with pytest.raises(error) as ei:
             make(parse_rules("rule r: on a do noop"))
         assert type(ei.value) is error and str(ei.value) == text.format(shown)
+
+    @pytest.mark.parametrize(
+        "make, error, text",
+        [
+            (lambda rs: Engine(rs, initial_facts=[Fact("", (TOO_LONG,))]), InvalidConfig,
+             "an initial fact must be a Fact with a non-empty str name and a "
+             "tuple of args, got ('', <tuple holding an int too long to write>)"),
+            (lambda rs: Engine(rs, initial_facts=[Fact("x", ([TOO_LONG],))]), InvalidConfig,
+             "an initial fact argument must be a str, int, float or bool, got "
+             "<list holding an int too long to write>"),
+            (lambda rs: validate_expr(Atomic(TOO_LONG)), InvalidExpression,
+             "atomic type must be an EventTypeId: <Atomic holding an int too long to write>"),
+            (lambda rs: validate_expr(on("a", TOO_LONG)), InvalidExpression,
+             "binding name must be a non-empty str: <Atomic holding an int too long to write>"),
+            (lambda rs: validate_expr(Any(1, (event_type("a"), TOO_LONG))), InvalidExpression,
+             "any types must be EventTypeIds: <Any holding an int too long to write>"),
+            (lambda rs: validate_expr(Seq(on("a"), (TOO_LONG,))), InvalidExpression,
+             "unknown expression node <tuple holding an int too long to write>"),
+        ],
+        ids=["initial-fact-args", "initial-fact-arg", "atomic-type", "atomic-var",
+             "any-types", "unknown-node"],
+    )
+    def test_value_holding_a_long_int_in_an_error_text_is_shown_by_its_type(
+        self, make, error, text
+    ):
+        # each used to raise a plain ValueError from the repr in its own text
+        with pytest.raises(error) as ei:
+            make(parse_rules("rule r: on a do noop"))
+        assert type(ei.value) is error and str(ei.value) == text
 
 
 class TestTriggeringGraph:

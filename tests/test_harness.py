@@ -10,16 +10,20 @@ from pathlib import Path
 import pytest
 
 import reactor
+import reactor.harness
 from reactor import (
     Engine,
     Fact,
     InvalidPeriod,
     NonFinitePayload,
+    Occurrence,
     OutOfOrderEvent,
     OutOfOrderTrace,
+    ReactionRecord,
     ReservedType,
     RunReport,
     TraceError,
+    TxnOutcome,
     load_trace,
     make_event,
     merge_stream,
@@ -28,6 +32,9 @@ from reactor import (
     synth_ticks,
 )
 from reactor.cli import main as cli_main
+from reactor.model import scalar_json
+
+import reference_report as ref
 
 
 def trace_io(*lines):
@@ -318,6 +325,91 @@ class TestRunReplay:
         rules = parse_rules("rule r: on a do noop")
         with pytest.raises(NonFinitePayload):
             run_replay(rules, [], initial_facts=[Fact("x", (float("nan"),))])
+
+
+def binding_record(rule_id, bindings, occ_event):
+    occ = Occurrence({}, frozenset({occ_event.id}), occ_event.time, occ_event.time,
+                     occ_event.id, occ_event.id)
+    return ReactionRecord(rule_id, occ, bindings, TxnOutcome.COMMITTED, (), 0)
+
+
+class TestReportWriter:
+    """``to_jsonl`` encodes each str name once per report and writes every
+    value, and every name that is no str, as scalar_json does."""
+
+    def test_equal_values_of_other_types_keep_their_own_text(self):
+        # 1, True and 1.0 are one dict key: a text cached by value would
+        # write the first one's for all; so would a cache of names that are
+        # no str, as a rule id or a binding name can be in a record built
+        # directly
+        e = make_event("a", 1, id=1)
+        values = [1, True, 1.0, "1", 1, True]
+        rules = [1, True, 1.0, "1", "r", "r"]
+        records = tuple(
+            binding_record(rule, {"n": v, "e": make_event("a", 1, {"v": v}, id=i)}, e)
+            for i, (rule, v) in enumerate(zip(rules, values), 1)
+        ) + tuple(binding_record("r", {k: "x"}, e) for k in [1, True, 1.0, "1"])
+        lines = RunReport(records, len(records), (), {}).to_jsonl().splitlines()[:-1]
+        texts = ["1", "true", "1.0", '"1"', "1", "true"]
+        for line, text, rule in zip(lines, texts, map(scalar_json, rules)):
+            assert f'"n":{text}' in line and f'"payload":{{"v":{text}}}' in line
+            assert line.endswith(f'"rule":{rule}}}')
+        for line, name in zip(lines[6:], ["1", "true", "1.0", '"1"']):
+            assert line.startswith(f'{{"bindings":{{{name}:"x"}},')
+
+    def test_records_of_one_occurrence_match_the_reference(self):
+        # adjacent records share an occurrence and its event; the texts kept
+        # for the last ones must not leak into a record of another
+        hits = make_event("hit", 1, {"d": "x"}, id=1), make_event("hit", 2, {"d": "y"}, id=7)
+        one, two = (Occurrence({"h": h}, frozenset({h.id, 9}), h.time, 5, h.id, 9)
+                    for h in hits)
+        records = tuple(
+            ReactionRecord("join", occ, {"h": occ.bindings["h"], "n": n},
+                           TxnOutcome.COMMITTED, (make_event("out", 5, {"n": n}, id=i),), 0)
+            for i, (occ, n) in enumerate([(one, "a"), (one, "b"), (two, "a"), (one, 1)], 10)
+        )
+        lines = RunReport(records, 4, (), {}).to_jsonl().splitlines()[:-1]
+        assert lines == [ref._canon(ref._record_json(r)) for r in records]
+
+    @pytest.mark.parametrize(
+        "rule_id",
+        [1, True, False, None, 1.0, -0.0, 2**70, float("nan"), float("inf"),
+         [1], (1,), b"x", {"r": 1}, object()],
+        ids=repr,
+    )
+    def test_rule_id_that_is_no_str_writes_as_scalar_json(self, rule_id):
+        e = make_event("a", 1, id=1)
+        report = RunReport((binding_record(rule_id, {}, e),), 1, (), {})
+        try:
+            text = scalar_json(rule_id)
+        except ValueError:
+            with pytest.raises(ValueError):
+                report.to_jsonl()
+        else:
+            assert report.to_jsonl().splitlines()[0].endswith(f'"rule":{text}}}')
+
+    def test_each_report_encodes_each_name_once(self, monkeypatch):
+        # a second report, written after the first, finds none of its texts
+        encoded = []
+
+        def counting(value):
+            encoded.append(value)
+            return scalar_json(value)
+
+        monkeypatch.setattr(reactor.harness, "scalar_json", counting)
+        e = make_event("hit", 1, {"d": "x"}, id=1)
+        records = tuple(
+            binding_record("join", {"h": make_event("hit", 1, {"d": v}, id=i), "n": v}, e)
+            for i, v in enumerate(["p", "q", "p"], 1)
+        )
+        report = RunReport(records, 3, (), {})
+        texts, names = [], []
+        for _ in range(2):
+            encoded.clear()
+            texts.append(report.to_jsonl())
+            names.append(sorted(v for v in encoded if v in ("join", "h", "n", "d", "hit")))
+        assert texts[0] == texts[1]
+        assert names[0] == names[1] == ["d", "h", "hit", "join", "n"]
 
 
 class TestCli:
