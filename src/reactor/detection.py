@@ -64,11 +64,11 @@ class DetectorConfig:
     def __post_init__(self):
         if not isinstance(self.selection, SelectionPolicy):
             raise InvalidConfig(
-                f"selection must be a SelectionPolicy, got {self.selection!r}"
+                f"selection must be a SelectionPolicy, got {shown(self.selection)}"
             )
         if not isinstance(self.consumption, ConsumptionPolicy):
             raise InvalidConfig(
-                f"consumption must be a ConsumptionPolicy, got {self.consumption!r}"
+                f"consumption must be a ConsumptionPolicy, got {shown(self.consumption)}"
             )
         w = self.window
         if w is not None and (type(w) is not int or w <= 0):  # bool is refused too
@@ -291,7 +291,7 @@ class Detector:
         self.type_names = validate_expr(expr)  # InvalidExpression if malformed
         self.config = DetectorConfig() if config is None else config
         if not isinstance(self.config, DetectorConfig):
-            raise InvalidConfig(f"config must be a DetectorConfig, got {config!r}")
+            raise InvalidConfig(f"config must be a DetectorConfig, got {shown(config)}")
         # feed refuses ids and times that regress, so this is in (time, id)
         # order and expiry walks it from the front; an OrderedDict, because
         # a dict's front fills with deleted slots that every walk would skip

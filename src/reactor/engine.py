@@ -1,5 +1,7 @@
 """Rule dispatch: transactional actions, reaction chaining, cycle analysis.
 
+A stimulus of a type that no rule or effect names is checked, takes its id
+and moves the watermark, and is then dropped: no event is built for it.
 A firing runs the plan its rule compiled when built (see rules.py): steps
 for where and post, a step per action.
 Each firing runs its actions as a transaction: an overlay of pending asserts
@@ -46,8 +48,10 @@ from .model import (
     EventTypeId,
     Scalar,
     TimePoint,
+    check_event,
     intern_type,
     is_finite_scalar,
+    name_json,
     payload_dict,
     require_finite,
     scalar_json,
@@ -171,7 +175,7 @@ def _audit_record(
 
 def _order_names(sol: dict[str, Binding]) -> list[tuple[str, str]]:
     """The solution's scalar names, sorted, each with its ``"name": `` text."""
-    return [(k, f"{scalar_json(k)}: ") for k, v in sorted(sol.items())
+    return [(k, f"{name_json(k)}: ") for k, v in sorted(sol.items())
             if not isinstance(v, EventInstance)]
 
 
@@ -237,6 +241,8 @@ class Engine:
             self.detectors.append((rule, det))
             for type_name in rule.type_names:
                 self._routes.setdefault(type_name, []).append((rule, det))
+        # every type name a rule or an effect names: only these build events
+        self._named = frozenset(self._routes).union(e.type_name for e in ruleset.effects)
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
         self._aborted: Optional[str] = None  # why a cascade was cut short
@@ -252,20 +258,30 @@ class Engine:
         (InvalidEvent), a NaN or infinite payload number, which the report
         could not serialise (NonFinitePayload), and a time before the last
         one (OutOfOrderEvent) are refused before that. An event no rule
-        lists only updates the fluents: nothing can fire, so nothing chains."""
+        lists only updates the fluents: nothing can fire, so nothing chains.
+        One that no effect names either is only checked (check_event): it
+        takes its id and moves the watermark, but no event is built."""
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
-        payload = dict(payload) if type(payload) is dict else payload_dict(payload)
+        if type(payload) is not dict:
+            payload = payload_dict(payload)
         if payload:
             require_finite(payload)
-        e = EventInstance(self._seq + 1, intern_type(type_name), time, payload)
+        etype, seq = intern_type(type_name), self._seq + 1
+        if type_name in self._named:  # a str now: intern_type refuses the rest
+            e = EventInstance(seq, etype, time, dict(payload))
+        else:  # checked alone: no event, no payload copy, no fluent record
+            e = check_event(None, seq, etype, time, payload)  # returns None
         if time < self._watermark:
-            raise OutOfOrderEvent(f"event {e!r} precedes watermark {self._watermark}")
-        self._seq = e.id
+            raise OutOfOrderEvent(
+                f"event {type_name}@{time}#{seq} precedes watermark {self._watermark}"
+            )
+        self._seq = seq
         self._watermark = time
         if not self._routes.get(type_name, ()):
-            self.fluents.record(e)
+            if e is not None:
+                self.fluents.record(e)
             return []
 
         records: list[ReactionRecord] = []

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import InvalidRule, OutOfOrderEvent
-from .model import EventInstance, Interval, TimePoint
+from .model import EventInstance, Interval, TimePoint, shown
 
 
 class EffectMode(Enum):
@@ -34,9 +34,9 @@ class EffectDecl:
     def __post_init__(self):
         for what, name in (("type name", self.type_name), ("fluent", self.fluent)):
             if not isinstance(name, str) or not name:
-                raise InvalidRule(f"effect {what} must be a non-empty str, got {name!r}")
+                raise InvalidRule(f"effect {what} must be a non-empty str, got {shown(name)}")
         if not isinstance(self.mode, EffectMode):
-            raise InvalidRule(f"effect mode must be an EffectMode, got {self.mode!r}")
+            raise InvalidRule(f"effect mode must be an EffectMode, got {shown(self.mode)}")
 
 
 class _FluentTrack:
@@ -99,7 +99,7 @@ class FluentHistory:
         self._last_key: tuple[TimePoint, int] = (0, 0)
         for eff in effects:
             if not isinstance(eff, EffectDecl):
-                raise InvalidRule(f"a fluent effect must be an EffectDecl, got {eff!r}")
+                raise InvalidRule(f"a fluent effect must be an EffectDecl, got {shown(eff)}")
             self._effects.setdefault(eff.type_name, []).append(eff)
             self._tracks.setdefault(eff.fluent, _FluentTrack())
 

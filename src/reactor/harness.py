@@ -39,6 +39,7 @@ from .model import (
     intern_type,
     is_reserved_type,
     make_event,
+    name_json,
     require_finite,
     scalar_json,
     shown,
@@ -188,7 +189,8 @@ class _Writer(dict):
     """One report's record lines, each what ``_canon`` writes, in one pass.
     It is a dict of the texts of str names (rule ids, binding names, payload
     keys, type names); a value, or a name that is no str (1, True and 1.0
-    are one key), is encoded each time. A firing's records are adjacent."""
+    are one key), is encoded each time, a key quoted (name_json). A firing's
+    records are adjacent."""
 
     last = occ = (object(), "")  # (the last event bound or occurrence, its text)
     outcomes = {o: scalar_json(o.value) for o in TxnOutcome}
@@ -200,7 +202,7 @@ class _Writer(dict):
     def event(self, e: EventInstance) -> str:
         t = e.type.name
         payload = ",".join([
-            f"{self[k] if type(k) is str else scalar_json(k)}:{scalar_json(v)}"
+            f"{self[k] if type(k) is str else name_json(k)}:{scalar_json(v)}"
             for k, v in sorted(e.payload.items())
         ])
         return (
@@ -215,7 +217,7 @@ class _Writer(dict):
             if is_event and v is not self.last[0]:
                 self.last = v, self.event(v)
             v = self.last[1] if is_event else scalar_json(v)
-            bindings.append(f"{self[k] if type(k) is str else scalar_json(k)}:{v}")
+            bindings.append(f"{self[k] if type(k) is str else name_json(k)}:{v}")
         if occ is not self.occ[0]:
             self.occ = occ, (
                 f'"events":[{",".join(map(str, sorted(occ.components)))}],'

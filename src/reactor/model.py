@@ -5,10 +5,11 @@ on an abstract timeline); an atomic event's validity interval is the
 degenerate [time, time]. Complex detections get the cover of their
 components' intervals.
 
-EventInstance, built for every event, is a slotted frozen dataclass with one
-hand-written constructor: it checks its arguments, then writes each slot once
-through the slot's setter (``slot_setters``), which the other values built
-per event or firing (Occurrence, ReactionRecord, Fact) share.
+EventInstance is a slotted frozen dataclass with one hand-written
+constructor: it checks its arguments, then writes each slot once through the
+slot's setter (``slot_setters``), as Occurrence, ReactionRecord and Fact do.
+Called on None (``check_event``) it only checks: the engine's path for an
+event of a type that no rule or effect names.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ def scalar_json(value: Optional[Scalar]) -> str:
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     raise ValueError(f"not a finite JSON scalar: {value!r}")
+
+
+def name_json(name: Optional[Scalar]) -> str:
+    """A dict key's text, as ``json.dumps`` writes it: scalar_json's, quoted
+    if the name is no str (1 as "1", True as "true", 1.0 as "1.0")."""
+    text = scalar_json(name)
+    return text if isinstance(name, str) else f'"{text}"'
 
 
 ASSERT_PREFIX = "assert:"
@@ -197,7 +205,9 @@ class EventInstance:
             if not isinstance(key, str):
                 raise InvalidEvent(f"payload key {shown(key)} is not a string")
             if not isinstance(value, (str, int, float, bool)):
-                raise InvalidEvent(f"payload value {key}={value!r} is not a scalar")
+                raise InvalidEvent(f"payload value {key}={shown(value)} is not a scalar")
+        if self is None:
+            return
         _set_id(self, id)
         _set_type(self, type)
         _set_time(self, time)
@@ -218,6 +228,7 @@ def slot_setters(cls: type) -> tuple:
 
 
 _set_id, _set_type, _set_time, _set_payload = slot_setters(EventInstance)
+check_event = EventInstance.__init__  # on None: its checks alone, nothing built
 
 
 def require_finite(payload: Mapping[str, Scalar]) -> None:
@@ -226,7 +237,7 @@ def require_finite(payload: Mapping[str, Scalar]) -> None:
     for key, value in payload.items():
         if isinstance(value, (int, float)) and not is_finite_scalar(value):
             got = value if isinstance(value, float) else "an int too long to write"
-            raise NonFinitePayload(f"payload field {key!r} must be finite, got {got}")
+            raise NonFinitePayload(f"payload field {shown(key)} must be finite, got {got}")
 
 
 def payload_dict(payload: object) -> dict[str, Scalar]:

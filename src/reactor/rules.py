@@ -123,7 +123,7 @@ class Comparison:
 
     def __post_init__(self):
         if not isinstance(self.op, str) or self.op not in _COMPARISON_OPS:
-            raise InvalidRule(f"unknown comparison op {self.op!r}")
+            raise InvalidRule(f"unknown comparison op {shown(self.op)}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class EmitAction:
     def __post_init__(self):
         if not isinstance(self.type_name, str) or not self.type_name:
             raise InvalidRule(
-                f"emit type name must be a non-empty str, got {self.type_name!r}"
+                f"emit type name must be a non-empty str, got {shown(self.type_name)}"
             )
         if is_reserved_type(self.type_name):
             raise InvalidRule(f"emit cannot raise reserved type {self.type_name!r}")
@@ -282,7 +282,7 @@ class RuleSet:
         for part, kind in ((self.rules, Rule), (self.effects, EffectDecl)):
             if not isinstance(part, tuple) or not all(isinstance(x, kind) for x in part):
                 raise InvalidRule(
-                    f"a rule set takes a tuple of {kind.__name__}s, got {part!r}"
+                    f"a rule set takes a tuple of {kind.__name__}s, got {shown(part)}"
                 )
         declared = set()
         for eff in self.effects:

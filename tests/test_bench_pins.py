@@ -5,8 +5,8 @@ seed. This replays ``kb_join(0)``, whose firings each order several
 solutions, and ``replay_mix(0)`` the way the benchmark's job does, and
 compares each ``to_jsonl()`` digest with that pin, and runs the
 benchmark's own self-tests. It also pins the call counts that
-``bench/tracing.py`` turns into per-layer metrics. The benchmark's files are
-only read: ``bench/`` goes on ``sys.path``.
+``bench/tracing.py`` turns into per-layer metrics, and the events the engine
+builds. The benchmark's files are only read: ``bench/`` goes on ``sys.path``.
 """
 
 import hashlib
@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from reactor import TxnOutcome, load_trace, parse_rules, run_replay
+import reactor.engine
+from reactor import EventInstance, TxnOutcome, load_trace, parse_rules, run_replay
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -56,7 +57,7 @@ effect start initiates up
 
 
 def test_tracer_counts_follow_the_routes():
-    # w0, w1, pong: no rule lists them; start: only an effect names it
+    # w0, w1, pong: nothing names them; start: only an effect names it
     stimuli = [
         ("a", 1, {"v": 1}), ("w0", 1, {}), ("start", 2, {}), ("b", 3, {}),
         ("pong", 3, {}), ("a", 4, {"v": 1}), ("a", 5, {"v": 2}), ("w1", 6, {}),
@@ -68,7 +69,8 @@ def test_tracer_counts_follow_the_routes():
     # fire raises assert:seen for v=1 and v=2; its second v=1 changes nothing
     raised = 2
     assert counts["engine.ingest_calls"] == len(stimuli)
-    assert counts["fluents.record_calls"] == len(stimuli) + raised
+    # a stimulus that nothing names is checked, but never recorded
+    assert counts["fluents.record_calls"] == len(stimuli) - 3 + raised
     # (event, detector) pairs: three a's to fire and both, one b to undo and
     # both, two assert:seen to chain
     assert counts["detection.feed_calls"] == 3 * 2 + 1 * 2 + raised * 1
@@ -79,3 +81,28 @@ def test_tracer_counts_follow_the_routes():
     assert sum(len(r.events) for r in report.records) == raised
     # the effect-only stimulus still opened its fluent
     assert [(iv.start, iv.end) for iv in report.fluents["up"]] == [(2, None)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_events_built_are_the_named_stimuli_and_the_raised(monkeypatch, seed):
+    # a stimulus of a type no rule or effect names is checked, not built
+    built = []
+
+    class Counted(EventInstance):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    inst = workloads.WORKLOADS["replay_mix"](seed)
+    rules, trace = parse_rules(inst.rules), load_trace(inst.lines)
+    monkeypatch.setattr(reactor.engine, "EventInstance", Counted)
+    report = run_replay(rules, trace, initial_facts=inst.facts)
+    assert bench_run.check_report(inst, report) == []
+    named = {t for r in rules.rules for t in r.type_names}
+    named |= {e.type_name for e in rules.effects}
+    stimuli = sum(e.type.name in named for e in trace)
+    raised = sum(len(r.events) for r in report.records)
+    assert len(built) == stimuli + raised
+    assert stimuli < len(trace) / 4  # w0-w3, three stimuli in four, build nothing

@@ -16,12 +16,15 @@ from reactor import (
     ConsumptionPolicy,
     Detector,
     DetectorConfig,
+    EffectDecl,
+    EffectMode,
     EmitAction,
     Engine,
     Fact,
     FactLookup,
     FactTemplate,
     FieldRef,
+    FluentHistory,
     InvalidConfig,
     InvalidEvent,
     InvalidExpression,
@@ -66,6 +69,14 @@ def on(name, var=None):
 # payloads that are neither None nor a mapping; kept apart from
 # MALFORMED_EVENTS, which tests/test_loader.py also writes as trace lines
 NON_MAPPING_PAYLOADS = [5, "xy", [("v", 1)], 0, "", [], (), b"v"]
+
+# type a three ways: a rule lists it, only an effect names it, nothing does;
+# each set also has a rule on b, so a later b shows the ids taken before it
+NAMINGS = {
+    "routed": "rule r: on b do assert(seen), emit(c, {})\nrule s: on a do noop",
+    "effect-only": "rule r: on b do assert(seen), emit(c, {})\neffect a initiates f",
+    "unnamed": "rule r: on b do assert(seen), emit(c, {})",
+}
 
 # firings that their own data fails, each on the rule's trigger type
 FAULTY_RULES = {
@@ -436,14 +447,34 @@ class TestDispatch:
 
     @pytest.mark.parametrize("args", MALFORMED_EVENTS)
     def test_malformed_event_refused(self, args):
-        eng = Engine(parse_rules("rule r: on a do assert(seen)"))
-        with pytest.raises(InvalidEvent) as ei:
-            eng.ingest(*args)
-        assert isinstance(ei.value, ValueError)
-        # refused before an id was minted or anything was committed
-        assert len(eng.kb) == 0
-        (rec,) = eng.ingest("a", 1)
-        assert rec.occurrence.components == {1}
+        # the same class and text whether a rule, an effect or nothing names a
+        refusals = set()
+        for rules in NAMINGS.values():
+            eng = Engine(parse_rules(rules))
+            with pytest.raises(InvalidEvent) as ei:
+                eng.ingest(*args)
+            assert isinstance(ei.value, ValueError)
+            refusals.add((type(ei.value), str(ei.value)))
+            # refused before an id was minted or anything was committed
+            assert len(eng.kb) == 0
+            (rec,) = eng.ingest("b", 1)
+            assert rec.occurrence.components == {1}
+        assert len(refusals) == 1, refusals
+
+    @pytest.mark.parametrize("naming", NAMINGS)
+    def test_stimulus_takes_an_id_and_moves_the_watermark(self, naming):
+        # whether a rule, an effect or nothing names it, a takes id 1 and
+        # moves the watermark to 5
+        eng = Engine(parse_rules(NAMINGS[naming]))
+        eng.ingest("a", 5, {"k": "v"})
+        for late in ("a", "b", "w"):
+            with pytest.raises(OutOfOrderEvent) as ei:
+                eng.ingest(late, 4)
+            assert str(ei.value) == f"event {late}@4#2 precedes watermark 5"
+        (rec,) = eng.ingest("b", 5)
+        assert rec.occurrence.components == {2}
+        assert [e.id for e in rec.events] == [3, 4]  # assert:seen, then c
+        assert eng.fluents.holds_at("f", 5) is (naming == "effect-only")
 
     @pytest.mark.parametrize(
         "args, cls, text",
@@ -463,13 +494,14 @@ class TestDispatch:
         ids=repr,
     )
     def test_refusal_precedence(self, args, cls, text):
-        eng = Engine(parse_rules("rule r: on a do assert(seen)"))
-        with pytest.raises(cls) as ei:
-            eng.ingest(*args)
-        assert type(ei.value) is cls and str(ei.value) == text
-        # nothing was minted: the next good event takes id 1
-        (rec,) = eng.ingest("a", 1)
-        assert rec.occurrence.components == {1}
+        for rules in NAMINGS.values():  # a rule, an effect or nothing names a
+            eng = Engine(parse_rules(rules))
+            with pytest.raises(cls) as ei:
+                eng.ingest(*args)
+            assert type(ei.value) is cls and str(ei.value) == text
+            # nothing was minted: the next good event takes id 1
+            (rec,) = eng.ingest("b", 1)
+            assert rec.occurrence.components == {1}
 
     @pytest.mark.parametrize("payload", NON_MAPPING_PAYLOADS, ids=repr)
     def test_payload_that_is_no_mapping_refused(self, payload):
@@ -717,6 +749,8 @@ class TestIntDigits:
              InvalidExpression, "any count {} exceeds 1 listed types"),
             (lambda rs: Engine(rs).ingest("a", 1, TOO_LONG), InvalidEvent,
              "event payload must be a mapping, got {}"),
+            (lambda rs: Engine(rs).ingest("a", 1, {TOO_LONG: float("nan")}),
+             NonFinitePayload, "payload field {} must be finite, got nan"),
             (lambda rs: Engine(rs, initial_facts=[TOO_LONG]), InvalidConfig,
              "an initial fact must be a Fact with a non-empty str name and a "
              "tuple of args, got {}"),
@@ -725,7 +759,7 @@ class TestIntDigits:
              "tuple of args, got ('x', {})"),
         ],
         ids=["chain-limit", "window", "tick-period", "any-count", "any-count-over",
-             "payload", "initial-fact", "initial-fact-args"],
+             "payload", "non-finite-payload-key", "initial-fact", "initial-fact-args"],
     )
     def test_outside_int_in_an_error_text_is_shown_by_its_digits(self, make, error, text):
         # each used to raise a plain ValueError from its own error text
@@ -751,9 +785,45 @@ class TestIntDigits:
              "any types must be EventTypeIds: <Any holding an int too long to write>"),
             (lambda rs: validate_expr(Seq(on("a"), (TOO_LONG,))), InvalidExpression,
              "unknown expression node <tuple holding an int too long to write>"),
+            (lambda rs: make_event("a", 1, {"v": [TOO_LONG]}), InvalidEvent,
+             "payload value v=<list holding an int too long to write> is not a scalar"),
+            (lambda rs: Engine(rs).ingest("w", 1, {"v": [TOO_LONG]}), InvalidEvent,
+             "payload value v=<list holding an int too long to write> is not a scalar"),
+            (lambda rs: DetectorConfig(selection=[TOO_LONG]), InvalidConfig,
+             "selection must be a SelectionPolicy, got <list holding an int too long "
+             "to write>"),
+            (lambda rs: DetectorConfig(consumption=[TOO_LONG]), InvalidConfig,
+             "consumption must be a ConsumptionPolicy, got <list holding an int too "
+             "long to write>"),
+            (lambda rs: Detector(on("a"), [TOO_LONG]), InvalidConfig,
+             "config must be a DetectorConfig, got <list holding an int too long to "
+             "write>"),
+            (lambda rs: EffectDecl([TOO_LONG], EffectMode.INITIATES, "f"), InvalidRule,
+             "effect type name must be a non-empty str, got <list holding an int too "
+             "long to write>"),
+            (lambda rs: EffectDecl("a", EffectMode.INITIATES, [TOO_LONG]), InvalidRule,
+             "effect fluent must be a non-empty str, got <list holding an int too long "
+             "to write>"),
+            (lambda rs: EffectDecl("a", [TOO_LONG], "f"), InvalidRule,
+             "effect mode must be an EffectMode, got <list holding an int too long to "
+             "write>"),
+            (lambda rs: FluentHistory([[TOO_LONG]]), InvalidRule,
+             "a fluent effect must be an EffectDecl, got <list holding an int too long "
+             "to write>"),
+            (lambda rs: Comparison(Lit(1), [TOO_LONG], Lit(1)), InvalidRule,
+             "unknown comparison op <list holding an int too long to write>"),
+            (lambda rs: EmitAction([TOO_LONG], ()), InvalidRule,
+             "emit type name must be a non-empty str, got <list holding an int too "
+             "long to write>"),
+            (lambda rs: RuleSet([TOO_LONG]), InvalidRule,
+             "a rule set takes a tuple of Rules, got <list holding an int too long to "
+             "write>"),
         ],
         ids=["initial-fact-args", "initial-fact-arg", "atomic-type", "atomic-var",
-             "any-types", "unknown-node"],
+             "any-types", "unknown-node", "payload-value", "unnamed-payload-value",
+             "selection", "consumption", "detector-config", "effect-type-name",
+             "effect-fluent", "effect-mode", "fluent-effect", "comparison-op",
+             "emit-type-name", "rule-set-part"],
     )
     def test_value_holding_a_long_int_in_an_error_text_is_shown_by_its_type(
         self, make, error, text
@@ -943,7 +1013,9 @@ class TestDetectorMemory:
 
 class _EveryDetector:
     """A route table that sends every event to every detector, in rule
-    order: the reference that routed dispatch must agree with."""
+    order, and a set of named types that holds every type: the reference
+    that routed dispatch, and its shortcut for types nothing names, must
+    agree with."""
 
     def __init__(self, detectors):
         self.detectors = detectors
@@ -951,9 +1023,12 @@ class _EveryDetector:
     def get(self, _name, _default):
         return self.detectors
 
+    def __contains__(self, _name):
+        return True
+
 
 def unrouted(eng):
-    eng._routes = _EveryDetector(eng.detectors)
+    eng._routes = eng._named = _EveryDetector(eng.detectors)
     return eng
 
 

@@ -34,6 +34,9 @@ FLOATS = [
     2.5, 1e22, 123456789.125,
 ]
 BOOLS = [True, False]
+# binding names that are no str, which a record built directly can hold;
+# json.dumps writes each as a quoted key: "1", "true", "1.0", "null"
+NON_STR_NAMES = [0, 1, -1, 12, 2**70, True, False, 1.5, -0.0, 1e16, 5e-324]
 
 
 def scalar(rng: random.Random):
@@ -61,6 +64,17 @@ def name(rng: random.Random) -> str:
     )
 
 
+def binding_names(rng: random.Random) -> list:
+    """Mostly str names; else numbers and bools, which sort among
+    themselves, or None alone."""
+    count, kind = rng.randint(0, 4), rng.random()
+    if kind < 0.1:
+        return [rng.choice(NON_STR_NAMES) for _ in range(count)]
+    if kind < 0.13:
+        return [None]
+    return [name(rng) for _ in range(count)]
+
+
 def event(rng: random.Random, eid: int):
     payload = {name(rng): scalar(rng) for _ in range(rng.randint(0, 4))}
     type_name = rng.choice(["a", "assert:p", "retract:é", "out\"x", "timer"])
@@ -71,9 +85,9 @@ def record(rng: random.Random) -> ReactionRecord:
     ids = rng.sample(range(1, 10**6), rng.randint(1, 4))
     times = sorted(rng.randint(0, 10**9) for _ in range(2))
     bindings = {
-        name(rng): event(rng, rng.choice(ids)) if rng.random() < 0.4 else
+        k: event(rng, rng.choice(ids)) if rng.random() < 0.4 else
         (None if rng.random() < 0.05 else scalar(rng))
-        for _ in range(rng.randint(0, 4))
+        for k in binding_names(rng)
     }
     occ = Occurrence(
         bindings={k: v for k, v in bindings.items() if isinstance(v, EventInstance)},
@@ -158,3 +172,9 @@ def test_string_order_puts_twelve_before_one_on_the_last_key():
     expected = sorted(sols, key=ref._solution_order_key)
     assert [s["n"] for s in expected] == [12, 1, True]
     assert sorted(sols, key=_solution_order_key) == expected
+
+
+def test_solution_key_quotes_names_that_are_no_str():
+    # as json.dumps writes a key; a solution built directly can hold such names
+    for sol in [{1: "x", 2.5: 3, 0: False}, {None: 1}, {True: 1, -1: 2, 2**70: 3}]:
+        assert _solution_order_key(sol) == ref._solution_order_key(sol)
