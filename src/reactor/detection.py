@@ -285,7 +285,9 @@ def _build(expr: EventExpr, keep: bool) -> _Node:
 
 class Detector:
     """Single-writer incremental detector for one event expression;
-    ``type_names`` holds every type name the expression mentions."""
+    ``type_names`` holds every type name the expression mentions. Kept
+    occurrences hold only ``retained`` events; an atomic expression under
+    single retains none, as its one candidate consumes its own event."""
 
     def __init__(self, expr: EventExpr, config: DetectorConfig | None = None):
         self.type_names = validate_expr(expr)  # InvalidExpression if malformed
@@ -297,6 +299,8 @@ class Detector:
         # a dict's front fills with deleted slots that every walk would skip
         self.retained: OrderedDict[int, EventInstance] = OrderedDict()
         self._root = _build(expr, keep=False)
+        single = self.config.consumption is ConsumptionPolicy.SINGLE
+        self._consumes_own = single and isinstance(expr, Atomic)  # keeps nothing
         nodes = [self._root]  # the loop reaches every node: it extends the list
         for node in nodes:
             nodes.extend(node.kids)
@@ -321,23 +325,26 @@ class Detector:
         self._last_id = e.id
 
         window = self.config.window
-        if window is not None:
+        if window is not None and self.retained:
             self._expire_older_than(e.time - window)
 
         # a type no leaf mentions can never be a component; skip the tree
         if e.type.name not in self.type_names:
             return []
+        if self._consumes_own:
+            return self._root.feed(e)
 
         self.retained[e.id] = e
 
-        candidates = self._root.feed(e)
-        selected = select_candidates(candidates, self.config.selection)
+        selected = self._root.feed(e)
+        if len(selected) > 1:
+            selected = select_candidates(selected, self.config.selection)
 
         if self.config.consumption is ConsumptionPolicy.MULTIPLE:
             return selected
         fired: list[Occurrence] = []
-        for occ in selected:
-            if not occ.components <= self.retained.keys():
+        for occ in selected:  # the first is whole: it joins only retained events
+            if fired and not occ.components <= self.retained.keys():
                 continue  # components taken by an earlier firing this batch
             self._remove(occ.components)
             fired.append(occ)
@@ -351,10 +358,11 @@ class Detector:
                 node.occs = [o for o in node.occs if not (o.components & ids)]
 
     def _expire_older_than(self, threshold: TimePoint) -> None:
+        if next(iter(self.retained.values())).time >= threshold:
+            return  # the oldest is in the window, so all are
         removed: set[int] = set()
         for eid, e in self.retained.items():
             if e.time >= threshold:
                 break
             removed.add(eid)
-        if removed:
-            self._remove(removed)
+        self._remove(removed)

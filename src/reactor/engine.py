@@ -4,18 +4,19 @@ A stimulus of a type that no rule or effect names is checked, takes its id
 and moves the watermark, and is then dropped: no event is built for it.
 A firing runs the plan its rule compiled when built (see rules.py): steps
 for where and post, a step per action.
-Each firing runs its actions as a transaction: an overlay of pending asserts
-and retracts over the live fact base, which stays untouched until commit.
-Updates are set-semantic: asserting a present fact or retracting an absent
-one is a no-op and raises no event, which is what lets well-formed rule
-chains bottom out. If the rule's postcondition is satisfiable on the store
-as the overlay shows it, the transaction commits: the store applies and
-journals the effective ops, and one internal event per op (assert:NAME /
-retract:NAME with the fact args as payload) plus any emitted events join
-the dispatch queue. Otherwise the overlay is dropped and the firing reports
-rolled_back with zero events. So does a firing whose where, actions or post
-read a missing payload field or a variable bound only on another branch of
-an or, or cannot ground a template; its record carries the error text.
+Each firing runs its actions as a transaction: all are grounded before any
+update is written. Updates are set-semantic: asserting a present fact or
+retracting an absent one is a no-op and raises no event, which is what lets
+well-formed rule chains bottom out. With no postcondition the updates go
+straight to the store. With one they go to an overlay over it, and if the
+postcondition fails on the store as the overlay shows it, the overlay is
+dropped and the firing reports rolled_back with zero events. So does a
+firing whose where, actions or post read a missing payload field or a
+variable bound only on another branch of an or, or cannot ground a
+template; its record carries the error text. A commit journals the
+effective ops and raises one internal event per op (assert:NAME /
+retract:NAME with the fact args as payload) plus any emitted events; those
+of a type that a rule or an effect names join the dispatch queue.
 
 Chaining is breadth-first at the triggering event's timestamp; the chain
 depth counts queue generations and a configurable limit guards against
@@ -45,8 +46,6 @@ from .errors import (
 from .fluents import FluentHistory
 from .model import (
     EventInstance,
-    EventTypeId,
-    Scalar,
     TimePoint,
     check_event,
     intern_type,
@@ -124,24 +123,34 @@ def apply_actions_txn(
 
     Returns (outcome, produced events); rolled-back firings produce none,
     and ids come from ``id_source`` or count from 1. Commits to kb on
-    success; touches nothing on rollback. A rule passes its compiled actions
-    and post; any others are compiled here.
+    success; touches nothing on rollback or a TemplateError. A rule passes
+    its compiled actions and post; any others are compiled here.
     """
-    txn = Overlay(kb)
-    pending: list[tuple[EventTypeId, dict[str, Scalar]]] = []  # (type, payload)
     steps = actions if type(actions) is Plan else _plan_actions(actions)
-    for update, raised, name, keys, getters, label in steps:
+    grounded = []  # every action, before anything is written
+    for op, raised, name, keys, getters, label in steps:
         try:
-            values = [get(bindings) for get in getters]
+            values = tuple([get(bindings) for get in getters])
         except (MissingField, UnboundVariable) as err:
             raise TemplateError(f"cannot instantiate {label}: {err}") from err
-        if update is None or update(txn, Fact(name, tuple(values))):
-            pending.append((raised, dict(zip(keys, values))))
+        grounded.append((op, raised, name, keys, values))
 
-    if post is not None and not evaluate_condition(post, bindings, txn, at, fluents):
+    store = kb if post is None else Overlay(kb)  # only a post reads a view
+    ops, pending = [], []  # the effective updates, in order; (type, payload)
+    for op, raised, name, keys, values in grounded:
+        if op is not None:
+            fact = Fact(name, values)
+            if not (store.add(fact) if op == "assert" else store.discard(fact)):
+                continue
+            ops.append((op, fact))
+        pending.append((raised, dict(zip(keys, values))))
+
+    if post is None:
+        kb.journal.append(tuple(ops))  # written already
+    elif evaluate_condition(post, bindings, store, at, fluents):
+        kb.commit(ops)
+    else:
         return TxnOutcome.ROLLED_BACK, []
-
-    kb.commit(txn.ops)
     mint = id_source or itertools.count(1).__next__
     # each type is interned and each payload a fresh dict
     return TxnOutcome.COMMITTED, [
@@ -260,7 +269,9 @@ class Engine:
         one (OutOfOrderEvent) are refused before that. An event no rule
         lists only updates the fluents: nothing can fire, so nothing chains.
         One that no effect names either is only checked (check_event): it
-        takes its id and moves the watermark, but no event is built."""
+        takes its id and moves the watermark, but no event is built. A
+        raised event that nothing names is not queued either, but it counts
+        toward the chain limit."""
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
@@ -327,7 +338,8 @@ class Engine:
                                 )
                                 raise ChainLimitExceeded(self._aborted, records=records)
                             for ie in events:
-                                queue.append((ie, depth + 1))
+                                if ie.type.name in self._named:
+                                    queue.append((ie, depth + 1))
         return records
 
 

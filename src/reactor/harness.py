@@ -181,8 +181,11 @@ class RunReport:
             },
             "error": self.error,
         }
-        lines.append(_canon({"summary": summary}))
-        return "\n".join(lines) + "\n"
+        lines += [_canon({"summary": summary}), ""]  # one join, no copy after
+        return "\n".join(lines)
+
+
+_COMMITTED, _ROLLED_BACK = TxnOutcome.COMMITTED, TxnOutcome.ROLLED_BACK
 
 
 class _Writer(dict):
@@ -194,6 +197,7 @@ class _Writer(dict):
 
     last = occ = (object(), "")  # (the last event bound or occurrence, its text)
     outcomes = {o: scalar_json(o.value) for o in TxnOutcome}
+    committed, rolled_back = outcomes[_COMMITTED], outcomes[_ROLLED_BACK]
 
     def __missing__(self, k: str) -> str:
         text = self[k] = scalar_json(k)
@@ -225,17 +229,20 @@ class _Writer(dict):
             )
         raised = ",".join(map(self.event, r.events))
         error = "null" if r.error is None else scalar_json(r.error)
+        o = r.outcome  # by identity: an Enum's hash is a Python-level call
+        outcome = (self.committed if o is _COMMITTED else self.rolled_back
+                   if o is _ROLLED_BACK else self.outcomes[o])  # else refused
         return (
             f'{{"bindings":{{{",".join(bindings)}}},"depth":{r.depth},'
             f'"error":{error},{self.occ[1]},'
-            f'"outcome":{self.outcomes[r.outcome]},"raised":[{raised}],'
+            f'"outcome":{outcome},"raised":[{raised}],'
             f'"rule":{self[rule] if type(rule) is str else scalar_json(rule)}}}'
         )
 
 
 def run_replay(
     ruleset: RuleSet,
-    trace: Sequence[EventInstance],
+    trace: Iterable[EventInstance],
     *,
     tick: Optional[int] = None,
     chain_limit: int = 1000,
@@ -250,7 +257,7 @@ def run_replay(
     error message.
     """
     engine = Engine(ruleset, initial_facts=initial_facts, chain_limit=chain_limit)
-    stream = list(trace)
+    stream = trace if tick is None else list(trace)  # read as given, if it can be
     if tick is not None:
         horizon = max((ev.time for ev in stream), default=0)
         stream = merge_stream(stream, synth_ticks((0, horizon), tick))

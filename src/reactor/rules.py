@@ -9,7 +9,7 @@ succeed only when nothing in the fact base matches.
 
 Building a Rule checks it and compiles it in one walk (``_check``). Its plan
 holds a getter per term, a step per condition atom, with each lookup's bare
-variables marked, and per action its update, interned raised type, payload
+variables marked, and per action its op, interned raised type, payload
 keys, getters and error label; firings run the plan and test no term or
 atom type. Conditions and actions that no Rule checked are compiled where
 they are run.
@@ -345,9 +345,9 @@ def fact_sort_key(f: Fact):
 class KnowledgeBase:
     """Extensional fact store with a committed-transaction journal.
 
-    Facts are a set: re-asserting an existing fact or retracting an absent
-    one changes nothing and journals nothing. The journal records, per
-    committed transaction, the ops that actually changed state, so replaying
+    Facts are a set: ``add`` of a present fact or ``discard`` of an absent
+    one changes nothing and returns False. The journal records, per
+    committed firing, the ops that actually changed state, so replaying
     it over the initial facts reproduces the current state exactly.
 
     Lookups go through ``candidates``, which reads an index keyed by
@@ -403,20 +403,33 @@ class KnowledgeBase:
                 best = bucket
         return best
 
+    def add(self, fact: Fact) -> bool:
+        """Assert ``fact``; False when it is already present."""
+        if fact in self._facts:
+            return False
+        self._facts[fact] = None
+        if self._index is not None:
+            _index_add(self._index, fact)
+        return True
+
+    def discard(self, fact: Fact) -> bool:
+        """Retract ``fact``; False when it is absent."""
+        if fact not in self._facts:
+            return False
+        del self._facts[fact]
+        for key in () if self._index is None else _index_keys(fact):
+            bucket = self._index[key]
+            del bucket[fact]
+            if not bucket:
+                del self._index[key]
+        return True
+
     def commit(self, ops: Sequence[tuple[str, Fact]]) -> None:
         """Apply a transaction's effective ops and journal them."""
-        index = self._index
         for op, fact in ops:
-            if op == "assert":
-                self._facts[fact] = None
-                if index is not None:
-                    _index_add(index, fact)
-            elif op == "retract":
-                del self._facts[fact]
-                if index is not None:
-                    _index_discard(index, fact)
-            else:
+            if op not in ("assert", "retract"):
                 raise ValueError(f"unknown journal op {op!r}")
+            (self.add if op == "assert" else self.discard)(fact)
         self.journal.append(tuple(ops))
 
     def replay_journal(self) -> frozenset[Fact]:
@@ -443,51 +456,39 @@ def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
         index.setdefault(key, {})[fact] = None
 
 
-def _index_discard(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
-    for key in _index_keys(fact):
-        bucket = index[key]
-        del bucket[fact]
-        if not bucket:
-            del index[key]
-
-
 class Overlay:
-    """One transaction's pending updates over a live store.
+    """The read view a postcondition needs: one transaction's pending
+    updates over a live store, through the store's ``add`` and ``discard``.
 
     Reads see the store plus the overlay, through the same ``in`` and
     ``candidates`` interface as the store itself, in the order a copy of
     the store with the updates applied would list them: surviving store
     facts first, then added facts in the order they were added. The store
-    is not touched until ``kb.commit(overlay.ops)``; dropping the overlay
-    rolls the transaction back.
+    is not touched until the caller commits the effective ops; dropping the
+    overlay rolls the transaction back.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.added: dict[Fact, None] = {}
         self.removed: set[Fact] = set()
-        self.ops: list[tuple[str, Fact]] = []  # the effective ops, in order
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self.added or (fact not in self.removed and fact in self.kb)
 
     def add(self, fact: Fact) -> bool:
-        """Assert ``fact``; False when it is already present."""
         if fact in self:
             return False
         self.added[fact] = None
-        self.ops.append(("assert", fact))
         return True
 
     def discard(self, fact: Fact) -> bool:
-        """Retract ``fact``; False when it is absent."""
         if fact not in self:
             return False
         if fact in self.added:
             del self.added[fact]
         else:
             self.removed.add(fact)
-        self.ops.append(("retract", fact))
         return True
 
     def candidates(
@@ -651,21 +652,21 @@ def evaluate_condition(
 
 
 def _action_step(act: Union[AssertAction, RetractAction, EmitAction], getters) -> tuple:
-    """``(update, raised type, fact name, payload keys, getters, label)``:
-    update is Overlay.add or .discard (None for an emit), the type is
-    interned, a fact's args ride along as arg0, arg1, ..., and the label
-    names the action in a TemplateError."""
+    """``(op, raised type, fact name, payload keys, getters, label)``: op
+    is "assert" or "retract" (None for an emit), the type is interned, a
+    fact's args ride along as arg0, arg1, ..., and the label names the
+    action in a TemplateError."""
     if isinstance(act, EmitAction):
         name = act.type_name
         keys, label = tuple([k for k, _ in act.payload]), f"emit({name}) payload"
         return None, intern_type(name), name, keys, tuple(getters), label
     name = act.fact.name
     if isinstance(act, AssertAction):
-        update, raised = Overlay.add, ASSERT_PREFIX + name
+        op, raised = "assert", ASSERT_PREFIX + name
     else:
-        update, raised = Overlay.discard, RETRACT_PREFIX + name
+        op, raised = "retract", RETRACT_PREFIX + name
     keys = tuple(map("arg{}".format, range(len(getters))))
-    return update, intern_type(raised), name, keys, tuple(getters), f"{name} template"
+    return op, intern_type(raised), name, keys, tuple(getters), f"{name} template"
 
 
 def _plan_actions(actions: Iterable[Action], read=_read_any, fault=_refuse) -> Plan:

@@ -26,7 +26,7 @@ from reactor import (
 from reactor.algebra import occurrence_sort_key
 from reactor.detection import _AnyNode, select_candidates
 
-from helpers import history, proj, random_expr, random_history
+from helpers import TYPES, history, proj, random_expr, random_history
 
 A, B, C, X = (Atomic(event_type(t)) for t in "abcx")
 ALL_MULTI = DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)
@@ -529,3 +529,66 @@ class TestAnyState:
         assert shapes["root"] > 50 and shapes["nested"] > 100, shapes
         removes = config.consumption is ConsumptionPolicy.SINGLE or config.window
         assert (dropped > 0) == bool(removes)
+
+
+def reference_retained(h, steps, config, type_names):
+    """After each event, the ids that reference_feed's visible list still
+    holds of the listed types: none expired, none fired under single."""
+    consumed: set[int] = set()
+    out = []
+    for step, (e, fired) in enumerate(zip(h, steps)):
+        if config.consumption is ConsumptionPolicy.SINGLE:
+            consumed.update(*(o.components for o in fired))
+        out.append([
+            x.id for x in h[: step + 1]
+            if x.type.name in type_names and x.id not in consumed
+            and (config.window is None or x.time >= e.time - config.window)
+        ])
+    return out
+
+
+class TestRetainedState:
+    """``retained`` holds what selection, consumption and expiry can still
+    read, as the reference does. An atomic expression under single fires
+    and consumes its own event at once, so it retains nothing; under
+    multiple it retains every event of its type until a window drops it."""
+
+    @pytest.mark.parametrize(
+        "config",
+        POLICY_CONFIGS,
+        ids=lambda c: f"{c.selection.value}-{c.consumption.value}-window{c.window}",
+    )
+    def test_atomic_root_matches_reference(self, config):
+        rng = random.Random(23)
+        kept = 0
+        for _ in range(150):
+            expr = Atomic(event_type(rng.choice(TYPES)), rng.choice((None, "x")))
+            h = random_history(rng, max_events=16)
+            want = reference_feed(expr, h, config)
+            retained = reference_retained(h, want, config, {expr.type.name})
+            det = Detector(expr, config)
+            for step, e in enumerate(h):
+                assert det.feed(e) == want[step], (expr, h)
+                assert list(det.retained) == retained[step], (expr, h[: step + 1])
+                if config.consumption is ConsumptionPolicy.SINGLE:
+                    assert not det.retained
+                kept += len(det.retained)
+        assert (kept > 0) == (config.consumption is ConsumptionPolicy.MULTIPLE)
+
+    @pytest.mark.parametrize(
+        "config",
+        POLICY_CONFIGS,
+        ids=lambda c: f"{c.selection.value}-{c.consumption.value}-window{c.window}",
+    )
+    def test_any_root_retains_what_the_reference_can_still_use(self, config):
+        rng = random.Random(24)
+        for _ in range(300):
+            expr = random_expr(rng)
+            h = random_history(rng)
+            det = Detector(expr, config)
+            retained = reference_retained(
+                h, reference_feed(expr, h, config), config, det.type_names
+            )
+            for step, e in enumerate(h):
+                det.feed(e)
+                assert list(det.retained) == retained[step], (expr, h[: step + 1])

@@ -1122,6 +1122,79 @@ class TestRouting:
         assert [r.rule_id for r in eng.ingest("b", 2)] == ["alpha"]
 
 
+# x, y and assert:seen are raised, and no rule or effect names them; c is
+# raised and a rule lists it
+UNNAMED_RAISED = (
+    "rule r: on a as ?a do emit(x, {v: ?a.v}), assert(seen), emit(c, {})\n"
+    "rule s: on c do emit(y, {})\n"
+    "rule t: on b do noop\n"
+    "effect c initiates f\n"
+)
+
+
+class TestUnnamedRaised:
+    """A raised event of a type that no rule or effect names stays in its
+    record but is not queued: it reaches no detector and no fluent."""
+
+    def test_keeps_its_id_and_later_ids_stay_the_same(self):
+        eng = Engine(parse_rules(UNNAMED_RAISED))
+        # a is 1; r raises x, assert:seen and c as 2, 3, 4; c fires s, whose y is 5
+        first, second = eng.ingest("a", 1, {"v": 7})
+        assert [(e.id, e.type.name) for e in first.events] == [
+            (2, "x"), (3, "assert:seen"), (4, "c"),
+        ]
+        assert first.events[0].payload == {"v": 7}
+        assert [(e.id, e.type.name) for e in second.events] == [(5, "y")]
+        (rec,) = eng.ingest("b", 2)
+        assert rec.occurrence.components == frozenset({6})
+        # naming the raised types queues them, and changes no id
+        named = UNNAMED_RAISED + "rule u: on or(x, y) do noop\n"
+        ref = Engine(parse_rules(named))
+        recs = ref.ingest("a", 1, {"v": 7}) + ref.ingest("b", 2)
+        assert [r.rule_id for r in recs] == ["r", "u", "s", "u", "t"]
+        kept = [r for r in recs if r.rule_id != "u"]
+        assert kept == [first, second, rec]
+
+    def test_never_reaches_the_fluent_history(self, monkeypatch):
+        seen = []
+        record = FluentHistory.record
+        monkeypatch.setattr(
+            FluentHistory, "record",
+            lambda hist, e: seen.append(e.type.name) or record(hist, e),
+        )
+        eng = Engine(parse_rules(UNNAMED_RAISED))
+        eng.ingest("a", 1, {"v": 7})
+        assert seen == ["a", "c"]
+        assert eng.fluents.holds_at("f", 1)
+
+    def test_unrouted_reference_agrees(self):
+        rng = random.Random(20)
+        fired = 0
+        for _ in range(100):
+            h = random_history(rng, max_events=12, types=("a", "b", "c", "x"))
+            h = [make_event(e.type.name, e.time, {"v": e.time}, id=e.id) for e in h]
+            routed = Engine(parse_rules(UNNAMED_RAISED))
+            ref = unrouted(Engine(parse_rules(UNNAMED_RAISED)))
+            got = replay(routed, h)
+            assert got == replay(ref, h), h
+            assert routed.kb.facts() == ref.kb.facts()
+            assert routed.fluents.fluent_intervals("f") == ref.fluents.fluent_intervals("f")
+            fired += len(got)
+        assert fired > 100, fired
+
+    def test_counts_toward_the_chain_limit(self):
+        # a raises b at depth 1, within the limit; b raises x, which nothing
+        # names, at depth 2, past it
+        rules = parse_rules("rule r: on a do emit(b, {})\nrule s: on b do emit(x, {})")
+        eng = Engine(rules, chain_limit=1)
+        with pytest.raises(ChainLimitExceeded, match="chain depth 2 exceeds limit 1") as exc:
+            eng.ingest("a", 1)
+        assert [r.rule_id for r in exc.value.records] == ["r", "s"]
+        with pytest.raises(ChainLimitExceeded, match="engine stopped after"):
+            eng.ingest("a", 2)
+        assert [r.rule_id for r in Engine(rules, chain_limit=2).ingest("a", 1)] == ["r", "s"]
+
+
 class TestTracingSeams:
     """bench/tracing.py times transactions and condition evaluation by
     patching ``reactor.engine._run_actions`` and

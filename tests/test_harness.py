@@ -300,6 +300,21 @@ class TestRunReplay:
         assert report.fluents["on_duty"][0].start == 1
         assert report.fluents["on_duty"][0].end == 5
 
+    @pytest.mark.parametrize("tick", [None, 2])
+    def test_trace_may_be_any_iterable(self, tick):
+        # without ticks the trace is read once, as given; with them it is
+        # listed first, to find the horizon
+        rules = parse_rules(
+            "effect start_shift initiates on_duty\n"
+            "rule audit: on timer where holds(on_duty) do assert(audited)\n"
+            "rule seen: on a as ?a do assert(seen(?a.v))\n"
+        )
+        trace = [make_event("start_shift", 1, id=1)]
+        trace += [make_event("a", t, {"v": t}, id=t) for t in (3, 5)]
+        want = run_replay(rules, trace, tick=tick).to_jsonl()
+        assert run_replay(rules, iter(trace), tick=tick).to_jsonl() == want
+        assert run_replay(rules, (e for e in trace), tick=tick).to_jsonl() == want
+
     def test_jsonl_shape(self):
         rules = parse_rules(CASCADE_RULES)
         trace = load_trace(trace_io('{"type": "dept_closed", "time": 4, "payload": {"name": "sales"}}'))
@@ -389,6 +404,14 @@ class TestReportWriter:
                 report.to_jsonl()
         else:
             assert report.to_jsonl().splitlines()[0].endswith(f'"rule":{text}}}')
+
+    @pytest.mark.parametrize("outcome", ["committed", "rolled_back", None, 1])
+    def test_outcome_that_is_no_txn_outcome_is_refused(self, outcome):
+        e = make_event("a", 1, id=1)
+        rec = binding_record("r", {}, e)
+        bad = ReactionRecord("r", rec.occurrence, {}, outcome, (), 0)
+        with pytest.raises(KeyError):
+            RunReport((rec, bad), 2, (), {}).to_jsonl()
 
     def test_each_report_encodes_each_name_once(self, monkeypatch):
         # a second report, written after the first, finds none of its texts

@@ -43,6 +43,7 @@ from reactor import (
     KnowledgeBase,
     Lit,
     MissingField,
+    NoopAction,
     Or,
     RetractAction,
     Rule,
@@ -322,8 +323,74 @@ class TestIndex:
         txn = Overlay(kb)
         assert txn.discard(Fact("p", ("a",))) and txn.add(Fact("p", ("a",)))
         assert list(txn.candidates("p", 1, [])) == [Fact("p", ("b",)), Fact("p", ("a",))]
-        assert txn.ops == [("retract", Fact("p", ("a",))), ("assert", Fact("p", ("a",)))]
+        assert txn.removed == {Fact("p", ("a",))} and list(txn.added) == [Fact("p", ("a",))]
         assert kb.facts() == [Fact("p", ("a",)), Fact("p", ("b",))]  # untouched
+
+
+# ------------------------------------------------ direct writes (no post)
+
+
+PA, PB, PC = (Fact("p", (arg,)) for arg in "abc")
+P_A, P_B = FactTemplate("p", (Lit("a"),)), FactTemplate("p", (Lit("b"),))
+# each row: the actions of a firing with no post, run on a store of p(b),
+# p(c), and the journal it must leave; its third action reads a field the
+# trigger lacks, so the first row's firing fails after two effective updates
+DIRECT_WRITES = {
+    "fault-after-update": (
+        (AssertAction(P_A), RetractAction(P_B),
+         AssertAction(FactTemplate("q", (FieldRef("x", "v"),)))),
+        [],
+    ),
+    "assert-then-retract": (
+        (AssertAction(P_A), RetractAction(P_A)), [(("assert", PA), ("retract", PA))]
+    ),
+    "retract-then-assert": (
+        (RetractAction(P_B), AssertAction(P_B)), [(("retract", PB), ("assert", PB))]
+    ),
+    "reassert-present": ((AssertAction(P_B),), [()]),
+    "emit-only": ((EmitAction("out", (("k", Lit(1)),)),), [()]),
+    "noop": ((NoopAction(),), [()]),
+}
+
+
+class TestDirectWrites:
+    """A firing with no post grounds every action, then writes its updates
+    to the store itself. Each row must leave what the copy reference leaves:
+    the same outcome or error, events, store order, index and journal."""
+
+    TRIGGER = make_event("a", 1, {}, id=1)
+
+    @pytest.mark.parametrize("row", DIRECT_WRITES)
+    def test_row_matches_copy_reference(self, row):
+        acts, journal = DIRECT_WRITES[row]
+        kb, reference = KnowledgeBase([PB, PC]), RefStore([PB, PC])
+        kb.candidates("p", 1, ())  # the index is built, so each write keeps it
+        sol = {"x": self.TRIGGER}
+        # a noop compiles to no step; the reference knows no noop
+        want = outcome_of(
+            reference.txn, [a for a in acts if not isinstance(a, NoopAction)], None, sol
+        )
+        got = outcome_of(apply_actions_txn, acts, sol, kb)
+        if isinstance(got[0], TxnOutcome):
+            got = got[0], [(e.type.name, e.payload) for e in got[1]]
+        assert same(got, want)
+        assert kb.facts() == list(reference.facts)
+        assert kb.journal == reference.journal == journal
+        assert list(kb.candidates("p", 1, ())) == kb.facts()
+        for f in (PA, PB, PC):
+            assert list(kb.candidates("p", 1, [(0, f.args[0])])) == [f] * (f in kb)
+
+    def test_engine_records_the_fault_and_writes_nothing(self):
+        acts, _ = DIRECT_WRITES["fault-after-update"]
+        rule = Rule("r", Atomic(event_type("a"), "x"), actions=acts)
+        eng = Engine(RuleSet((rule,)), initial_facts=[PB, PC])
+        (rec,) = eng.ingest("a", 1)
+        assert rec.outcome is TxnOutcome.ROLLED_BACK and rec.events == ()
+        assert rec.error == (
+            "cannot instantiate q template: event a@1#1 has no payload field 'v'"
+        )
+        assert eng.kb.facts() == [PB, PC] and eng.kb.journal == []
+        assert list(eng.kb.candidates("p", 1, [(0, "a")])) == []
 
 
 # ----------------------------------------------------- compiled rule faults
