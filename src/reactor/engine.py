@@ -7,11 +7,11 @@ for where and post, a step per action.
 Each firing runs its actions as a transaction: all are grounded before any
 update is written. Updates are set-semantic: asserting a present fact or
 retracting an absent one is a no-op and raises no event, which is what lets
-well-formed rule chains bottom out. With no postcondition the updates go
-straight to the store. With one they go to an overlay over it, and if the
-postcondition fails on the store as the overlay shows it, the overlay is
-dropped and the firing reports rolled_back with zero events. So does a
-firing whose where, actions or post read a missing payload field or a
+well-formed rule chains bottom out. The updates then go straight to the
+store, which returns each effective one's stamp. A postcondition reads the
+store itself; if it fails or raises, the store undoes those updates,
+newest first, and the firing reports rolled_back with zero events. So does
+a firing whose where, actions or post read a missing payload field or a
 variable bound only on another branch of an or, or cannot ground a
 template; its record carries the error text. A commit journals the
 effective ops and raises one internal event per op (assert:NAME /
@@ -63,7 +63,6 @@ from .rules import (
     Condition,
     Fact,
     KnowledgeBase,
-    Overlay,
     Plan,
     Rule,
     RuleSet,
@@ -123,8 +122,8 @@ def apply_actions_txn(
 
     Returns (outcome, produced events); rolled-back firings produce none,
     and ids come from ``id_source`` or count from 1. Commits to kb on
-    success; touches nothing on rollback or a TemplateError. A rule passes
-    its compiled actions and post; any others are compiled here.
+    success; on rollback or a TemplateError kb is left as it was. A rule
+    passes its compiled actions and post; any others are compiled here.
     """
     steps = actions if type(actions) is Plan else _plan_actions(actions)
     grounded = []  # every action, before anything is written
@@ -135,22 +134,26 @@ def apply_actions_txn(
             raise TemplateError(f"cannot instantiate {label}: {err}") from err
         grounded.append((op, raised, name, keys, values))
 
-    store = kb if post is None else Overlay(kb)  # only a post reads a view
-    ops, pending = [], []  # the effective updates, in order; (type, payload)
+    ops, pending = [], []  # the effective (op, fact, stamp), in order; (type, payload)
     for op, raised, name, keys, values in grounded:
         if op is not None:
             fact = Fact(name, values)
-            if not (store.add(fact) if op == "assert" else store.discard(fact)):
+            stamp = kb.add(fact) if op == "assert" else kb.discard(fact)
+            if stamp is None:
                 continue
-            ops.append((op, fact))
+            ops.append((op, fact, stamp))
         pending.append((raised, dict(zip(keys, values))))
 
-    if post is None:
-        kb.journal.append(tuple(ops))  # written already
-    elif evaluate_condition(post, bindings, store, at, fluents):
-        kb.commit(ops)
-    else:
-        return TxnOutcome.ROLLED_BACK, []
+    if post is not None:
+        try:
+            held = evaluate_condition(post, bindings, kb, at, fluents)
+        except (MissingField, UnboundVariable):  # a post that raises undoes too
+            kb.undo(ops)
+            raise
+        if not held:
+            kb.undo(ops)
+            return TxnOutcome.ROLLED_BACK, []
+    kb._log.append(tuple(ops))  # the journal, which shows no stamps
     mint = id_source or itertools.count(1).__next__
     # each type is interned and each payload a fresh dict
     return TxnOutcome.COMMITTED, [

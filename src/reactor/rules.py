@@ -17,6 +17,7 @@ they are run.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -97,11 +98,6 @@ def _getter(term: Term) -> Getter:
         return inst.payload[key]
 
     return payload_field
-
-
-def eval_term(term: Term, bindings: dict[str, Binding]) -> Scalar:
-    """Resolve a term to a scalar; raises MissingField / UnboundVariable."""
-    return _getter(term)(bindings)
 
 
 # =========================================================================
@@ -346,23 +342,29 @@ class KnowledgeBase:
     """Extensional fact store with a committed-transaction journal.
 
     Facts are a set: ``add`` of a present fact or ``discard`` of an absent
-    one changes nothing and returns False. The journal records, per
-    committed firing, the ops that actually changed state, so replaying
-    it over the initial facts reproduces the current state exactly.
+    one changes nothing and returns None; otherwise each returns the fact's
+    stamp, the number it arrived with, which orders the store. A firing
+    writes through them, and ``undo`` takes its effective ops back. The
+    journal records, per committed firing, the ops that actually changed
+    state, so replaying it over the initial facts reproduces the current
+    state exactly.
 
     Lookups go through ``candidates``, which reads an index keyed by
     ``(name, arity)`` and by ``(name, arity, position, value)``: the alpha
     memory of a Rete network. The index is built at the first lookup and
-    kept up to date by ``commit`` from then on, so a store nobody queries
-    never pays for it. Its buckets keep insertion order, so candidates come
+    kept up to date by every write from then on, so a store nobody queries
+    never pays for it. Its buckets keep stamp order, so candidates come
     out in ``facts()`` order.
     """
 
     def __init__(self, initial_facts: Sequence[Fact] = ()):
         self.initial: tuple[Fact, ...] = tuple(initial_facts)
-        self._facts: dict[Fact, None] = dict.fromkeys(self.initial)
+        self._clock = itertools.count(1)  # the stamps, in the order facts arrive
+        self._facts: dict[Fact, int] = dict(zip(self.initial, self._clock))
+        if len(self._facts) < len(self.initial):  # a repeated fact keeps its first place
+            self._facts = dict(zip(dict.fromkeys(self.initial), self._clock))
         self._index: Optional[dict[tuple, dict[Fact, None]]] = None
-        self.journal: list[tuple[tuple[str, Fact], ...]] = []
+        self._log: list[tuple[tuple, ...]] = []  # the journal, with the stamps
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._facts
@@ -376,6 +378,10 @@ class KnowledgeBase:
     def snapshot(self) -> frozenset[Fact]:
         return frozenset(self._facts)
 
+    @property
+    def journal(self) -> list[tuple[tuple[str, Fact], ...]]:
+        return [tuple([op[:2] for op in ops]) for ops in self._log]
+
     def candidates(
         self, name: str, arity: int, bound: Sequence[tuple[int, Scalar]]
     ) -> Iterable[Fact]:
@@ -385,7 +391,7 @@ class KnowledgeBase:
         result is the smallest index bucket among them (the whole
         ``(name, arity)`` bucket when there are none). It can still hold
         facts that do not unify, so callers check each one. The result is
-        live: do not commit while iterating over it.
+        live: do not write while iterating over it.
         """
         index = self._index
         if index is None:
@@ -403,26 +409,47 @@ class KnowledgeBase:
                 best = bucket
         return best
 
-    def add(self, fact: Fact) -> bool:
-        """Assert ``fact``; False when it is already present."""
+    def add(self, fact: Fact) -> Optional[int]:
+        """Assert ``fact`` and return its stamp; None when it is present."""
         if fact in self._facts:
-            return False
-        self._facts[fact] = None
+            return None
+        stamp = self._facts[fact] = next(self._clock)
         if self._index is not None:
             _index_add(self._index, fact)
-        return True
+        return stamp
 
-    def discard(self, fact: Fact) -> bool:
-        """Retract ``fact``; False when it is absent."""
-        if fact not in self._facts:
-            return False
-        del self._facts[fact]
-        for key in () if self._index is None else _index_keys(fact):
+    def discard(self, fact: Fact) -> Optional[int]:
+        """Retract ``fact`` and return the stamp it had; None when it is absent."""
+        stamp = self._facts.pop(fact, None)
+        for key in () if stamp is None or self._index is None else _index_keys(fact):
             bucket = self._index[key]
             del bucket[fact]
             if not bucket:
                 del self._index[key]
-        return True
+        return stamp
+
+    def undo(self, ops: Sequence[tuple[str, Fact, int]]) -> None:
+        """Take back a firing's effective ops, newest first, each ``(op,
+        fact, stamp)`` with the stamp ``add`` or ``discard`` returned.
+        Taking back an assert leaves every order as it was. A retracted
+        fact goes back with its old stamp, and then the store and the
+        buckets that hold a put-back fact are sorted by stamp again, which
+        costs O(store)."""
+        back = []
+        for op, fact, stamp in reversed(ops):
+            if op == "assert":
+                self.discard(fact)
+            else:
+                self._facts[fact] = stamp
+                back.append(fact)
+                if self._index is not None:
+                    _index_add(self._index, fact)
+        if not back:
+            return
+        facts = self._facts = dict(sorted(self._facts.items(), key=operator.itemgetter(1)))
+        if self._index is not None:
+            for key in {key for fact in back if fact in facts for key in _index_keys(fact)}:
+                self._index[key] = dict.fromkeys(sorted(self._index[key], key=facts.get))
 
     def commit(self, ops: Sequence[tuple[str, Fact]]) -> None:
         """Apply a transaction's effective ops and journal them."""
@@ -430,13 +457,13 @@ class KnowledgeBase:
             if op not in ("assert", "retract"):
                 raise ValueError(f"unknown journal op {op!r}")
             (self.add if op == "assert" else self.discard)(fact)
-        self.journal.append(tuple(ops))
+        self._log.append(tuple(ops))
 
     def replay_journal(self) -> frozenset[Fact]:
         """Reconstruct the current state from initial facts + journal."""
         facts: dict[Fact, None] = {f: None for f in self.initial}
-        for txn in self.journal:
-            for op, fact in txn:
+        for txn in self._log:
+            for op, fact, *_ in txn:
                 if op == "assert":
                     facts[fact] = None
                 else:
@@ -456,55 +483,6 @@ def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
         index.setdefault(key, {})[fact] = None
 
 
-class Overlay:
-    """The read view a postcondition needs: one transaction's pending
-    updates over a live store, through the store's ``add`` and ``discard``.
-
-    Reads see the store plus the overlay, through the same ``in`` and
-    ``candidates`` interface as the store itself, in the order a copy of
-    the store with the updates applied would list them: surviving store
-    facts first, then added facts in the order they were added. The store
-    is not touched until the caller commits the effective ops; dropping the
-    overlay rolls the transaction back.
-    """
-
-    def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
-        self.added: dict[Fact, None] = {}
-        self.removed: set[Fact] = set()
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self.added or (fact not in self.removed and fact in self.kb)
-
-    def add(self, fact: Fact) -> bool:
-        if fact in self:
-            return False
-        self.added[fact] = None
-        return True
-
-    def discard(self, fact: Fact) -> bool:
-        if fact not in self:
-            return False
-        if fact in self.added:
-            del self.added[fact]
-        else:
-            self.removed.add(fact)
-        return True
-
-    def candidates(
-        self, name: str, arity: int, bound: Sequence[tuple[int, Scalar]]
-    ) -> Iterable[Fact]:
-        found = self.kb.candidates(name, arity, bound)
-        if self.removed:
-            found = [f for f in found if f not in self.removed]
-        if not self.added:
-            return found
-        return [
-            *found,
-            *(f for f in self.added if f.name == name and len(f.args) == arity),
-        ]
-
-
 # =========================================================================
 # Condition evaluation
 # =========================================================================
@@ -522,8 +500,8 @@ def _compare(a: Scalar, op: str, b: Scalar) -> bool:
 
 class Plan(tuple):
     """A compiled condition or compiled actions. A condition's steps, one per
-    atom, each map the solutions so far, the store (or an overlay), the time
-    and the fluents to the solutions the atom passes. An action step (see
+    atom, each map the solutions so far, the store, the time and the
+    fluents to the solutions the atom passes. An action step (see
     _action_step) is a tuple; a noop compiles to none."""
 
 
@@ -630,7 +608,7 @@ def _plan_condition(cond, read=_read_any, fault=_refuse) -> Optional[Plan]:
 def evaluate_condition(
     cond: Union[Condition, Plan, None],
     bindings: dict[str, Binding],
-    kb: Union[KnowledgeBase, Overlay],
+    kb: KnowledgeBase,
     at: int,
     fluents: Optional[FluentHistory] = None,
 ) -> list[dict[str, Binding]]:
@@ -638,7 +616,7 @@ def evaluate_condition(
 
     An absent/None condition is vacuously true (one solution: the input
     bindings). holds() atoms are judged at time `at`. Fact lookups read
-    ``kb.candidates``, so a transaction's overlay can stand in for the store.
+    ``kb.candidates``, so a postcondition sees its firing's writes.
     A rule passes its compiled condition; any other is compiled here.
     """
     solutions = [dict(bindings)]

@@ -1,11 +1,12 @@
-"""Indexed fact store and overlay transactions against a naive reference.
+"""Indexed fact store and its transactions against a naive reference.
 
 The reference scans every fact for every lookup and runs each transaction
 on a full copy of the store, as the simplest reading of the semantics. It
 evaluates terms, comparisons and templates with the frozen copies in
 tests/reference_rules.py. The indexed store must agree with it exactly: the
 same solutions in the same order, the same exception type and text, the
-same outcomes, raised events (type and payload), store order and journal.
+same outcomes, raised events (type and payload), store order and journal,
+and after a rollback the same store order and index buckets as before.
 
 Conditions and actions built here go through no Rule, so they run as
 compiled where they are run. ``TestPlanFaults`` runs rules compiled when
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -61,7 +63,7 @@ from reactor import (
     run_replay,
 )
 from reactor.model import ASSERT_PREFIX, RETRACT_PREFIX
-from reactor.rules import Overlay, _compare
+from reactor.rules import _compare
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -111,7 +113,7 @@ emits = st.builds(
     st.sampled_from(["out", "alert"]),
     st.lists(st.tuples(st.sampled_from(["k", "m"]), terms), max_size=2).map(tuple),
 )
-actions = st.one_of(fact_actions, emits)
+actions = st.one_of(fact_actions, emits, st.builds(NoopAction))
 transactions = st.tuples(
     st.lists(actions, max_size=4), st.one_of(st.none(), conditions), bindings()
 )
@@ -165,6 +167,8 @@ class RefStore:
         shadow = dict(self.facts)
         ops, events = [], []  # events as (type name, payload)
         for act in acts:
+            if isinstance(act, NoopAction):
+                continue
             if isinstance(act, EmitAction):
                 events.append((act.type_name, ref.emit_payload(act, sol)))
                 continue
@@ -182,6 +186,12 @@ class RefStore:
         self.facts = shadow
         self.journal.append(tuple(ops))
         return TxnOutcome.COMMITTED, events
+
+
+def index_of(kb):
+    """Every index bucket of ``kb`` in order, the index built if it was not."""
+    kb.candidates("", 0, ())
+    return {key: list(bucket) for key, bucket in kb._index.items()}
 
 
 def outcome_of(fn, *args):
@@ -224,27 +234,38 @@ def test_evaluate_condition_matches_full_scan(store, cond, sol, warm):
 
 
 @SETTINGS
-@given(stores, st.lists(fact_actions, max_size=5), bindings(), conditions, bindings())
-def test_overlay_reads_like_a_copy(store, acts, sol, cond, query):
+@given(
+    stores, st.lists(fact_actions, max_size=5), bindings(), conditions, bindings(),
+    st.booleans(),
+)
+def test_store_reads_like_a_copy_mid_transaction(store, acts, sol, cond, query, warm):
     kb = KnowledgeBase(store)
+    if warm:  # the index is built before the writes, then kept by them
+        kb.candidates("p", 0, ())
     before = kb.facts()
-    txn, shadow = Overlay(kb), dict.fromkeys(kb.facts())
+    ops, shadow = [], dict.fromkeys(before)
     for act in acts:
         try:
             fact = ref.instantiate_fact(act.fact, sol)
         except TemplateError:
             continue
         if isinstance(act, AssertAction):
-            assert txn.add(fact) == (fact not in shadow)
+            op, stamp = "assert", kb.add(fact)
+            assert (stamp is not None) == (fact not in shadow)
             shadow[fact] = None
         else:
-            assert txn.discard(fact) == (fact in shadow)
+            op, stamp = "retract", kb.discard(fact)
+            assert (stamp is not None) == (fact in shadow)
             shadow.pop(fact, None)
-        assert all(f in txn for f in shadow)
+        if stamp is not None:
+            ops.append((op, fact, stamp))
+        assert same(kb.facts(), list(shadow))
     want = outcome_of(ref_evaluate, cond, query, list(shadow))
-    got = outcome_of(evaluate_condition, cond, query, txn, 0)
+    got = outcome_of(evaluate_condition, cond, query, kb, 0)
     assert same(got, want)
-    assert kb.facts() == before and kb.journal == []  # dropped: store untouched
+    kb.undo(ops)
+    assert same(kb.facts(), before) and kb.journal == []
+    assert index_of(kb) == index_of(KnowledgeBase(before))
 
 
 @SETTINGS
@@ -319,12 +340,20 @@ class TestIndex:
             evaluate_condition(first, {"e": e}, kb, 0)
 
     def test_reasserted_fact_moves_to_the_end_of_the_view(self):
-        kb = KnowledgeBase([Fact("p", ("a",)), Fact("p", ("b",))])
-        txn = Overlay(kb)
-        assert txn.discard(Fact("p", ("a",))) and txn.add(Fact("p", ("a",)))
-        assert list(txn.candidates("p", 1, [])) == [Fact("p", ("b",)), Fact("p", ("a",))]
-        assert txn.removed == {Fact("p", ("a",))} and list(txn.added) == [Fact("p", ("a",))]
-        assert kb.facts() == [Fact("p", ("a",)), Fact("p", ("b",))]  # untouched
+        pa, pb = Fact("p", ("a",)), Fact("p", ("b",))
+        kb = KnowledgeBase([pa, pb])
+        ops = [("retract", pa, kb.discard(pa)), ("assert", pa, kb.add(pa))]
+        assert list(kb.candidates("p", 1, [])) == kb.facts() == [pb, pa]
+        kb.undo(ops)
+        assert list(kb.candidates("p", 1, [])) == kb.facts() == [pa, pb]
+        assert list(kb.candidates("p", 1, [(0, "a")])) == [pa] and kb.journal == []
+
+    def test_repeated_initial_fact_goes_back_to_its_first_place(self):
+        pa, pb = Fact("p", ("a",)), Fact("p", ("b",))
+        kb = KnowledgeBase([pa, pb, pa])
+        kb.candidates("p", 1, [])
+        kb.undo([("retract", pa, kb.discard(pa))])
+        assert list(kb.candidates("p", 1, [])) == kb.facts() == [pa, pb]
 
 
 # ------------------------------------------------ direct writes (no post)
@@ -366,10 +395,7 @@ class TestDirectWrites:
         kb, reference = KnowledgeBase([PB, PC]), RefStore([PB, PC])
         kb.candidates("p", 1, ())  # the index is built, so each write keeps it
         sol = {"x": self.TRIGGER}
-        # a noop compiles to no step; the reference knows no noop
-        want = outcome_of(
-            reference.txn, [a for a in acts if not isinstance(a, NoopAction)], None, sol
-        )
+        want = outcome_of(reference.txn, acts, None, sol)
         got = outcome_of(apply_actions_txn, acts, sol, kb)
         if isinstance(got[0], TxnOutcome):
             got = got[0], [(e.type.name, e.payload) for e in got[1]]
@@ -391,6 +417,91 @@ class TestDirectWrites:
         )
         assert eng.kb.facts() == [PB, PC] and eng.kb.journal == []
         assert list(eng.kb.candidates("p", 1, [(0, "a")])) == []
+
+
+# --------------------------------------------- rollback (a post that fails)
+
+
+NO_Z = Condition((FactLookup("z", ()),))  # false: the store holds no z
+# each row: the actions of a firing run on a store of p(b), p(c), and a post
+# that is false or raises; the third row's undo puts p(b) back, then takes
+# the assert of p(a) back after putting p(a) back
+ROLLBACKS = {
+    "retract": ((RetractAction(P_B),), NO_Z),
+    "retract-then-assert": ((RetractAction(P_B), AssertAction(P_B)), NO_Z),
+    "assert-then-retract": (
+        (AssertAction(P_A), RetractAction(P_A), RetractAction(P_B)), NO_Z
+    ),
+    "post-missing-field-after-retract": (
+        (RetractAction(P_B),),
+        Condition((Comparison(FieldRef("x", "v"), "=", Lit(1)),)),
+    ),
+}
+
+FEW_ARGS = st.lists(st.sampled_from("abc"), max_size=1).map(tuple)
+FEW_FACTS = st.builds(Fact, st.just("p"), FEW_ARGS)
+FEW_ACTIONS = st.builds(
+    lambda act, args: act(FactTemplate("p", tuple(map(Lit, args)))),
+    st.sampled_from([AssertAction, RetractAction]), FEW_ARGS,
+)
+
+
+class TestRollback:
+    """A firing writes its updates to the store before its post is read;
+    when the post is false or raises, the store undoes them, newest first.
+    Each row must leave what the copy reference leaves: the same outcome or
+    error, no events, the store in its old order, every index bucket as it
+    was and no journal entry."""
+
+    @pytest.mark.parametrize("row", ROLLBACKS)
+    def test_row_matches_copy_reference(self, row):
+        acts, post = ROLLBACKS[row]
+        kb, reference = KnowledgeBase([PB, PC]), RefStore([PB, PC])
+        kb.candidates("p", 1, ())  # the index is built, so the undo must keep it
+        sol = {"x": TestDirectWrites.TRIGGER}
+        want = outcome_of(reference.txn, acts, post, sol)
+        got = outcome_of(apply_actions_txn, acts, sol, kb, post)
+        assert same(got, want)
+        assert got[0] in (TxnOutcome.ROLLED_BACK, MissingField)
+        assert kb.facts() == list(reference.facts) == [PB, PC]
+        assert kb.journal == reference.journal == []
+        assert index_of(kb) == index_of(KnowledgeBase(list(reference.facts)))
+
+    @SETTINGS
+    @given(st.lists(FEW_FACTS, unique=True), st.lists(FEW_ACTIONS, max_size=6))
+    def test_updates_to_few_facts_match_copy_reference(self, store, acts):
+        # four facts in all, so a firing often touches one fact twice
+        kb, reference = KnowledgeBase(store), RefStore(store)
+        kb.candidates("p", 1, ())
+        assert same(outcome_of(apply_actions_txn, acts, {}, kb, NO_Z),
+                    outcome_of(reference.txn, acts, NO_Z, {}))
+        assert kb.facts() == list(reference.facts) and kb.journal == []
+        assert index_of(kb) == index_of(KnowledgeBase(list(reference.facts)))
+
+
+def test_committing_post_costs_no_memory_per_stored_fact():
+    """A committing firing whose post reads the whole p bucket after a
+    retract: its peak traced memory is the same on 1k and on 10k p facts,
+    as it reads the store itself and copies no bucket."""
+
+    def peak(n):
+        kb = KnowledgeBase([Fact("p", (i, i + 1)) for i in range(n)] + [Fact("p", ("k", "k"))])
+        kb.candidates("p", 2, ())
+        acts = (RetractAction(FactTemplate("p", (Lit(0), Lit(1)))),)
+        post = Condition((FactLookup("p", (VarRef("a"), VarRef("a"))),))  # p(k, k)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            outcome, _ = apply_actions_txn(acts, {}, kb, post)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome is TxnOutcome.COMMITTED and len(kb) == n
+        return top - base
+
+    # a list of the bucket would hold 8 bytes a fact: over 70 KB more on 10k
+    small, large = peak(1_000), peak(10_000)
+    assert abs(large - small) < 16_384, (small, large)
 
 
 # ----------------------------------------------------- compiled rule faults

@@ -50,7 +50,7 @@ from reactor import (
     validate_expr,
 )
 from reactor.algebra import EventExpr, _walk_expr
-from reactor.rules import eval_term
+from reactor.rules import _getter
 
 import reference_rules as ref
 from helpers import random_expr
@@ -60,36 +60,36 @@ NAN, INF = float("nan"), float("inf")
 
 class TestTerms:
     def test_literal(self):
-        assert eval_term(Lit(42), {}) == 42
+        assert _getter(Lit(42))({}) == 42
 
     def test_bound_scalar_var(self):
-        assert eval_term(VarRef("x"), {"x": "hello"}) == "hello"
+        assert _getter(VarRef("x"))({"x": "hello"}) == "hello"
 
     def test_unbound_var(self):
         with pytest.raises(UnboundVariable):
-            eval_term(VarRef("x"), {})
+            _getter(VarRef("x"))({})
 
     def test_bare_event_var_has_no_scalar_value(self):
         e = make_event("a", 1, {"k": 1}, id=1)
         with pytest.raises(MissingField):
-            eval_term(VarRef("x"), {"x": e})
+            _getter(VarRef("x"))({"x": e})
 
     def test_field_access(self):
         e = make_event("a", 1, {"host": "w1"}, id=1)
-        assert eval_term(FieldRef("x", "host"), {"x": e}) == "w1"
+        assert _getter(FieldRef("x", "host"))({"x": e}) == "w1"
 
     def test_missing_field(self):
         e = make_event("a", 1, {"host": "w1"}, id=1)
         with pytest.raises(MissingField):
-            eval_term(FieldRef("x", "port"), {"x": e})
+            _getter(FieldRef("x", "port"))({"x": e})
 
     def test_field_access_on_scalar(self):
         with pytest.raises(MissingField):
-            eval_term(FieldRef("x", "host"), {"x": 5})
+            _getter(FieldRef("x", "host"))({"x": 5})
 
     def test_field_access_on_unbound(self):
         with pytest.raises(UnboundVariable):
-            eval_term(FieldRef("x", "host"), {})
+            _getter(FieldRef("x", "host"))({})
 
 
 class TestKnowledgeBase:
@@ -325,7 +325,7 @@ class TestBuildTimeChecks:
     def test_literal_itself_stays_constructible(self):
         # evaluating it directly is how the fact-store differential tests NaN
         assert Lit(NAN).value != Lit(NAN).value
-        assert eval_term(Lit(INF), {}) == INF
+        assert _getter(Lit(INF))({}) == INF
 
     def test_every_literal_kind_builds(self):
         lits = tuple(("k" + str(i), Lit(v)) for i, v in enumerate(["s", 1, 2.5, True]))
@@ -390,7 +390,7 @@ class TestBuildTimeChecks:
         with pytest.raises(InvalidRule, match="not a condition atom"):
             evaluate_condition(Condition(("p",)), {}, kb, at=0)
         with pytest.raises(InvalidRule, match="not a term"):
-            eval_term("x", {})
+            _getter("x")({})
         with pytest.raises(InvalidRule, match="not an action: 'x'"):
             apply_actions_txn(("x",), {}, kb, at=1)
         assert kb.facts() == [] and kb.journal == []
