@@ -69,7 +69,6 @@ from .model import (
     EventInstance,
     EventTypeId,
     Interval,
-    event_type,
     is_reserved_type,
     make_event,
     strictly_before,
@@ -117,8 +116,8 @@ __all__ = [
     "EffectMode", "FluentHistory",
     "RunReport", "load_trace", "merge_stream", "run_replay",
     "synth_ticks",
-    "EventInstance", "EventTypeId", "Interval", "event_type",
-    "is_reserved_type", "make_event", "strictly_before",
+    "EventInstance", "EventTypeId", "Interval", "is_reserved_type",
+    "make_event", "strictly_before",
     "parse_expr", "parse_rules",
     "AssertAction", "Comparison", "Condition", "EffectDecl", "EmitAction",
     "Fact", "FactLookup", "FactTemplate", "FieldRef", "HoldsAtom",

@@ -1,7 +1,8 @@
 """Rule dispatch: transactional actions, reaction chaining, cycle analysis.
 
-A stimulus of a type that no rule or effect names is checked, takes its id
-and moves the watermark, and is then dropped: no event is built for it.
+One table maps each type a rule or an effect names to its interned type and
+its routes (the detectors that listen for it). A stimulus of a type missing
+from it is checked, takes its id and moves the watermark, and is dropped.
 A firing runs the plan its rule compiled when built (see rules.py): steps
 for where and post, a step per action.
 Each firing runs its actions as a transaction: all are grounded before any
@@ -46,6 +47,7 @@ from .errors import (
 from .fluents import FluentHistory
 from .model import (
     EventInstance,
+    EventTypeId,
     TimePoint,
     check_event,
     intern_type,
@@ -244,17 +246,18 @@ class Engine:
         self.fluents = FluentHistory(ruleset.effects)
         self.chain_limit = chain_limit
         self.detectors: list[tuple[Rule, Detector]] = []
-        # type name -> the detectors whose expression names it, in rule
-        # order; an event reaches only these, and a windowed detector
-        # expires at its next routed feed (its threshold only moves forward)
-        self._routes: dict[str, list[tuple[Rule, Detector]]] = {}
+        # type name -> (interned type, the detectors whose expression names
+        # it, in rule order), for each type a rule or an effect names; a
+        # windowed detector expires at its next routed feed (as time only rises)
+        self._types: dict[str, tuple[EventTypeId, list]] = {}
         for rule in ruleset.rules:
             det = Detector(rule.on, rule.config)
             self.detectors.append((rule, det))
-            for type_name in rule.type_names:
-                self._routes.setdefault(type_name, []).append((rule, det))
-        # every type name a rule or an effect names: only these build events
-        self._named = frozenset(self._routes).union(e.type_name for e in ruleset.effects)
+            for name in rule.type_names:
+                routes = self._types.setdefault(name, (intern_type(name), []))[1]
+                routes.append((rule, det))
+        for e in ruleset.effects:
+            self._types.setdefault(e.type_name, (intern_type(e.type_name), []))
         self._seq = 0  # last issued event id
         self._watermark: TimePoint = 0
         self._aborted: Optional[str] = None  # why a cascade was cut short
@@ -271,10 +274,10 @@ class Engine:
         could not serialise (NonFinitePayload), and a time before the last
         one (OutOfOrderEvent) are refused before that. An event no rule
         lists only updates the fluents: nothing can fire, so nothing chains.
-        One that no effect names either is only checked (check_event): it
-        takes its id and moves the watermark, but no event is built. A
-        raised event that nothing names is not queued either, but it counts
-        toward the chain limit."""
+        One that no effect names either, and so is not in the type table,
+        is only checked (check_event): it takes its id and moves the
+        watermark, but no event is built. A raised event that nothing names
+        is not queued either, but it counts toward the chain limit."""
         # an aborted cascade left its commits behind: take no further input
         if self._aborted is not None:
             raise ChainLimitExceeded(f"engine stopped after: {self._aborted}")
@@ -282,28 +285,30 @@ class Engine:
             payload = payload_dict(payload)
         if payload:
             require_finite(payload)
-        etype, seq = intern_type(type_name), self._seq + 1
-        if type_name in self._named:  # a str now: intern_type refuses the rest
-            e = EventInstance(seq, etype, time, dict(payload))
-        else:  # checked alone: no event, no payload copy, no fluent record
-            e = check_event(None, seq, etype, time, payload)  # returns None
+        if (type(type_name) is not str and not isinstance(type_name, str)) or not type_name:
+            intern_type(type_name)  # refuses it with InvalidEvent
+        seq, entry = self._seq + 1, self._types.get(type_name)  # a str subclass as its value
+        if entry is None:  # checked alone: no event, no payload copy, no fluent record
+            e = check_event(None, seq, None, time, payload)  # returns None
+        else:
+            e = EventInstance(seq, entry[0], time, dict(payload))
         if time < self._watermark:
             raise OutOfOrderEvent(
                 f"event {type_name}@{time}#{seq} precedes watermark {self._watermark}"
             )
         self._seq = seq
         self._watermark = time
-        if not self._routes.get(type_name, ()):
+        if e is None or not entry[1]:  # nothing can fire, so nothing chains
             if e is not None:
                 self.fluents.record(e)
             return []
 
         records: list[ReactionRecord] = []
-        queue: deque[tuple[EventInstance, int]] = deque([(e, 0)])
+        queue: deque[tuple[EventInstance, list, int]] = deque([(e, entry[1], 0)])
         while queue:
-            ev, depth = queue.popleft()
+            ev, routes, depth = queue.popleft()
             self.fluents.record(ev)
-            for rule, det in self._routes.get(ev.type.name, ()):
+            for rule, det in routes:
                 where, actions, post = rule.plan
                 for occ in det.feed(ev):
                     at = occ.terminator_time
@@ -341,8 +346,9 @@ class Engine:
                                 )
                                 raise ChainLimitExceeded(self._aborted, records=records)
                             for ie in events:
-                                if ie.type.name in self._named:
-                                    queue.append((ie, depth + 1))
+                                entry = self._types.get(ie.type.name)
+                                if entry is not None:
+                                    queue.append((ie, entry[1], depth + 1))
         return records
 
 

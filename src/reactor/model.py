@@ -150,9 +150,6 @@ class EventTypeId:
         return self.name
 
 
-event_type = EventTypeId
-
-
 @lru_cache(maxsize=4096)
 def _type_named(name: str) -> EventTypeId:
     return EventTypeId(name)
@@ -193,19 +190,25 @@ class EventInstance:
     payload: Mapping[str, Scalar]
 
     def __init__(self, id, type, time, payload=None):
-        # type() rather than isinstance: a bool is no id or time point
-        if _type_of(id) is not int or id < 1:
-            raise InvalidEvent(f"event id must be an integer >= 1, got {shown(id)}")
-        if _type_of(time) is not int or time < 0:
-            raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
-        if time >= _WRITABLE and not is_finite_scalar(time):
-            raise InvalidEvent(f"event time is too long to write: {shown(time)}")
-        payload = {} if payload is None else payload
-        for key, value in payload.items():
-            if not isinstance(key, str):
-                raise InvalidEvent(f"payload key {shown(key)} is not a string")
-            if not isinstance(value, (str, int, float, bool)):
-                raise InvalidEvent(f"payload value {key}={shown(value)} is not a scalar")
+        # one test passes a plain id and time (type(): a bool is neither)
+        if not (_type_of(id) is int and _type_of(time) is int
+                and id >= 1 and 0 <= time < _WRITABLE):
+            if _type_of(id) is not int or id < 1:
+                raise InvalidEvent(f"event id must be an integer >= 1, got {shown(id)}")
+            if _type_of(time) is not int or time < 0:
+                raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
+            if time >= _WRITABLE and not is_finite_scalar(time):
+                raise InvalidEvent(f"event time is too long to write: {shown(time)}")
+        if payload:
+            for key, value in payload.items():
+                if not isinstance(key, str):
+                    raise InvalidEvent(f"payload key {shown(key)} is not a string")
+                if not isinstance(value, (str, int, float, bool)):
+                    raise InvalidEvent(f"payload value {key}={shown(value)} is not a scalar")
+        elif payload is None:
+            payload = {}
+        elif _type_of(payload) is not dict:  # a falsy non-mapping has no items()
+            payload.items()
         if self is None:
             return
         _set_id(self, id)

@@ -471,11 +471,13 @@ class KnowledgeBase:
         return frozenset(facts)
 
 
-def _index_keys(fact: Fact) -> list[tuple]:
-    arity = len(fact.args)
-    keys: list[tuple] = [(fact.name, arity)]
-    keys += [(fact.name, arity, pos, arg) for pos, arg in enumerate(fact.args)]
-    return keys
+def _index_keys(fact: Fact) -> Iterator[tuple]:
+    """The keys of the fact's buckets, one at a time, so a write builds no list."""
+    name, args = fact.name, fact.args
+    arity = len(args)
+    yield name, arity
+    for pos, arg in enumerate(args):
+        yield name, arity, pos, arg
 
 
 def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from reactor import (
     And,
     Any,
     Atomic,
     EventExpr,
+    EventTypeId,
     Not,
     Or,
     Seq,
     Times,
-    event_type,
     make_event,
 )
 
@@ -28,6 +29,7 @@ MALFORMED_EVENTS = [
     ("a", "3"),
     ("a", 1.5),
     ("a", True),
+    ("a", 10 ** sys.get_int_max_str_digits()),  # a time too long to write
     ("", 1),
     ([], 1),  # type name unhashable
     (3, 1),  # type name not a string
@@ -76,7 +78,7 @@ def random_expr(
     stays cheap; counts stay small for the same reason.
     """
     if depth <= 0 or rng.random() < 0.3:
-        return Atomic(event_type(rng.choice(types)))
+        return Atomic(EventTypeId(rng.choice(types)))
     ops = ["seq", "and", "or", "any", "times"]
     if allow_not:
         ops.append("not")
@@ -105,6 +107,6 @@ def random_expr(
     if op == "any":
         k = rng.randint(1, len(types))
         chosen = rng.sample(list(types), k)
-        return Any(rng.randint(1, k), tuple(event_type(t) for t in chosen))
+        return Any(rng.randint(1, k), tuple(EventTypeId(t) for t in chosen))
     inner = random_expr(rng, min(depth - 1, 1), types, allow_not)
     return Times(rng.randint(1, 3), inner)

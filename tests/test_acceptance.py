@@ -23,11 +23,11 @@ from reactor import (
     EffectDecl,
     EffectMode,
     Engine,
+    EventTypeId,
     Fact,
     FluentHistory,
     SelectionPolicy,
     Seq,
-    event_type,
     make_event,
     occurrences,
     occurrences_point,
@@ -40,9 +40,9 @@ from helpers import history, proj, random_expr, random_history
 SEED = 20260819
 ORACLE_TRIALS = 1000
 
-A = Atomic(event_type("a"))
-B = Atomic(event_type("b"))
-C = Atomic(event_type("c"))
+A = Atomic(EventTypeId("a"))
+B = Atomic(EventTypeId("b"))
+C = Atomic(EventTypeId("c"))
 
 
 def oracle_cases(trials=ORACLE_TRIALS, seed=SEED):

@@ -13,6 +13,7 @@ from reactor import (
     And,
     Any,
     Atomic,
+    EventTypeId,
     InvalidExpression,
     Interval,
     Not,
@@ -20,7 +21,6 @@ from reactor import (
     Seq,
     Times,
     UnsortedHistory,
-    event_type,
     make_event,
     occurrences,
     occurrences_point,
@@ -35,25 +35,25 @@ from reactor.algebra import (
 
 from helpers import history, proj, random_expr, random_history
 
-A, B, C, X = (Atomic(event_type(t)) for t in "abcx")
+A, B, C, X = (Atomic(EventTypeId(t)) for t in "abcx")
 
 
 class TestValidateExpr:
     def test_duplicate_binding_rejected(self):
         with pytest.raises(InvalidExpression):
-            validate_expr(Seq(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "x")))
+            validate_expr(Seq(Atomic(EventTypeId("a"), "x"), Atomic(EventTypeId("b"), "x")))
 
     def test_any_count_exceeds_types(self):
         with pytest.raises(InvalidExpression):
-            validate_expr(Any(3, (event_type("a"), event_type("b"))))
+            validate_expr(Any(3, (EventTypeId("a"), EventTypeId("b"))))
 
     def test_any_duplicate_types(self):
         with pytest.raises(InvalidExpression):
-            validate_expr(Any(2, (event_type("a"), event_type("a"))))
+            validate_expr(Any(2, (EventTypeId("a"), EventTypeId("a"))))
 
     def test_counts_must_be_positive(self):
         with pytest.raises(InvalidExpression):
-            validate_expr(Any(0, (event_type("a"),)))
+            validate_expr(Any(0, (EventTypeId("a"),)))
         with pytest.raises(InvalidExpression):
             validate_expr(Times(0, A))
 
@@ -90,7 +90,7 @@ class TestValidateExpr:
     def test_returns_every_type_name_mentioned(self):
         assert validate_expr(Seq(A, Not(X, B, C))) == frozenset("abcx")
         assert validate_expr(Times(2, Or(A, A))) == frozenset("a")
-        y, z = event_type("y"), event_type("z")
+        y, z = EventTypeId("y"), EventTypeId("z")
         assert validate_expr(And(Any(1, (y, z)), B)) == frozenset("byz")
 
 
@@ -252,7 +252,7 @@ class TestAny:
         # a@1#1, b@2#2, c@3#3 choose 2 of distinct types:
         # {a,b} [1,2], {a,c} [1,3], {b,c} [2,3]
         h = history(("a", 1), ("b", 2), ("c", 3))
-        expr = Any(2, (event_type("a"), event_type("b"), event_type("c")))
+        expr = Any(2, (EventTypeId("a"), EventTypeId("b"), EventTypeId("c")))
         assert proj(occurrences(expr, h)) == {
             (1, 2, (1, 2)),
             (1, 3, (1, 3)),
@@ -261,12 +261,12 @@ class TestAny:
 
     def test_same_type_never_pairs(self):
         h = history(("a", 1), ("a", 2))
-        expr = Any(2, (event_type("a"), event_type("b")))
+        expr = Any(2, (EventTypeId("a"), EventTypeId("b")))
         assert occurrences(expr, h) == frozenset()
 
     def test_bindings_dropped(self):
         h = history(("a", 1), ("b", 2))
-        expr = Any(2, (event_type("a"), event_type("b")))
+        expr = Any(2, (EventTypeId("a"), EventTypeId("b")))
         (occ,) = occurrences(expr, h)
         assert occ.bindings == {}
 
@@ -275,12 +275,12 @@ class TestTimes:
     def test_exact_count_single_occurrence(self):
         # outage@1..4: exactly one 4-subset
         h = history(("outage", 1), ("outage", 2), ("outage", 3), ("outage", 4))
-        expr = Times(4, Atomic(event_type("outage")))
+        expr = Times(4, Atomic(EventTypeId("outage")))
         assert proj(occurrences(expr, h)) == {(1, 4, (1, 2, 3, 4))}
 
     def test_five_events_give_five_subsets(self):
         h = history(*[("outage", t) for t in range(1, 6)])
-        expr = Times(4, Atomic(event_type("outage")))
+        expr = Times(4, Atomic(EventTypeId("outage")))
         assert len(occurrences(expr, h)) == 5  # C(5,4)
 
     def test_component_disjoint_subsets_only(self):
@@ -292,7 +292,7 @@ class TestTimes:
 
     def test_times_one_drops_bindings(self):
         h = history(("a", 1),)
-        expr = Times(1, Atomic(event_type("a"), "x"))
+        expr = Times(1, Atomic(EventTypeId("a"), "x"))
         (occ,) = occurrences(expr, h)
         assert occ.bindings == {} and occ.components == frozenset({1})
 
@@ -300,7 +300,7 @@ class TestTimes:
 class TestBindings:
     def test_seq_binds_variables(self):
         h = history(("a", 1), ("b", 2))
-        (occ,) = occurrences(Seq(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "y")), h)
+        (occ,) = occurrences(Seq(Atomic(EventTypeId("a"), "x"), Atomic(EventTypeId("b"), "y")), h)
         assert occ.bindings["x"] is h[0]
         assert occ.bindings["y"] is h[1]
 

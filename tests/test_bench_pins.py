@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import reactor.engine
-from reactor import EventInstance, TxnOutcome, load_trace, parse_rules, run_replay
+from reactor import (
+    Engine, EventInstance, InvalidEvent, TxnOutcome, load_trace, parse_rules, run_replay,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -106,3 +108,23 @@ def test_events_built_are_the_named_stimuli_and_the_raised(monkeypatch, seed):
     raised = sum(len(r.events) for r in report.records)
     assert len(built) == stimuli + raised
     assert stimuli < len(trace) / 4  # w0-w3, three stimuli in four, build nothing
+
+
+def test_ingest_interns_no_type(monkeypatch):
+    # each type a rule or an effect names is interned once, when the engine
+    # is built; a stimulus then costs one type-table look-up and no interning
+    inst = workloads.WORKLOADS["replay_mix"](0)
+    engine = Engine(parse_rules(inst.rules), inst.facts)
+    trace = load_trace(inst.lines)
+    calls = []
+    intern = reactor.engine.intern_type
+    monkeypatch.setattr(
+        reactor.engine, "intern_type", lambda name: calls.append(name) or intern(name)
+    )
+    for ev in trace:
+        engine.ingest(ev.type.name, ev.time, ev.payload)
+    assert calls == []
+    # the counter is live: a name that is no str goes through it to be refused
+    with pytest.raises(InvalidEvent):
+        engine.ingest(3, trace[-1].time)
+    assert calls == [3]

@@ -11,6 +11,7 @@ from reactor import (
     ConsumptionPolicy,
     Detector,
     DetectorConfig,
+    EventTypeId,
     InvalidConfig,
     InvalidExpression,
     Not,
@@ -19,7 +20,6 @@ from reactor import (
     SelectionPolicy,
     Seq,
     Times,
-    event_type,
     make_event,
     occurrences,
 )
@@ -28,7 +28,7 @@ from reactor.detection import _AnyNode, select_candidates
 
 from helpers import TYPES, history, proj, random_expr, random_history
 
-A, B, C, X = (Atomic(event_type(t)) for t in "abcx")
+A, B, C, X = (Atomic(EventTypeId(t)) for t in "abcx")
 ALL_MULTI = DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)
 
 
@@ -54,7 +54,7 @@ class TestConstruction:
     def test_invalid_expression_rejected(self):
         with pytest.raises(InvalidExpression):
             Detector(
-                __import__("reactor").Any(3, (event_type("a"), event_type("b"))),
+                __import__("reactor").Any(3, (EventTypeId("a"), EventTypeId("b"))),
                 ALL_MULTI,
             )
 
@@ -113,7 +113,7 @@ class TestFeed:
         } == {(1, 3), (2, 3)}
 
     def test_type_mismatch_is_silent(self):
-        det = Detector(Atomic(event_type("a")), ALL_MULTI)
+        det = Detector(Atomic(EventTypeId("a")), ALL_MULTI)
         assert det.feed(make_event("b", 1, id=1)) == []
 
     def test_irrelevant_types_not_retained(self):
@@ -442,7 +442,7 @@ class TestPolicyOracle:
 class TestTimesScenario:
     def test_burst_fires_once_under_single(self):
         det = Detector(
-            Times(4, Atomic(event_type("outage"))),
+            Times(4, Atomic(EventTypeId("outage"))),
             DetectorConfig(SelectionPolicy.FIRST, ConsumptionPolicy.SINGLE),
         )
         fires = [det.feed(make_event("outage", t, id=t)) for t in range(1, 6)]
@@ -562,7 +562,7 @@ class TestRetainedState:
         rng = random.Random(23)
         kept = 0
         for _ in range(150):
-            expr = Atomic(event_type(rng.choice(TYPES)), rng.choice((None, "x")))
+            expr = Atomic(EventTypeId(rng.choice(TYPES)), rng.choice((None, "x")))
             h = random_history(rng, max_events=16)
             want = reference_feed(expr, h, config)
             retained = reference_retained(h, want, config, {expr.type.name})

@@ -20,6 +20,7 @@ from reactor import (
     EffectMode,
     EmitAction,
     Engine,
+    EventTypeId,
     Fact,
     FactLookup,
     FactTemplate,
@@ -30,6 +31,7 @@ from reactor import (
     InvalidExpression,
     InvalidPeriod,
     InvalidRule,
+    Interval,
     Lit,
     NonFinitePayload,
     NoopAction,
@@ -45,7 +47,6 @@ from reactor import (
     TxnOutcome,
     VarRef,
     apply_actions_txn,
-    event_type,
     is_reserved_type,
     make_event,
     occurrences,
@@ -56,6 +57,7 @@ from reactor import (
     validate_expr,
 )
 import reactor.engine
+from reactor.model import intern_type
 from reactor.rules import KnowledgeBase
 
 import reference_report
@@ -63,7 +65,7 @@ from helpers import MALFORMED_EVENTS, TYPES, random_expr, random_history
 
 
 def on(name, var=None):
-    return Atomic(event_type(name), var)
+    return Atomic(EventTypeId(name), var)
 
 
 # payloads that are neither None nor a mapping; kept apart from
@@ -476,6 +478,24 @@ class TestDispatch:
         assert [e.id for e in rec.events] == [3, 4]  # assert:seen, then c
         assert eng.fluents.holds_at("f", 5) is (naming == "effect-only")
 
+    @pytest.mark.parametrize("naming", NAMINGS)
+    def test_str_subclass_type_name_acts_as_its_value(self, naming):
+        # the type table is looked up with the name itself, not an interned copy
+        class Name(str):
+            pass
+
+        def run(type_name):
+            eng = Engine(parse_rules(NAMINGS[naming]))
+            records = eng.ingest(type_name, 5, {"k": "v"}) + eng.ingest("b", 6)
+            ids = [(r.occurrence.components, [e.id for e in r.events]) for r in records]
+            return records, ids, eng.kb.facts(), eng.fluents.fluent_intervals("f")
+
+        got = run(Name("a"))
+        assert got == run("a")
+        fired = ["s", "r"] if naming == "routed" else ["r"]
+        held = [Interval(5, None)] if naming == "effect-only" else []
+        assert [r.rule_id for r in got[0]] == fired and got[2:] == ([Fact("seen")], held)
+
     @pytest.mark.parametrize(
         "args, cls, text",
         [
@@ -743,9 +763,9 @@ class TestIntDigits:
              "window must be a positive integer, got {}"),
             (lambda rs: synth_ticks((0, 10), -TOO_LONG), InvalidPeriod,
              "tick period must be an integer >= 1, got {}"),
-            (lambda rs: validate_expr(Any(-TOO_LONG, (event_type("a"),))),
+            (lambda rs: validate_expr(Any(-TOO_LONG, (EventTypeId("a"),))),
              InvalidExpression, "any needs an integer count >= 1, got {}"),
-            (lambda rs: validate_expr(Any(TOO_LONG, (event_type("a"),))),
+            (lambda rs: validate_expr(Any(TOO_LONG, (EventTypeId("a"),))),
              InvalidExpression, "any count {} exceeds 1 listed types"),
             (lambda rs: Engine(rs).ingest("a", 1, TOO_LONG), InvalidEvent,
              "event payload must be a mapping, got {}"),
@@ -781,7 +801,7 @@ class TestIntDigits:
              "atomic type must be an EventTypeId: <Atomic holding an int too long to write>"),
             (lambda rs: validate_expr(on("a", TOO_LONG)), InvalidExpression,
              "binding name must be a non-empty str: <Atomic holding an int too long to write>"),
-            (lambda rs: validate_expr(Any(1, (event_type("a"), TOO_LONG))), InvalidExpression,
+            (lambda rs: validate_expr(Any(1, (EventTypeId("a"), TOO_LONG))), InvalidExpression,
              "any types must be EventTypeIds: <Any holding an int too long to write>"),
             (lambda rs: validate_expr(Seq(on("a"), (TOO_LONG,))), InvalidExpression,
              "unknown expression node <tuple holding an int too long to write>"),
@@ -937,11 +957,11 @@ class TestTriggeringGraph:
 MALFORMED_EXPRS = [
     Atomic("a"),  # a str where an EventTypeId belongs
     Seq(on("a"), Atomic("b")),
-    Atomic(event_type("a"), 5),  # binding name not a str
-    Atomic(event_type("a"), ""),  # binding name empty
+    Atomic(EventTypeId("a"), 5),  # binding name not a str
+    Atomic(EventTypeId("a"), ""),  # binding name empty
     Any(1, ("a",)),
-    Any(1, event_type("a")),  # types not a tuple
-    Any(True, (event_type("a"),)),  # count a bool
+    Any(1, EventTypeId("a")),  # types not a tuple
+    Any(True, (EventTypeId("a"),)),  # count a bool
     Times("2", on("a")),
     Times(True, on("a")),
     Times(2.0, on("a")),
@@ -1012,23 +1032,19 @@ class TestDetectorMemory:
 
 
 class _EveryDetector:
-    """A route table that sends every event to every detector, in rule
-    order, and a set of named types that holds every type: the reference
-    that routed dispatch, and its shortcut for types nothing names, must
-    agree with."""
+    """A type table that names every type and routes it to every detector,
+    in rule order: the reference that routed dispatch, and its shortcut for
+    types nothing names, must agree with."""
 
     def __init__(self, detectors):
         self.detectors = detectors
 
-    def get(self, _name, _default):
-        return self.detectors
-
-    def __contains__(self, _name):
-        return True
+    def get(self, name):
+        return intern_type(name), self.detectors
 
 
 def unrouted(eng):
-    eng._routes = eng._named = _EveryDetector(eng.detectors)
+    eng._types = _EveryDetector(eng.detectors)
     return eng
 
 

@@ -8,12 +8,12 @@ from reactor import (
     DuplicateEffect,
     EffectDecl,
     EffectMode,
+    EventTypeId,
     FluentHistory,
     Interval,
     InvalidRule,
     OutOfOrderEvent,
     RuleSet,
-    event_type,
     make_event,
     parse_rules,
     run_replay,
@@ -51,7 +51,7 @@ class TestDeclare:
              "effect fluent must be a non-empty str, got 5"),
             (("up", EffectMode.INITIATES, ""), "effect fluent must be a non-empty str"),
             (("", EffectMode.INITIATES, "f"), "effect type name must be a non-empty str"),
-            ((event_type("up"), EffectMode.INITIATES, "f"),
+            ((EventTypeId("up"), EffectMode.INITIATES, "f"),
              "effect type name must be a non-empty str"),
         ],
         ids=repr,

@@ -38,6 +38,7 @@ from reactor import (
     Condition,
     EmitAction,
     Engine,
+    EventTypeId,
     Fact,
     FactLookup,
     FactTemplate,
@@ -56,7 +57,6 @@ from reactor import (
     VarRef,
     apply_actions_txn,
     evaluate_condition,
-    event_type,
     load_trace,
     make_event,
     parse_rules,
@@ -408,7 +408,7 @@ class TestDirectWrites:
 
     def test_engine_records_the_fault_and_writes_nothing(self):
         acts, _ = DIRECT_WRITES["fault-after-update"]
-        rule = Rule("r", Atomic(event_type("a"), "x"), actions=acts)
+        rule = Rule("r", Atomic(EventTypeId("a"), "x"), actions=acts)
         eng = Engine(RuleSet((rule,)), initial_facts=[PB, PC])
         (rec,) = eng.ingest("a", 1)
         assert rec.outcome is TxnOutcome.ROLLED_BACK and rec.events == ()
@@ -507,7 +507,7 @@ def test_committing_post_costs_no_memory_per_stored_fact():
 # ----------------------------------------------------- compiled rule faults
 
 
-A, B = event_type("a"), event_type("b")
+A, B = EventTypeId("a"), EventTypeId("b")
 
 # each fault: the rule's event expression, the trigger (type and payload)
 # and the terms that fail when that trigger fires it: ?x bound only on the

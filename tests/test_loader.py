@@ -13,6 +13,7 @@ the smallest float, which the old parser read as 0.0 and the loader refuses
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -223,6 +224,14 @@ def test_one_check_at_both_boundaries(args):
     with pytest.raises(InvalidEvent) as refused:
         Engine(parse_rules("rule r: on a do noop")).ingest(*args)
     type_name, time, payload = (*args, {})[:3]
+    if isinstance(time, int) and time >= 10 ** sys.get_int_max_str_digits():
+        # no JSON text can carry this time: the decoder refuses its digits
+        digits = f"{time // 10}{time % 10}"  # each part within the limit
+        line = '{"type": "a", "time": %s}' % digits
+        with pytest.raises(TraceError, match="^invalid JSON: Exceeds the limit") as ei:
+            load_trace(['{"type": "a", "time": 0}', line])
+        assert ei.value.line == 2
+        return
     line = json.dumps({"type": type_name, "time": time, "payload": payload})
     if any(not isinstance(key, str) for key in payload):
         # a JSON object's keys are strings, so the trace cannot carry this

@@ -12,7 +12,6 @@ from reactor import (
     EventTypeId,
     Interval,
     UnboundedInterval,
-    event_type,
     is_reserved_type,
     make_event,
     strictly_before,
@@ -124,7 +123,7 @@ class TestStrictlyBefore:
 
 class TestEventTypes:
     def test_external(self):
-        t = event_type("outage")
+        t = EventTypeId("outage")
         assert t.name == "outage" and not is_reserved_type(t.name)
 
     def test_reserved_names(self):
@@ -164,7 +163,7 @@ class TestEventInstance:
 
     def test_payload_keys_are_strings(self):
         with pytest.raises(ValueError):
-            EventInstance(1, event_type("a"), 1, {3: "x"})
+            EventInstance(1, EventTypeId("a"), 1, {3: "x"})
 
     def test_equal_events_dedup_in_sets(self):
         a1 = make_event("a", 1, {"k": 1}, id=1)
@@ -181,7 +180,7 @@ class TestEventInstance:
     def test_string_type_coercion(self):
         e = make_event("assert:p", 4, id=9)
         assert e.type == EventTypeId("assert:p") and is_reserved_type(e.type.name)
-        e2 = make_event(event_type("b"), 1, id=1)
+        e2 = make_event(EventTypeId("b"), 1, id=1)
         assert e2.type.name == "b"
 
 

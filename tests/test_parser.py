@@ -15,6 +15,7 @@ from reactor import (
     EffectMode,
     EmitAction,
     Engine,
+    EventTypeId,
     FactLookup,
     FieldRef,
     HoldsAtom,
@@ -28,7 +29,6 @@ from reactor import (
     Seq,
     Times,
     UnboundVariable,
-    event_type,
     is_reserved_type,
     parse_expr,
     parse_rules,
@@ -44,43 +44,43 @@ def rule1(text):
 
 class TestEventExpressions:
     def test_atomic(self):
-        assert parse_expr("outage") == Atomic(event_type("outage"))
+        assert parse_expr("outage") == Atomic(EventTypeId("outage"))
 
     def test_atomic_with_binding(self):
-        assert parse_expr("outage as ?o") == Atomic(event_type("outage"), "o")
+        assert parse_expr("outage as ?o") == Atomic(EventTypeId("outage"), "o")
 
     def test_nested_operators(self):
         got = parse_expr("seq(a, or(b as ?x, and(c, d)))")
         assert got == Seq(
-            Atomic(event_type("a")),
+            Atomic(EventTypeId("a")),
             Or(
-                Atomic(event_type("b"), "x"),
-                And(Atomic(event_type("c")), Atomic(event_type("d"))),
+                Atomic(EventTypeId("b"), "x"),
+                And(Atomic(EventTypeId("c")), Atomic(EventTypeId("d"))),
             ),
         )
 
     def test_not_takes_three_slots(self):
         got = parse_expr("not(x, a, b)")
         assert got == Not(
-            Atomic(event_type("x")), Atomic(event_type("a")), Atomic(event_type("b"))
+            Atomic(EventTypeId("x")), Atomic(EventTypeId("a")), Atomic(EventTypeId("b"))
         )
 
     def test_any_with_type_list(self):
         got = parse_expr("any(2, a, b, c)")
-        assert got == Any(2, (event_type("a"), event_type("b"), event_type("c")))
+        assert got == Any(2, (EventTypeId("a"), EventTypeId("b"), EventTypeId("c")))
 
     def test_times(self):
         got = parse_expr("times(4, outage)")
-        assert got == Times(4, Atomic(event_type("outage")))
+        assert got == Times(4, Atomic(EventTypeId("outage")))
 
     def test_internal_type_atomics(self):
         got = parse_expr("retract:dept as ?d")
-        assert got == Atomic(event_type("retract:dept"), "d")
+        assert got == Atomic(EventTypeId("retract:dept"), "d")
         assert is_reserved_type(got.type.name)
 
     def test_operator_names_usable_as_types(self):
         # an ident named like an operator is atomic unless followed by (
-        assert parse_expr("seq") == Atomic(event_type("seq"))
+        assert parse_expr("seq") == Atomic(EventTypeId("seq"))
 
     def test_trailing_input_rejected(self):
         with pytest.raises(RuleSyntaxError):
@@ -101,7 +101,7 @@ class TestRuleGrammar:
     def test_minimal_rule(self):
         r = rule1("rule r: on a do noop")
         assert r.id == "r"
-        assert r.on == Atomic(event_type("a"))
+        assert r.on == Atomic(EventTypeId("a"))
         assert r.where is None and r.post is None
         assert r.actions == (NoopAction(),)
         assert r.selection is SelectionPolicy.FIRST

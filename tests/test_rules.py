@@ -17,6 +17,7 @@ from reactor import (
     EffectDecl,
     EffectMode,
     EmitAction,
+    EventTypeId,
     Fact,
     FactLookup,
     FactTemplate,
@@ -42,7 +43,6 @@ from reactor import (
     VarRef,
     apply_actions_txn,
     evaluate_condition,
-    event_type,
     fact_sort_key,
     make_event,
     parse_rules,
@@ -189,7 +189,7 @@ class TestBuildTimeChecks:
     )
     def test_action_that_is_no_action_refused(self, actions):
         with pytest.raises(InvalidRule, match="actions must be a tuple of actions"):
-            Rule("r", Atomic(event_type("a")), actions=actions)
+            Rule("r", Atomic(EventTypeId("a")), actions=actions)
 
     def test_refusal_is_a_typed_value_error(self):
         assert issubclass(InvalidRule, ReactorError)
@@ -218,7 +218,7 @@ class TestBuildTimeChecks:
     )
     def test_rule_that_could_not_run_refused(self, fields, match):
         with pytest.raises(InvalidRule, match=match):
-            Rule("r", Atomic(event_type("a"), "x"), **fields)
+            Rule("r", Atomic(EventTypeId("a"), "x"), **fields)
 
     # each row builds its fields afresh: a generator is spent by one use
     @pytest.mark.parametrize(
@@ -261,7 +261,7 @@ class TestBuildTimeChecks:
     )
     def test_sequence_name_or_key_that_could_not_run_refused(self, fields, match):
         with pytest.raises(InvalidRule, match=match):
-            Rule("r", Atomic(event_type("a"), "x"), **fields())
+            Rule("r", Atomic(EventTypeId("a"), "x"), **fields())
 
     # test_parser.py's UnboundVariable rows, each as text and built through
     # the API: the one check in Rule gives both the same class and text
@@ -281,7 +281,7 @@ class TestBuildTimeChecks:
              {"actions": (EmitAction("b", (("v", VarRef("y")),)),)},
              "?y is not bound by the rule"),
             ("rule r: on a as ?e do noop post fact(p, ?n) and ?n < ?m",
-             {"on": Atomic(event_type("a"), "e"), "post": Condition((
+             {"on": Atomic(EventTypeId("a"), "e"), "post": Condition((
                  FactLookup("p", (VarRef("n"),)),
                  Comparison(VarRef("n"), "<", VarRef("m")),
              ))},
@@ -296,7 +296,7 @@ class TestBuildTimeChecks:
         with pytest.raises(UnboundVariable) as ei:
             parse_rules(text)
         assert str(ei.value) == msg
-        fields = {"on": Atomic(event_type("a")), "actions": (NoopAction(),), **fields}
+        fields = {"on": Atomic(EventTypeId("a")), "actions": (NoopAction(),), **fields}
         with pytest.raises(UnboundVariable) as ei:
             Rule("r", **fields)
         assert str(ei.value) == msg
@@ -304,9 +304,9 @@ class TestBuildTimeChecks:
     @pytest.mark.parametrize(
         "on, var",
         [
-            (Times(2, Atomic(event_type("a"), "x")), "x"),
-            (Not(Atomic(event_type("m"), "m"), Atomic(event_type("a")),
-                 Atomic(event_type("b"))), "m"),
+            (Times(2, Atomic(EventTypeId("a"), "x")), "x"),
+            (Not(Atomic(EventTypeId("m"), "m"), Atomic(EventTypeId("a")),
+                 Atomic(EventTypeId("b"))), "m"),
         ],
         ids=["times", "absent-slot"],
     )
@@ -318,7 +318,7 @@ class TestBuildTimeChecks:
     def test_variable_of_either_or_branch_counts_as_bound(self):
         # a firing from the other branch leaves it unbound: that is a firing
         # fault, with an audit record, not a build-time refusal
-        on = Or(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "y"))
+        on = Or(Atomic(EventTypeId("a"), "x"), Atomic(EventTypeId("b"), "y"))
         where = Condition((Comparison(FieldRef("x", "v"), "=", FieldRef("y", "v")),))
         Rule("r", on, where=where, actions=(NoopAction(),))
 
@@ -329,7 +329,7 @@ class TestBuildTimeChecks:
 
     def test_every_literal_kind_builds(self):
         lits = tuple(("k" + str(i), Lit(v)) for i, v in enumerate(["s", 1, 2.5, True]))
-        rule = Rule("r", Atomic(event_type("a")), actions=(EmitAction("out", lits),))
+        rule = Rule("r", Atomic(EventTypeId("a")), actions=(EmitAction("out", lits),))
         assert rule.actions[0].payload == lits
 
     @pytest.mark.parametrize(
@@ -340,7 +340,7 @@ class TestBuildTimeChecks:
             ("timer", "emit cannot raise reserved type 'timer'"),
             ("", "emit type name must be a non-empty str"),
             (None, "emit type name must be a non-empty str"),
-            (event_type("out"), "emit type name must be a non-empty str"),
+            (EventTypeId("out"), "emit type name must be a non-empty str"),
         ],
         ids=repr,
     )
@@ -364,13 +364,13 @@ class TestBuildTimeChecks:
     @pytest.mark.parametrize("rule_id", [5, (1, 2), "", None], ids=repr)
     def test_rule_id_that_is_no_name_refused(self, rule_id):
         with pytest.raises(InvalidRule, match="a rule id must be a non-empty str"):
-            Rule(rule_id, Atomic(event_type("a")), actions=(NoopAction(),))
+            Rule(rule_id, Atomic(EventTypeId("a")), actions=(NoopAction(),))
 
     @pytest.mark.parametrize("fluent", [["x"], "", 5, None], ids=repr)
     def test_holds_of_no_fluent_name_refused(self, fluent):
         where = Condition((HoldsAtom(fluent),))
         with pytest.raises(InvalidRule, match="a fluent name must be a non-empty str"):
-            Rule("r", Atomic(event_type("a")), where=where, actions=(NoopAction(),))
+            Rule("r", Atomic(EventTypeId("a")), where=where, actions=(NoopAction(),))
 
     def test_rule_pickles_and_compiles_again(self):
         (rule,) = parse_rules(
@@ -437,11 +437,11 @@ class TestBinderWalk:
     @pytest.mark.parametrize(
         "on, binders",
         [
-            (Or(Atomic(event_type("a"), "x"), Atomic(event_type("b"), "y")), {"x", "y"}),
-            (Not(Atomic(event_type("m"), "m"), Atomic(event_type("a"), "o"),
-                 Atomic(event_type("b"), "c")), {"o", "c"}),
-            (Times(2, Seq(Atomic(event_type("a"), "x"), Atomic(event_type("b")))), set()),
-            (And(Any(1, (event_type("a"),)), Atomic(event_type("b"), "y")), {"y"}),
+            (Or(Atomic(EventTypeId("a"), "x"), Atomic(EventTypeId("b"), "y")), {"x", "y"}),
+            (Not(Atomic(EventTypeId("m"), "m"), Atomic(EventTypeId("a"), "o"),
+                 Atomic(EventTypeId("b"), "c")), {"o", "c"}),
+            (Times(2, Seq(Atomic(EventTypeId("a"), "x"), Atomic(EventTypeId("b")))), set()),
+            (And(Any(1, (EventTypeId("a"),)), Atomic(EventTypeId("b"), "y")), {"y"}),
         ],
         ids=["or", "not", "times", "any"],
     )
@@ -449,7 +449,7 @@ class TestBinderWalk:
         assert _walk_expr(on)[1] == ref._bindable(on) == binders
 
 
-RULE = Rule("r", Atomic(event_type("a")), actions=(NoopAction(),))
+RULE = Rule("r", Atomic(EventTypeId("a")), actions=(NoopAction(),))
 EFFECT = EffectDecl("a", EffectMode.INITIATES, "f")
 
 

@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -36,11 +37,12 @@ A, B = intern_type("a"), intern_type("b")
 # good and bad values mixed: the reference decides which is which
 IDS = [1, 2, 3, 4, 7, 10**20, 0, -1, True, False, 1.0, "1", None, TOO_LONG, -TOO_LONG]
 TIMES = [0, 3, 5, 10**20, 8**640, TOO_LONG - 1, -1, True, 1.5, "3", None,
-         TOO_LONG, -TOO_LONG]
+         TOO_LONG, -TOO_LONG, 8**640 - 1]
 PAYLOADS = [
     {}, {"v": 1}, {"v": "x", "w": 2.5, "z": False}, {"v": float("nan")},
     {"v": TOO_LONG}, {3: "x"}, {TOO_LONG: 1}, {None: 1}, {"v": [1]},
     {"v": None}, {"v": (1,)}, {"k": 1, 2: "x"}, {"k": {}, 2: "x"},
+    MappingProxyType({}), MappingProxyType({"v": [1]}),
 ]
 NAMES = ["p", "q", "", 5, None, TOO_LONG]
 ARGS = [(), (1,), ("x", 2.5, True), (1, "1"), ([1],), (None,), [1], (TOO_LONG,),
