@@ -190,15 +190,13 @@ class EventInstance:
     payload: Mapping[str, Scalar]
 
     def __init__(self, id, type, time, payload=None):
-        # one test passes a plain id and time (type(): a bool is neither)
-        if not (_type_of(id) is int and _type_of(time) is int
-                and id >= 1 and 0 <= time < _WRITABLE):
-            if _type_of(id) is not int or id < 1:
-                raise InvalidEvent(f"event id must be an integer >= 1, got {shown(id)}")
-            if _type_of(time) is not int or time < 0:
-                raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
-            if time >= _WRITABLE and not is_finite_scalar(time):
-                raise InvalidEvent(f"event time is too long to write: {shown(time)}")
+        # type() rather than isinstance: a bool is no id or time point
+        if _type_of(id) is not int or id < 1:
+            raise InvalidEvent(f"event id must be an integer >= 1, got {shown(id)}")
+        if _type_of(time) is not int or time < 0:
+            raise InvalidEvent(f"event time must be an integer >= 0, got {shown(time)}")
+        if time >= _WRITABLE and not is_finite_scalar(time):
+            raise InvalidEvent(f"event time is too long to write: {shown(time)}")
         if payload:
             for key, value in payload.items():
                 if not isinstance(key, str):

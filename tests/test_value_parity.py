@@ -25,7 +25,7 @@ import pytest
 import reference_values as ref
 from reactor.algebra import Occurrence
 from reactor.engine import ReactionRecord, TxnOutcome
-from reactor.model import EventInstance, intern_type
+from reactor.model import EventInstance, check_event, intern_type
 from reactor.rules import Fact, KnowledgeBase
 
 SEED = 17
@@ -198,6 +198,21 @@ def test_event_payload_none_is_no_fields():
     assert e.payload == {} and e == EventInstance(1, A, 0)
     with pytest.raises(AttributeError):
         ref.EventInstance(1, A, 0, None)
+
+
+@pytest.mark.parametrize(
+    "payload", [0, "", [], (), MappingProxyType({}), MappingProxyType({"v": [1]})], ids=repr
+)
+def test_payload_that_is_no_dict_is_taken_as_the_reference_takes_it(payload):
+    # event_args hands every drawn payload over as a dict; these go as given,
+    # falsy ones too: a payload is walked only when it has fields
+    def stored(cls):
+        return attempt(lambda: (lambda e: (type(e.payload), e.payload))(cls(1, A, 0, payload)))
+
+    old = stored(ref.EventInstance)
+    assert stored(EventInstance) == old
+    checked = attempt(lambda: check_event(None, 1, A, 0, payload))
+    assert checked == (("ok", None) if old[0] == "ok" else old)
 
 
 _LOAD = """
