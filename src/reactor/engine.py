@@ -187,36 +187,33 @@ def _audit_record(
     )
 
 
-def _order_names(sol: dict[str, Binding]) -> list[tuple[str, str]]:
-    """The solution's scalar names, sorted, each with its ``"name": `` text."""
-    return [(k, f"{name_json(k)}: ") for k, v in sorted(sol.items())
-            if not isinstance(v, EventInstance)]
-
-
-def _solution_order_key(sol: dict[str, Binding], names=None) -> str:
-    """``json.dumps(scalars, sort_keys=True)`` for the solution's scalar
-    bindings, whose ``_order_names`` are passed or found. Its string order is
-    the run order: {"n": 12} before {"n": 1}, unlike per-value texts."""
-    names = _order_names(sol) if names is None else names
-    return "{" + ", ".join([text + scalar_json(sol[k]) for k, text in names]) + "}"
+def _order_key(sol: dict[str, Binding]) -> Callable[[dict[str, Binding]], str]:
+    """The sort key of one firing's solutions, which share ``sol``'s scalar
+    names: ``json.dumps(scalars, sort_keys=True)`` of a solution's scalar
+    bindings, its texts built once. Its string order is the run order:
+    {"n": 12} before {"n": 1}, as "2" sorts before "}"."""
+    names = sorted([k for k, v in sol.items() if not isinstance(v, EventInstance)])
+    texts = [(k, f"{name_json(k)}: ") for k in names]
+    if len(texts) == 1:  # a single join variable, as in kb_join: no list, no join
+        name, head = names[0], "{" + texts[0][1]
+        return lambda s: head + scalar_json(s[name]) + "}"
+    return lambda s: "{" + ", ".join([t + scalar_json(s[k]) for k, t in texts]) + "}"
 
 
 def _check_facts(facts: tuple[Fact, ...]) -> None:
     """Refuse an initial fact that no rule could have asserted: a number no
     report can write (is_finite_scalar) with NonFinitePayload, anything else
-    with InvalidConfig. One flat pass, as set-up time grows with the facts."""
+    with InvalidConfig. One flat pass, as set-up time grows with the facts,
+    which it unpacks rather than reads through their properties."""
     for f in facts:
-        if not (
-            isinstance(f, Fact) and isinstance(f.name, str) and f.name
-            and isinstance(f.args, tuple)
-        ):
-            fact = isinstance(f, Fact)  # shown as the repr of (name, args)
-            got = f"({shown(f.name)}, {shown(f.args)})" if fact else shown(f)
+        name, args = f if isinstance(f, Fact) else (None, None)
+        if not (isinstance(name, str) and name and isinstance(args, tuple)):
+            got = f"({shown(name)}, {shown(args)})" if isinstance(f, Fact) else shown(f)
             raise InvalidConfig(
                 "an initial fact must be a Fact with a non-empty str name and "
                 f"a tuple of args, got {got}"
             )
-        for v in f.args:
+        for v in args:
             if type(v) is str or is_finite_scalar(v):  # a str without a call
                 continue
             if isinstance(v, (int, float)):  # NaN, inf or too many digits: no repr
@@ -321,8 +318,7 @@ class Engine:
                         records.append(_audit_record(rule, occ, base, depth, err))
                         continue
                     if len(sols) > 1:  # one occurrence, one plan: the same names
-                        names = _order_names(sols[0])
-                        sols.sort(key=lambda sol: _solution_order_key(sol, names))
+                        sols.sort(key=_order_key(sols[0]))
                     for sol in sols:
                         try:
                             outcome, events = _run_actions(

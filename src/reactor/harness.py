@@ -174,7 +174,7 @@ class RunReport:
         summary = {
             "dispatched": self.dispatched,
             "records": len(self.records),
-            "facts": [{"name": f.name, "args": list(f.args)} for f in self.facts],
+            "facts": [{"name": name, "args": list(args)} for name, args in self.facts],
             "fluents": {
                 name: [[iv.start, iv.end] for iv in ivs]
                 for name, ivs in self.fluents.items()

@@ -7,7 +7,7 @@ components' intervals.
 
 EventInstance is a slotted frozen dataclass with one hand-written
 constructor: it checks its arguments, then writes each slot once through the
-slot's setter (``slot_setters``), as Occurrence, ReactionRecord and Fact do.
+slot's setter (``slot_setters``), as Occurrence and ReactionRecord do.
 Called on None (``check_event``) it only checks: the engine's path for an
 event of a type that no rule or effect names.
 """
@@ -49,13 +49,16 @@ _type_of = type  # the builtin, which EventInstance's field name shadows
 
 def shown(value: object) -> str:
     """``repr(value)`` for an error text; an int too long to write has none
-    (see is_finite_scalar), so it shows as its type and digit count, and a
-    value whose repr would hold one as its type."""
+    (see is_finite_scalar), so it shows as its type and digit count, a
+    value whose repr would hold one as its type, and one whose repr raises
+    a TypeError as its type too."""
     if not isinstance(value, int) or is_finite_scalar(value):
         try:
             return repr(value)
         except ValueError:  # "Exceeds the limit": an int inside is too long
             return f"<{type(value).__name__} holding an int too long to write>"
+        except TypeError:  # a part cannot be shown, as the args of Fact("k", 5)
+            return f"<{type(value).__name__} with no repr>"
     n = abs(value)
     digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
     digits += n >= 10**digits

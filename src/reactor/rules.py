@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import EventExpr, _walk_expr
@@ -30,7 +30,7 @@ from .errors import (
 from .fluents import EffectDecl, FluentHistory
 from .model import (
     ASSERT_PREFIX, RETRACT_PREFIX, EventInstance, Scalar, intern_type,
-    is_finite_scalar, is_reserved_type, shown, slot_setters,
+    is_finite_scalar, is_reserved_type, shown,
 )
 
 # =========================================================================
@@ -300,38 +300,30 @@ class RuleSet:
 # =========================================================================
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Fact:
-    """A ground fact. Its hash, that of (name, args), is taken when it is built
-    (None for unhashable args, which raise when hashed, as ever); a pickle
-    holds (name, args) alone, as str hashes differ between processes."""
+class Fact(tuple):
+    """A ground fact: the pair ``(name, args)`` as a tuple, so a store hashes
+    and compares it in C, and it equals that plain pair. It is as frozen as
+    a frozen dataclass, and a pickle holds the pair."""
 
-    name: str
-    args: tuple[Scalar, ...]
-    _hash: Optional[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    name = property(operator.itemgetter(0))
+    args = property(operator.itemgetter(1))
 
-    def __init__(self, name, args=()):
-        _set_name(self, name)
-        _set_args(self, args)
-        try:
-            _set_hash(self, hash((name, args)))
-        except TypeError:
-            _set_hash(self, None)
+    def __new__(cls, name, args=()):
+        return tuple.__new__(cls, (name, args))
 
-    def __hash__(self):
-        h = self._hash
-        return hash((self.name, self.args)) if h is None else h
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __reduce__(self):
-        return Fact, (self.name, self.args)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        if not self.args:
-            return f"{self.name}"
-        return f"{self.name}({', '.join(map(repr, self.args))})"
-
-
-_set_name, _set_args, _set_hash = slot_setters(Fact)
+        name, args = self
+        return f"{name}({', '.join(map(repr, args))})" if args else f"{name}"
 
 
 def fact_sort_key(f: Fact):
@@ -354,7 +346,8 @@ class KnowledgeBase:
     memory of a Rete network. The index is built at the first lookup and
     kept up to date by every write from then on, so a store nobody queries
     never pays for it. Its buckets keep stamp order, so candidates come
-    out in ``facts()`` order.
+    out in ``facts()`` order. A fact is a tuple, so the store and its
+    buckets hash and compare it in C, with no Python call per operation.
     """
 
     def __init__(self, initial_facts: Sequence[Fact] = ()):
@@ -473,7 +466,7 @@ class KnowledgeBase:
 
 def _index_keys(fact: Fact) -> Iterator[tuple]:
     """The keys of the fact's buckets, one at a time, so a write builds no list."""
-    name, args = fact.name, fact.args
+    name, args = fact
     arity = len(args)
     yield name, arity
     for pos, arg in enumerate(args):
@@ -481,8 +474,14 @@ def _index_keys(fact: Fact) -> Iterator[tuple]:
 
 
 def _index_add(index: dict[tuple, dict[Fact, None]], fact: Fact) -> None:
+    """File ``fact`` last in each of its buckets. A bucket is made only when
+    its key has none, so a write builds no dict for a bucket that exists."""
     for key in _index_keys(fact):
-        index.setdefault(key, {})[fact] = None
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = {fact: None}
+        else:
+            bucket[fact] = None
 
 
 # =========================================================================
@@ -542,9 +541,9 @@ def _lookup_step(lookup: FactLookup, getters: Sequence[Getter]):
                 fixed[pos] = get(bindings)
             except (MissingField, UnboundVariable):
                 break
-        for fact in kb.candidates(name, arity, list(fixed.items())):
+        for _, args in kb.candidates(name, arity, list(fixed.items())):
             extended = dict(bindings)
-            for (pos, var, get), arg in zip(terms, fact.args):
+            for (pos, var, get), arg in zip(terms, args):
                 if pos in fixed:
                     if fixed[pos] != arg:
                         break
@@ -657,7 +656,7 @@ def _plan_actions(actions: Iterable[Action], read=_read_any, fault=_refuse) -> P
         if isinstance(act, EmitAction):
             pairs = act.payload
             if not isinstance(pairs, tuple) or not all(
-                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                type(p) is tuple and len(p) == 2 and isinstance(p[0], str)  # no Fact
                 for p in pairs
             ):
                 raise fault("an emit payload must be a tuple of (str, term) pairs", pairs)

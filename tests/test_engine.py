@@ -853,6 +853,29 @@ class TestIntDigits:
             make(parse_rules("rule r: on a do noop"))
         assert type(ei.value) is error and str(ei.value) == text
 
+    @pytest.mark.parametrize(
+        "make, error, text",
+        [
+            (lambda: RuleSet((Fact("k", 5),)), InvalidRule,
+             "a rule set takes a tuple of Rules, got <tuple with no repr>"),
+            (lambda: Rule("r", on("a"),
+                          actions=(EmitAction("b", (("v", Fact("k", Lit(1))),)),)),
+             InvalidRule, "rule 'r': not a term, got <Fact with no repr>"),
+            (lambda: Engine(parse_rules("rule r: on a do noop")).ingest(
+                "a", 1, {"v": Fact("k", 5)}),
+             InvalidEvent, "payload value v=<Fact with no repr> is not a scalar"),
+        ],
+        ids=["rule-set-part", "emit-payload-term", "payload-value"],
+    )
+    def test_value_whose_repr_raises_a_type_error_is_shown_by_its_type(
+        self, make, error, text
+    ):
+        # a fact whose args are no sequence has no repr; each used to raise
+        # the plain TypeError from the repr in its own text
+        with pytest.raises(error) as ei:
+            make()
+        assert type(ei.value) is error and str(ei.value) == text
+
 
 class TestTriggeringGraph:
     def test_cascade_ruleset_is_acyclic(self):

@@ -1,5 +1,5 @@
-"""No module under src/reactor imports a name it never uses, and no
-module-level name is dead.
+"""No module under src/reactor imports a name it never uses, no
+module-level name is dead, and no private helper is named only by itself.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 ``__init__.py`` is skipped by the first: its imports are the package's
@@ -93,3 +93,48 @@ def test_checker_flags_a_dead_name():
         "b": "from .a import Z\nprint(Z)\n",
     }
     assert dead_names(sources) == ["a.X", "a.W", "a.g", "a.C"]
+
+
+def unnamed_private(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level def or class that no
+    code in any module names outside its own definition: a helper that only
+    tests call, or one that only calls itself, is dead to the package."""
+    defs: list[tuple[str, ast.AST]] = []
+    counts: dict[str, int] = {}
+
+    def names_in(node: ast.AST):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.ImportFrom):
+                yield from (alias.name for alias in n.names)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defs += [
+            (module, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+        for name in names_in(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        f"{module}.{node.name}" for module, node in defs
+        if counts.get(node.name, 0) == sum(n == node.name for n in names_in(node))
+    ]
+
+
+def test_no_private_helper_is_named_only_by_itself():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unnamed_private(sources) == []
+
+
+def test_checker_flags_an_unnamed_private_helper():
+    sources = {
+        "a": "def _f(n): return _f(n - 1)\nclass _C:\n    def m(self): return _C()\n"
+             "def _g(): pass\ndef _h(): pass\ndef k(): return _g()\n",
+        "b": "from .a import _h\n",
+    }
+    assert unnamed_private(sources) == ["a._f", "a._C"]

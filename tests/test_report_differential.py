@@ -19,7 +19,7 @@ import reference_report as ref
 from reactor import (
     EventInstance, Occurrence, ReactionRecord, RunReport, TxnOutcome, make_event,
 )
-from reactor.engine import _solution_order_key
+from reactor.engine import _order_key
 from reactor.model import scalar_json
 
 # every kind of value the report or a solution key can hold, edge cases first
@@ -145,8 +145,11 @@ def test_non_finite_payload_refused_as_before():
         RunReport(records=(rec,), dispatched=1, facts=(), fluents={}).to_jsonl()
 
 
-def solution(rng: random.Random, keys: list[str]) -> dict:
-    sol = {k: scalar(rng) for k in keys if rng.random() < 0.9}
+def solution(rng: random.Random, keys: list, value=scalar) -> dict:
+    """One solution of a firing: every one of ``keys`` bound to a scalar,
+    as all solutions of one firing bind the same scalar names, and maybe an
+    event binding, which the key skips."""
+    sol = {k: value(rng) for k in keys}
     if rng.random() < 0.5:
         sol["h"] = make_event("hit", 0, {"d": scalar(rng)}, id=rng.randint(1, 99))
     return sol
@@ -158,9 +161,10 @@ def test_solution_order_matches_reference(seed):
     for _ in range(30):
         keys = sorted({name(rng) for _ in range(rng.randint(1, 3))})
         sols = [solution(rng, keys) for _ in range(rng.randint(2, 12))]
+        key = _order_key(sols[0])
         for sol in sols:
-            assert _solution_order_key(sol) == ref._solution_order_key(sol)
-        order = sorted(range(len(sols)), key=lambda i: _solution_order_key(sols[i]))
+            assert key(sol) == ref._solution_order_key(sol)
+        order = sorted(range(len(sols)), key=lambda i: key(sols[i]))
         expected = sorted(range(len(sols)), key=lambda i: ref._solution_order_key(sols[i]))
         assert order == expected
 
@@ -168,13 +172,41 @@ def test_solution_order_matches_reference(seed):
 def test_string_order_puts_twelve_before_one_on_the_last_key():
     # '2' < '}', so the text of {"n": 12} sorts first; a tuple of per-value
     # texts would put ("1",) first
-    sols = [{"m": "x", "n": 1}, {"m": "x", "n": 12}, {"m": "x", "n": True}]
-    expected = sorted(sols, key=ref._solution_order_key)
-    assert [s["n"] for s in expected] == [12, 1, True]
-    assert sorted(sols, key=_solution_order_key) == expected
+    for sols in ([{"n": 1}, {"n": 12}, {"n": True}],
+                 [{"m": "x", "n": 1}, {"m": "x", "n": 12}, {"m": "x", "n": True}]):
+        expected = sorted(sols, key=ref._solution_order_key)
+        assert [s["n"] for s in expected] == [12, 1, True]
+        assert sorted(sols, key=_order_key(sols[0])) == expected
 
 
 def test_solution_key_quotes_names_that_are_no_str():
     # as json.dumps writes a key; a solution built directly can hold such names
     for sol in [{1: "x", 2.5: 3, 0: False}, {None: 1}, {True: 1, -1: 2, 2**70: 3}]:
-        assert _solution_order_key(sol) == ref._solution_order_key(sol)
+        assert _order_key(sol)(sol) == ref._solution_order_key(sol)
+
+
+# numbers whose texts prefix each other ("1", "12", "1.5", "1e+20", "-1",
+# "-12"), bools, and strings with characters that sort below '"' or '}',
+# escapes and non-ASCII: where a key that dropped the closing '}' or a
+# separator would part from the text
+PREFIXING = [1, 12, -1, -12, 1.5, 1e20, 10, 0, 0.5, True, False, 121, -1.5,
+             " ", "!", "", "1", "12", "a b", "a!", "a", "\"", "\\", "\n", "é", "\u2028",
+             "\U0001f600", "a\x00", "~"]
+ORDER_NAMES = ["n", "m", "", " ", "a\"b", "é"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_firing_order_matches_reference_pair_by_pair(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        if rng.random() < 0.2:  # names that are no str, which sort among themselves
+            keys = sorted(set(rng.sample(NON_STR_NAMES, rng.randint(1, 3))))
+        else:
+            keys = sorted(set(rng.sample(ORDER_NAMES, rng.randint(1, 3))))
+        sols = [solution(rng, keys, lambda r: r.choice(PREFIXING)) for _ in range(8)]
+        key = _order_key(sols[0])
+        for a in sols:
+            for b in sols:
+                old_a, old_b = ref._solution_order_key(a), ref._solution_order_key(b)
+                new_a, new_b = key(a), key(b)
+                assert (old_a < old_b, old_a == old_b) == (new_a < new_b, new_a == new_b)

@@ -236,6 +236,9 @@ class TestBuildTimeChecks:
              r"an emit payload must be a tuple of \(str, term\) pairs, got \(\(1,"),
             (lambda: {"actions": (EmitAction("out", (("k",),)),)},
              r"an emit payload must be a tuple of \(str, term\) pairs"),
+            # a Fact is a (name, args) tuple, but no (key, term) pair
+            (lambda: {"actions": (EmitAction("out", (Fact("k", Lit(1)),)),)},
+             r"an emit payload must be a tuple of \(str, term\) pairs, got <tuple with no"),
             (lambda: {"where": Condition((FactLookup("p", [VarRef("y")]),))},
              "fact terms must be a tuple"),
             (lambda: {"actions": (RetractAction(FactTemplate("p", iter(()))),)},
@@ -254,6 +257,7 @@ class TestBuildTimeChecks:
         ids=[
             "generator-condition-and-emit-payload", "list-atoms",
             "generator-emit-payload", "int-payload-key", "payload-entry-no-pair",
+            "fact-as-payload-pair",
             "list-lookup-terms", "generator-template-terms", "int-template-name",
             "empty-template-name", "none-lookup-name", "int-variable-name",
             "list-field-variable-name",
