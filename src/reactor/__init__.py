@@ -58,13 +58,7 @@ from .errors import (
     UnsortedHistory,
 )
 from .fluents import EffectMode, FluentHistory
-from .harness import (
-    RunReport,
-    load_trace,
-    merge_stream,
-    run_replay,
-    synth_ticks,
-)
+from .harness import RunReport, load_trace, run_replay
 from .model import (
     EventInstance,
     EventTypeId,
@@ -114,8 +108,7 @@ __all__ = [
     "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",
     "UnboundedInterval", "UnboundVariable", "UnsortedHistory",
     "EffectMode", "FluentHistory",
-    "RunReport", "load_trace", "merge_stream", "run_replay",
-    "synth_ticks",
+    "RunReport", "load_trace", "run_replay",
     "EventInstance", "EventTypeId", "Interval", "is_reserved_type",
     "make_event", "strictly_before",
     "parse_expr", "parse_rules",

@@ -5,19 +5,20 @@ its routes (the detectors that listen for it). A stimulus of a type missing
 from it is checked, takes its id and moves the watermark, and is dropped.
 A firing runs the plan its rule compiled when built (see rules.py): steps
 for where and post, a step per action.
-Each firing runs its actions as a transaction: all are grounded before any
-update is written. Updates are set-semantic: asserting a present fact or
+Each firing runs its actions as a transaction: each action is grounded and
+its update written in turn, straight to the store, which returns each
+effective one's stamp. Updates are set-semantic: asserting a present fact or
 retracting an absent one is a no-op and raises no event, which is what lets
-well-formed rule chains bottom out. The updates then go straight to the
-store, which returns each effective one's stamp. A postcondition reads the
-store itself; if it fails or raises, the store undoes those updates,
-newest first, and the firing reports rolled_back with zero events. So does
-a firing whose where, actions or post read a missing payload field or a
-variable bound only on another branch of an or, or cannot ground a
-template; its record carries the error text. A commit journals the
-effective ops and raises one internal event per op (assert:NAME /
-retract:NAME with the fact args as payload) plus any emitted events; those
-of a type that a rule or an effect names join the dispatch queue.
+well-formed rule chains bottom out. A postcondition reads the store itself;
+if it fails or raises, the store undoes those updates, newest first, and
+the firing reports rolled_back with zero events. So does a firing whose
+where, actions or post read a missing payload field or a variable bound
+only on another branch of an or, or cannot ground a template (the updates
+of the actions before it are undone the same way); its record carries the
+error text. A commit journals the effective ops and raises one internal
+event per op (assert:NAME / retract:NAME with the fact args as payload)
+plus any emitted events; those of a type that a rule or an effect names
+join the dispatch queue.
 
 Chaining is breadth-first at the triggering event's timestamp; the chain
 depth counts queue generations and a configurable limit guards against
@@ -128,16 +129,13 @@ def apply_actions_txn(
     passes its compiled actions and post; any others are compiled here.
     """
     steps = actions if type(actions) is Plan else _plan_actions(actions)
-    grounded = []  # every action, before anything is written
+    ops, pending = [], []  # the effective (op, fact, stamp), in order; (type, payload)
     for op, raised, name, keys, getters, label in steps:
         try:
             values = tuple([get(bindings) for get in getters])
         except (MissingField, UnboundVariable) as err:
+            kb.undo(ops)
             raise TemplateError(f"cannot instantiate {label}: {err}") from err
-        grounded.append((op, raised, name, keys, values))
-
-    ops, pending = [], []  # the effective (op, fact, stamp), in order; (type, payload)
-    for op, raised, name, keys, values in grounded:
         if op is not None:
             fact = Fact(name, values)
             stamp = kb.add(fact) if op == "assert" else kb.discard(fact)

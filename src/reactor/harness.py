@@ -9,16 +9,18 @@ Times must be non-decreasing and types must not be reserved (``assert:*``,
 scanner must read one value spanning the line but for JSON whitespace at
 either end; a line it refuses is decoded again only to raise its exact
 error. Each type name is checked once per load. load_trace numbers
-instances 1..n in line order; replay re-mints ids on ingestion so that
-events raised mid-dispatch get interleaved, globally fresh ids (a
-pre-numbered merged stream could not stay monotone around them).
+instances 1..n in line order; replay hands the engine each stimulus's type
+name, time and payload, and the engine mints ids on ingestion, so that
+events raised mid-dispatch get interleaved, globally fresh ids. Timer
+ticks go through the same call as the trace reaches their time; none is
+built ahead of the engine.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import json
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -38,7 +40,6 @@ from .model import (
     EventTypeId,
     intern_type,
     is_reserved_type,
-    make_event,
     name_json,
     require_finite,
     scalar_json,
@@ -137,28 +138,6 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
     return out
 
 
-def synth_ticks(span: tuple[int, int], period: int) -> list[EventInstance]:
-    """Timer events at t0+period, t0+2*period, ... up to and including t1.
-
-    Ids number the ticks 1..k; replay re-mints ids when merging anyway.
-    """
-    if type(period) is not int or period < 1:  # bool is refused too
-        raise InvalidPeriod(f"tick period must be an integer >= 1, got {shown(period)}")
-    t0, t1 = span
-    return [
-        make_event(TIMER_TYPE, t, {}, id=i)
-        for i, t in enumerate(range(t0 + period, t1 + 1, period), start=1)
-    ]
-
-
-def merge_stream(
-    trace: Sequence[EventInstance], ticks: Sequence[EventInstance]
-) -> list[EventInstance]:
-    """Interleave ticks into a trace; at equal times stimuli precede ticks.
-    Neither input is reordered, so a trace out of time order stays so."""
-    return list(heapq.merge(trace, ticks, key=lambda ev: ev.time))
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Everything a replay produced, serializable to canonical JSONL."""
@@ -240,6 +219,27 @@ class _Writer(dict):
         )
 
 
+_ingest_args = operator.attrgetter("type.name", "time", "payload")
+
+
+def _ticked(trace: Iterable[EventInstance], period: int):
+    """The trace as ``_ingest_args`` gives it, each stimulus after the ticks
+    (``timer`` at period, 2*period, ...) due before its time, then the
+    ticks up to the largest time: ticks follow stimuli at equal times."""
+    due = period
+    horizon = 0
+    for ev in trace:
+        name, time, payload = _ingest_args(ev)
+        while due < time:
+            yield TIMER_TYPE, due, None
+            due += period
+        horizon = max(horizon, time)
+        yield name, time, payload
+    while due <= horizon:
+        yield TIMER_TYPE, due, None
+        due += period
+
+
 def run_replay(
     ruleset: RuleSet,
     trace: Iterable[EventInstance],
@@ -250,25 +250,28 @@ def run_replay(
 ) -> RunReport:
     """Feed a trace through an engine built from ``ruleset``.
 
-    With ``tick`` set, timer events are synthesized over [0, last stimulus
-    time] and merged in (after stimuli at equal times). Incoming ids are
-    ignored; the engine re-mints them in dispatch order. A chain-limit abort
-    is reported, not raised: the report carries the partial records and an
-    error message.
+    The trace is read once, as given. With ``tick`` set, a ``timer`` event
+    with an empty payload is ingested at each multiple of ``tick`` up to
+    the largest stimulus time, as the trace reaches it (after stimuli at
+    equal times). Incoming ids are ignored; the engine mints them in
+    dispatch order. A chain-limit abort is reported, not raised: the
+    report carries the partial records and an error message.
     """
     engine = Engine(ruleset, initial_facts=initial_facts, chain_limit=chain_limit)
-    stream = trace if tick is None else list(trace)  # read as given, if it can be
-    if tick is not None:
-        horizon = max((ev.time for ev in stream), default=0)
-        stream = merge_stream(stream, synth_ticks((0, horizon), tick))
+    if tick is None:
+        stream = map(_ingest_args, trace)
+    elif type(tick) is not int or tick < 1:  # bool is refused too
+        raise InvalidPeriod(f"tick period must be an integer >= 1, got {shown(tick)}")
+    else:
+        stream = _ticked(trace, tick)
 
     records: list[ReactionRecord] = []
     dispatched = 0
     error: Optional[str] = None
-    for ev in stream:
+    for name, time, payload in stream:
         dispatched += 1
         try:
-            records.extend(engine.ingest(ev.type.name, ev.time, ev.payload))
+            records.extend(engine.ingest(name, time, payload))
         except ChainLimitExceeded as exc:
             records.extend(exc.records)
             error = str(exc)

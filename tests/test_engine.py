@@ -52,7 +52,6 @@ from reactor import (
     occurrences,
     parse_rules,
     run_replay,
-    synth_ticks,
     triggering_graph,
     validate_expr,
 )
@@ -761,7 +760,7 @@ class TestIntDigits:
              "chain limit must be an integer >= 1, got {}"),
             (lambda rs: DetectorConfig(window=-TOO_LONG), InvalidConfig,
              "window must be a positive integer, got {}"),
-            (lambda rs: synth_ticks((0, 10), -TOO_LONG), InvalidPeriod,
+            (lambda rs: run_replay(rs, [], tick=-TOO_LONG), InvalidPeriod,
              "tick period must be an integer >= 1, got {}"),
             (lambda rs: validate_expr(Any(-TOO_LONG, (EventTypeId("a"),))),
              InvalidExpression, "any needs an integer count >= 1, got {}"),

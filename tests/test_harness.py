@@ -1,10 +1,11 @@
-"""Trace loading, tick synthesis, replay determinism, and the CLI."""
+"""Trace loading, timer ticks, replay determinism, and the CLI."""
 
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,8 @@ from reactor import (
     TxnOutcome,
     load_trace,
     make_event,
-    merge_stream,
     parse_rules,
     run_replay,
-    synth_ticks,
 )
 from reactor.cli import main as cli_main
 from reactor.model import scalar_json
@@ -152,58 +151,85 @@ class TestLoadTrace:
         assert e.payload == {}
 
 
-class TestSynthTicks:
+# each rule binds the event it fires on, so the records list the dispatch order
+SEEN = parse_rules(
+    "rule t: on timer as ?e do noop\n"
+    "rule s: on a as ?e do noop\n"
+    "rule u: on b as ?e do noop\n"
+)
+
+
+def dispatch_order(trace, tick):
+    report = run_replay(SEEN, trace, tick=tick)
+    return [(r.bindings["e"].type.name, r.bindings["e"].time) for r in report.records]
+
+
+class TestTicks:
     def test_period_divides_span(self):
-        assert [e.time for e in synth_ticks((0, 10), 5)] == [5, 10]
+        trace = [make_event("a", 10, id=1)]
+        assert dispatch_order(trace, 5) == [("timer", 5), ("a", 10), ("timer", 10)]
 
     def test_span_shorter_than_period(self):
-        assert synth_ticks((0, 4), 5) == []
+        trace = [make_event("a", 4, id=1)]
+        assert dispatch_order(trace, 5) == [("a", 4)]
 
-    def test_offset_span(self):
-        assert [e.time for e in synth_ticks((3, 13), 5)] == [8, 13]
-
-    def test_bad_period(self):
-        with pytest.raises(InvalidPeriod):
-            synth_ticks((0, 10), 0)
-        with pytest.raises(InvalidPeriod):
-            synth_ticks((0, 10), -2)
-        rules = parse_rules("rule r: on a do noop")
-        trace = [make_event("a", 3, None, id=1)]
-        for period in (1.5, "2", True, None):
-            with pytest.raises(InvalidPeriod, match="integer >= 1"):
-                synth_ticks((0, 10), period)
-        for period in (0, 1.5, "2", True):
-            with pytest.raises(InvalidPeriod, match="integer >= 1"):
-                run_replay(rules, trace, tick=period)
-
-    def test_tick_type(self):
-        (e,) = synth_ticks((0, 5), 5)
-        assert e.type.name == "timer" and e.payload == {}
-
-
-class TestMergeStream:
     def test_ticks_follow_stimuli_at_equal_times(self):
-        trace = [make_event("a", 5, id=1)]
-        ticks = synth_ticks((0, 5), 5)
-        merged = merge_stream(trace, ticks)
-        assert [e.type.name for e in merged] == ["a", "timer"]
-
-    def test_trace_order_is_kept(self):
-        # a trace out of time order stays so, for the engine to refuse
-        trace = [make_event("b", 5, id=1), make_event("a", 1, id=2)]
-        ticks = synth_ticks((0, 6), 3)  # 3, 6
-        merged = merge_stream(trace, ticks)
-        assert [(e.type.name, e.time) for e in merged] == [
-            ("timer", 3), ("b", 5), ("a", 1), ("timer", 6),
-        ]
+        trace = [make_event("a", 5, id=1), make_event("b", 5, id=2)]
+        assert dispatch_order(trace, 5) == [("a", 5), ("b", 5), ("timer", 5)]
 
     def test_interleaving(self):
         trace = [make_event("a", 1, id=1), make_event("b", 7, id=2)]
-        ticks = synth_ticks((0, 7), 3)  # 3, 6
-        merged = merge_stream(trace, ticks)
-        assert [(e.type.name, e.time) for e in merged] == [
+        assert dispatch_order(trace, 3) == [
             ("a", 1), ("timer", 3), ("timer", 6), ("b", 7),
         ]
+
+    def test_trace_order_is_kept(self):
+        # a trace out of time order is not sorted: the tick at 3 and b at 5
+        # go in, then the engine refuses a at 1
+        trace = [make_event("b", 5, id=1), make_event("a", 1, id=2)]
+        with pytest.raises(OutOfOrderEvent, match=r"^event a@1#3 precedes watermark 5$"):
+            run_replay(SEEN, trace, tick=3)
+
+    def test_tick_type(self):
+        report = run_replay(
+            parse_rules("rule r: on timer as ?t do noop"), [make_event("a", 5, id=1)], tick=5
+        )
+        (record,) = report.records
+        e = record.bindings["t"]
+        assert e.type.name == "timer" and e.payload == {} and (e.id, e.time) == (2, 5)
+        assert '"t":{"id":2,"payload":{},"time":5,"type":"timer"}' in report.to_jsonl()
+
+    @pytest.mark.parametrize(
+        "period, text", [(0, "0"), (-2, "-2"), (1.5, "1.5"), ("2", "'2'"), (True, "True")]
+    )
+    def test_bad_period(self, period, text):
+        rules = parse_rules("rule r: on a do noop")
+        trace = [make_event("a", 3, None, id=1)]
+        with pytest.raises(InvalidPeriod) as ei:
+            run_replay(rules, trace, tick=period)
+        assert str(ei.value) == f"tick period must be an integer >= 1, got {text}"
+
+    def test_tick_memory_is_flat_in_the_horizon(self):
+        """Two stimuli, at 1 and at n, with a tick every time unit: the
+        peak traced memory is the same at n and at 4n, as each tick is
+        ingested when the trace reaches it and none is built ahead."""
+        rules = parse_rules("rule r: on a do noop")
+
+        def peak(n):
+            trace = [make_event("a", 1, id=1), make_event("a", n, id=2)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                report = run_replay(rules, trace, tick=1)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.dispatched == n + 2 and report.error is None
+            return top - base
+
+        # a listed tick costs about 200 bytes: some 6 MB more at 40k
+        small, large = peak(10_000), peak(40_000)
+        assert abs(large - small) < 262_144, (small, large)
 
 
 CASCADE_RULES = (
@@ -302,8 +328,7 @@ class TestRunReplay:
 
     @pytest.mark.parametrize("tick", [None, 2])
     def test_trace_may_be_any_iterable(self, tick):
-        # without ticks the trace is read once, as given; with them it is
-        # listed first, to find the horizon
+        # the trace is read once, as given, with or without ticks
         rules = parse_rules(
             "effect start_shift initiates on_duty\n"
             "rule audit: on timer where holds(on_duty) do assert(audited)\n"
@@ -462,6 +487,32 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(report.read_text().splitlines()[-1])["summary"]["records"] == 1
+
+    def test_run_tick_writes_the_replay_report(self, tmp_path, capsys):
+        text = (
+            "effect start_shift initiates on_duty\n"
+            "rule audit: on timer as ?t where holds(on_duty) do assert(audited)\n"
+        )
+        rules = self.write(tmp_path, "r.rr", text)
+        lines = '{"type": "start_shift", "time": 1}\n{"type": "a", "time": 5}\n'
+        trace = self.write(tmp_path, "t.jsonl", lines)
+        code = cli_main(["run", "--rules", rules, "--trace", trace, "--tick", "2"])
+        want = run_replay(parse_rules(text), load_trace(trace_io(lines)), tick=2).to_jsonl()
+        assert code == 0
+        assert capsys.readouterr().out == want
+        assert want.count('"type":"timer"') == 2  # the ticks at 2 and 4
+
+    def test_run_tick_zero_refused(self, tmp_path, capsys):
+        rules = self.write(tmp_path, "r.rr", "rule r: on timer do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        report = tmp_path / "out.jsonl"
+        code = cli_main([
+            "run", "--rules", rules, "--trace", trace, "--tick", "0", "--report", str(report),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: tick period must be an integer >= 1, got 0\n"
+        assert not report.exists()
 
     def test_run_chain_abort_exit_code(self, tmp_path, capsys):
         rules = self.write(
