@@ -53,7 +53,6 @@ from .errors import (
     RuleSyntaxError,
     TemplateError,
     TraceError,
-    UnboundedInterval,
     UnboundVariable,
     UnsortedHistory,
 )
@@ -64,8 +63,6 @@ from .model import (
     EventTypeId,
     Interval,
     is_reserved_type,
-    make_event,
-    strictly_before,
 )
 from .parser import parse_expr, parse_rules
 from .rules import (
@@ -106,11 +103,10 @@ __all__ = [
     "NonFinitePayload",
     "OutOfOrderEvent", "OutOfOrderTrace", "ReactorError",
     "ReservedType", "RuleSyntaxError", "TemplateError", "TraceError",
-    "UnboundedInterval", "UnboundVariable", "UnsortedHistory",
+    "UnboundVariable", "UnsortedHistory",
     "EffectMode", "FluentHistory",
     "RunReport", "load_trace", "run_replay",
     "EventInstance", "EventTypeId", "Interval", "is_reserved_type",
-    "make_event", "strictly_before",
     "parse_expr", "parse_rules",
     "AssertAction", "Comparison", "Condition", "EffectDecl", "EmitAction",
     "Fact", "FactLookup", "FactTemplate", "FieldRef", "HoldsAtom",

@@ -29,10 +29,7 @@ from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidExpression, UnsortedHistory
-from .model import (
-    EventInstance, EventTypeId, Interval, TimePoint, shown, slot_setters,
-    strictly_before,
-)
+from .model import EventInstance, EventTypeId, Interval, TimePoint, shown, slot_setters
 
 # =========================================================================
 # Expression tree
@@ -290,7 +287,7 @@ def check_sorted(history: Sequence[EventInstance]) -> None:
 
 
 def _interval_before(l: Occurrence, r: Occurrence) -> bool:
-    return strictly_before(l.interval, r.interval)
+    return l.terminator_time < r.initiator_time
 
 
 def _point_before(l: Occurrence, r: Occurrence) -> bool:

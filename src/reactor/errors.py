@@ -14,10 +14,6 @@ class ReactorError(Exception):
 # -------------------------------------------------------------------- model
 
 
-class UnboundedInterval(ReactorError):
-    """An interval operation needed a finite endpoint and got an open one."""
-
-
 class InvalidEvent(ReactorError, ValueError):
     """An event's type name, time, id or payload is malformed."""
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import io
 import json
 import operator
+import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .engine import Engine, ReactionRecord, TxnOutcome
 from .errors import (
@@ -52,15 +53,15 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def load_trace(source: Union[str, IO[str], Iterable[str]]) -> list[EventInstance]:
+def load_trace(source: Union[str, os.PathLike, Iterable[str]]) -> list[EventInstance]:
     """Read a line-delimited JSON trace.
 
-    ``source`` is a path or an iterable of lines. Blank lines are skipped.
-    Returns instances with ids 1..n in line order. Raises TraceError (or a
-    subclass) carrying the offending 1-based line number; a file that is not
-    UTF-8 counts as a bad trace too.
+    ``source`` is a path (a str or os.PathLike) or an iterable of str lines.
+    Blank lines are skipped. Returns instances with ids 1..n in line order.
+    Raises TraceError (or a subclass) carrying the offending 1-based line
+    number; a line that is no str, and a file not UTF-8, count as bad too.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
         try:
@@ -92,9 +93,9 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
     types: dict[str, EventTypeId] = {}
     last_time: Optional[int] = None
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
         try:
+            if not str.strip(raw):  # TypeError for a line that is no str
+                continue
             line = raw.strip(_JSON_SPACE)
             try:
                 obj, end = _DECODER.scan_once(line, 0)
@@ -106,6 +107,8 @@ def _parse_lines(lines: Iterable[str]) -> list[EventInstance]:
             raise TraceError(f"invalid JSON: {e.msg}", lineno) from None
         except (ValueError, RecursionError) as e:  # out of range, or nested too deep
             raise TraceError(f"invalid JSON: {e}", lineno) from None
+        except TypeError:  # bytes from a file opened "rb", say
+            raise TraceError(f"line is {type(raw).__name__}, not str", lineno) from None
         if not isinstance(obj, dict):
             raise TraceError("each line must be a JSON object", lineno)
         if "type" not in obj or "time" not in obj:

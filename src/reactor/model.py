@@ -9,7 +9,8 @@ EventInstance is a slotted frozen dataclass with one hand-written
 constructor: it checks its arguments, then writes each slot once through the
 slot's setter (``slot_setters``), as Occurrence and ReactionRecord do.
 Called on None (``check_event``) it only checks: the engine's path for an
-event of a type that no rule or effect names.
+event of a type that no rule or effect names. It is the one way to build an
+event; callers take the type from ``intern_type``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Union
 
-from .errors import InvalidEvent, NonFinitePayload, UnboundedInterval
+from .errors import InvalidEvent, NonFinitePayload
 
 # Timeline positions. Plain ints; the alias marks intent in signatures.
 TimePoint = int
@@ -114,20 +115,9 @@ class Interval:
         if self.end is not None and self.end < self.start:
             raise ValueError(f"interval end {self.end} precedes start {self.start}")
 
-    @property
-    def bounded(self) -> bool:
-        return self.end is not None
-
     def __repr__(self):
         hi = "OPEN" if self.end is None else self.end
         return f"[{self.start},{hi}]"
-
-
-def strictly_before(a: Interval, b: Interval) -> bool:
-    """True iff a ends before b starts. Requires bounded inputs."""
-    if not a.bounded or not b.bounded:
-        raise UnboundedInterval(f"ordering needs bounded intervals, got {a} and {b}")
-    return a.end < b.start
 
 
 # =========================================================================
@@ -253,18 +243,3 @@ def payload_dict(payload: object) -> dict[str, Scalar]:
     if type(payload) is not dict and not isinstance(payload, Mapping):
         raise InvalidEvent(f"event payload must be a mapping, got {shown(payload)}")
     return dict(payload)
-
-
-def make_event(
-    type: EventTypeId | str,
-    time: TimePoint,
-    payload: Mapping[str, Scalar] | None = None,
-    id: int = 1,
-) -> EventInstance:
-    """Construct an event instance. The caller owns id freshness.
-
-    A type name is looked up with intern_type.
-    """
-    if not isinstance(type, EventTypeId):
-        type = intern_type(type)
-    return EventInstance(id=id, type=type, time=time, payload=payload_dict(payload))

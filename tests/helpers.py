@@ -10,13 +10,14 @@ from reactor import (
     Any,
     Atomic,
     EventExpr,
+    EventInstance,
     EventTypeId,
     Not,
     Or,
     Seq,
     Times,
-    make_event,
 )
+from reactor.model import intern_type
 
 TYPES = ("a", "b", "c", "d")
 
@@ -37,8 +38,10 @@ MALFORMED_EVENTS = [
 ]
 
 
-def ev(type_name, time, id, payload=None):
-    return make_event(type_name, time, payload, id=id)
+def make_event(type_name, time, payload=None, id=1):
+    """An event of the interned type named ``type_name``; the caller owns id
+    freshness."""
+    return EventInstance(id, intern_type(type_name), time, payload)
 
 
 def history(*specs):

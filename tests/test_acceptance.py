@@ -28,14 +28,13 @@ from reactor import (
     FluentHistory,
     SelectionPolicy,
     Seq,
-    make_event,
     occurrences,
     occurrences_point,
     parse_rules,
     run_replay,
     triggering_graph,
 )
-from helpers import history, proj, random_expr, random_history
+from helpers import history, make_event, proj, random_expr, random_history
 
 SEED = 20260819
 ORACLE_TRIALS = 1000

@@ -21,7 +21,6 @@ from reactor import (
     Seq,
     Times,
     UnsortedHistory,
-    make_event,
     occurrences,
     occurrences_point,
     validate_expr,
@@ -33,7 +32,7 @@ from reactor.algebra import (
     occurrence_of,
 )
 
-from helpers import history, proj, random_expr, random_history
+from helpers import history, make_event, proj, random_expr, random_history
 
 A, B, C, X = (Atomic(EventTypeId(t)) for t in "abcx")
 

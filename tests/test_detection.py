@@ -20,13 +20,12 @@ from reactor import (
     SelectionPolicy,
     Seq,
     Times,
-    make_event,
     occurrences,
 )
 from reactor.algebra import occurrence_sort_key
 from reactor.detection import _AnyNode, select_candidates
 
-from helpers import TYPES, history, proj, random_expr, random_history
+from helpers import TYPES, history, make_event, proj, random_expr, random_history
 
 A, B, C, X = (Atomic(EventTypeId(t)) for t in "abcx")
 ALL_MULTI = DetectorConfig(SelectionPolicy.ALL, ConsumptionPolicy.MULTIPLE)

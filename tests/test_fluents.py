@@ -14,10 +14,11 @@ from reactor import (
     InvalidRule,
     OutOfOrderEvent,
     RuleSet,
-    make_event,
     parse_rules,
     run_replay,
 )
+
+from helpers import make_event
 
 
 def fh(*effects):

@@ -8,7 +8,9 @@ format or to the engine's semantics must re-record them and say why.
 import hashlib
 import json
 
-from reactor import make_event, parse_rules, run_replay
+from reactor import parse_rules, run_replay
+
+from helpers import make_event
 from test_acceptance import REPLAY_RULES, big_trace
 
 # Loads the report paths no benchmark workload reaches: a postcondition

@@ -26,7 +26,6 @@ from reactor import (
     TraceError,
     TxnOutcome,
     load_trace,
-    make_event,
     parse_rules,
     run_replay,
 )
@@ -34,6 +33,7 @@ from reactor.cli import main as cli_main
 from reactor.model import scalar_json
 
 import reference_report as ref
+from helpers import make_event
 
 
 def trace_io(*lines):
@@ -149,6 +149,31 @@ class TestLoadTrace:
     def test_null_payload_treated_as_empty(self):
         (e,) = load_trace(trace_io('{"type": "a", "time": 1, "payload": null}'))
         assert e.payload == {}
+
+    def test_path_like_source_is_a_path(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"type": "a", "time": 1}\n{"type": "b", "time": 2}\n')
+        got = load_trace(path)
+        assert got == load_trace(str(path))
+        assert [(e.id, e.type.name, e.time) for e in got] == [(1, "a", 1), (2, "b", 2)]
+        path.write_bytes(b"\n\xff\n")
+        with pytest.raises(TraceError) as ei:
+            load_trace(path)  # read as bytes and decoded, as a str path is
+        assert ei.value.line == 2
+
+    @pytest.mark.parametrize("line", [b'{"type": "a", "time": 2}\n', b"\n", b"", 5, None], ids=repr)
+    def test_line_that_is_no_str_refused(self, line):
+        with pytest.raises(TraceError) as ei:
+            load_trace(['{"type": "a", "time": 1}\n', line])
+        assert type(ei.value) is TraceError and ei.value.line == 2
+        assert str(ei.value) == f"line is {type(line).__name__}, not str (trace line 2)"
+
+    def test_file_opened_as_bytes_refused(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"type": "a", "time": 1}\n')
+        with open(path, "rb") as fh, pytest.raises(TraceError) as ei:
+            load_trace(fh)
+        assert str(ei.value) == "line is bytes, not str (trace line 1)"
 
 
 # each rule binds the event it fires on, so the records list the dispatch order
@@ -606,6 +631,39 @@ class TestCli:
         assert cli_main(["run", "--rules", str(bad), "--trace", trace]) == 2
         assert cli_main(["check", "--rules", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "truncated", "missing", "directory"])
+    @pytest.mark.parametrize(
+        "argv, slot",
+        [
+            (["run", "--rules", "{rules}", "--trace", "{trace}", "--report", "{report}"], "rules"),
+            (["run", "--rules", "{rules}", "--trace", "{trace}", "--report", "{report}"], "trace"),
+            (["check", "--rules", "{rules}"], "rules"),
+            (["oracle", "--expr", "seq(a, b)", "--trace", "{trace}"], "trace"),
+        ],
+        ids=["run-rules", "run-trace", "check-rules", "oracle-trace"],
+    )
+    def test_bad_input_file_exit_2(self, tmp_path, capsys, argv, slot, kind):
+        paths = {
+            "rules": self.write(tmp_path, "r.rr", "rule r: on a do assert(p)\n"),
+            "trace": self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n'),
+            "report": str(tmp_path / "out.jsonl"),
+        }
+        good = Path(paths[slot]).read_bytes()
+        bad = tmp_path / "bad"
+        if kind == "non-utf8":
+            bad.write_bytes(good + b"\xff\xfe\n")
+        elif kind == "truncated":  # cut inside its last line
+            bad.write_bytes(good + good[: len(good) // 2])
+        elif kind == "directory":
+            bad.mkdir()
+        paths[slot] = str(bad)
+        code = cli_main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_non_finite_payload_exit_2(self, tmp_path, capsys):
         rules = self.write(tmp_path, "r.rr", "rule r: on a as ?x do assert(seen(?x.v))\n")

@@ -1,5 +1,6 @@
 """No module under src/reactor imports a name it never uses, no
-module-level name is dead, and no private helper is named only by itself.
+module-level name is dead, no private helper is named only by itself, and
+every name the package exports is one it runs itself.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 ``__init__.py`` is skipped by the first: its imports are the package's
@@ -138,3 +139,42 @@ def test_checker_flags_an_unnamed_private_helper():
         "b": "from .a import _h\n",
     }
     assert unnamed_private(sources) == ["a._f", "a._C"]
+
+
+def unused_exports(sources: dict[str, str]) -> list[str]:
+    """Each name in ``__init__``'s ``__all__``, in order, that no other
+    module loads: public API that nothing in the package runs. Importing a
+    name is no load."""
+    exported: list[str] = []
+    loaded: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module == "__init__":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                    exported = ast.literal_eval(node.value)
+            continue
+        loaded.update(
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        )
+    return [name for name in exported if name not in loaded]
+
+
+# occurrences_point is the point-semantics projection of the one evaluator:
+# tests/test_acceptance.py calls it, and it costs no code of its own
+KEPT_UNUSED_EXPORTS = ["occurrences_point", "__version__"]
+
+
+def test_every_export_is_run_by_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unused_exports(sources) == KEPT_UNUSED_EXPORTS
+
+
+def test_checker_flags_an_unused_export():
+    sources = {
+        "__init__": "from .a import f, g, h\n__all__ = ['f', 'g', 'h']\ng()\n",
+        "a": "def f(): pass\ndef g(): return f()\ndef h(): pass\n",
+        "b": "from .a import h\n",
+    }
+    assert unused_exports(sources) == ["g", "h"]

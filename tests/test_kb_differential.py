@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import reference_report
 import reference_rules as ref
+from helpers import make_event
 
 import reactor.engine
 import reactor.rules
@@ -58,7 +59,6 @@ from reactor import (
     apply_actions_txn,
     evaluate_condition,
     load_trace,
-    make_event,
     parse_rules,
     run_replay,
 )

@@ -11,13 +11,12 @@ from reactor import (
     EventInstance,
     EventTypeId,
     Interval,
-    UnboundedInterval,
     is_reserved_type,
-    make_event,
-    strictly_before,
 )
 from reactor.algebra import merge_occurrences, occurrence_of
 from reactor.model import intern_type, is_finite_scalar, shown
+
+from helpers import make_event
 
 BOUNDED = [
     Interval(s, e) for s, e in itertools.product(range(5), repeat=2) if e >= s
@@ -27,11 +26,10 @@ BOUNDED = [
 class TestInterval:
     def test_point_interval(self):
         iv = Interval(3, 3)
-        assert iv.start == 3 and iv.end == 3 and iv.bounded
+        assert iv.start == 3 and iv.end == 3
 
     def test_open_interval(self):
         iv = Interval(2, None)
-        assert not iv.bounded
         assert repr(iv) == "[2,OPEN]"
 
     def test_repr_bounded(self):
@@ -101,26 +99,6 @@ class TestCover:
         assert c.start in (a.start, b.start) and c.end in (a.end, b.end)
 
 
-class TestStrictlyBefore:
-    def test_separated(self):
-        assert strictly_before(Interval(1, 2), Interval(3, 4))
-
-    def test_adjacent_is_not_before(self):
-        # sharing a boundary point is not strict precedence
-        assert not strictly_before(Interval(1, 2), Interval(2, 3))
-
-    def test_overlap_is_not_before(self):
-        assert not strictly_before(Interval(1, 4), Interval(3, 5))
-
-    def test_asymmetric_exhaustive(self):
-        for a, b in itertools.product(BOUNDED, repeat=2):
-            assert not (strictly_before(a, b) and strictly_before(b, a))
-
-    def test_open_operand_rejected(self):
-        with pytest.raises(UnboundedInterval):
-            strictly_before(Interval(1, None), Interval(3, 4))
-
-
 class TestEventTypes:
     def test_external(self):
         t = EventTypeId("outage")
@@ -176,12 +154,6 @@ class TestEventInstance:
         a2 = make_event("a", 1, {"k": 2}, id=1)
         assert a1 != a2
         assert hash(a1) == hash(a2)  # differ only in the unhashed payload
-
-    def test_string_type_coercion(self):
-        e = make_event("assert:p", 4, id=9)
-        assert e.type == EventTypeId("assert:p") and is_reserved_type(e.type.name)
-        e2 = make_event(EventTypeId("b"), 1, id=1)
-        assert e2.type.name == "b"
 
 
 def _has_str(v):

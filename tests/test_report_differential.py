@@ -15,9 +15,10 @@ import random
 import pytest
 
 import reference_report as ref
+from helpers import make_event
 
 from reactor import (
-    EventInstance, Occurrence, ReactionRecord, RunReport, TxnOutcome, make_event,
+    EventInstance, Occurrence, ReactionRecord, RunReport, TxnOutcome,
 )
 from reactor.engine import _order_key
 from reactor.model import scalar_json

@@ -44,7 +44,6 @@ from reactor import (
     apply_actions_txn,
     evaluate_condition,
     fact_sort_key,
-    make_event,
     parse_rules,
     run_replay,
     validate_expr,
@@ -53,7 +52,7 @@ from reactor.algebra import EventExpr, _walk_expr
 from reactor.rules import _getter
 
 import reference_rules as ref
-from helpers import random_expr
+from helpers import make_event, random_expr
 
 NAN, INF = float("nan"), float("inf")
 

@@ -196,8 +196,8 @@ def test_constructors_match_the_frozen_dataclasses():
 
 def test_event_payload_none_is_no_fields():
     # the one input the two sides part on: the dataclass took None as the
-    # payload and failed when it checked it; make_event and ingest read
-    # None as no fields, and so does the constructor now
+    # payload and failed when it checked it; ingest reads None as no
+    # fields, and so does the constructor now
     e = EventInstance(1, A, 0, None)
     assert e.payload == {} and e == EventInstance(1, A, 0)
     with pytest.raises(AttributeError):
