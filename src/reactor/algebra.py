@@ -16,20 +16,21 @@ semantics:
   compares those stamps. Kept side by side because composing sequences under
   it is not associative; the interval evaluator repairs exactly that.
 
-An Occurrence, built per detection, is a slotted frozen dataclass with one
-positional constructor that writes each slot once (see model.slot_setters);
-the merges pick the earliest initiator and latest terminator field by field.
+An Occurrence is a frozen tuple of its fields (see model.Frozen), equal to
+the plain tuple of them; the merges build one with ``tuple.__new__``, picking
+the earliest initiator and latest terminator field by field.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InvalidExpression, UnsortedHistory
-from .model import EventInstance, EventTypeId, Interval, TimePoint, shown, slot_setters
+from .model import EventInstance, EventTypeId, Frozen, Interval, TimePoint, shown
 
 # =========================================================================
 # Expression tree
@@ -176,30 +177,16 @@ def _walk_expr(expr: EventExpr) -> tuple[frozenset[str], set[str]]:
 # =========================================================================
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Occurrence:
+class Occurrence(Frozen, namedtuple("Occurrence", "bindings components initiator_time "
+                                     "terminator_time initiator_id terminator_id")):
     """One detected occurrence of an expression.
 
-    components are instance ids; initiator/terminator are the earliest and
-    latest components by (time, id), so the interval they span is the cover
-    of the component intervals.
+    bindings map variable names to instances; components are instance ids;
+    initiator/terminator are the earliest and latest components by (time,
+    id), so the interval they span is the cover of the component intervals.
     """
 
-    bindings: Mapping[str, EventInstance]
-    components: frozenset[int]
-    initiator_time: TimePoint
-    terminator_time: TimePoint
-    initiator_id: int
-    terminator_id: int
-
-    def __init__(self, bindings, components, initiator_time, terminator_time,
-                 initiator_id, terminator_id):
-        _set_bindings(self, bindings)
-        _set_components(self, components)
-        _set_initiator_time(self, initiator_time)
-        _set_terminator_time(self, terminator_time)
-        _set_initiator_id(self, initiator_id)
-        _set_terminator_id(self, terminator_id)
+    __slots__ = ()
 
     @property
     def interval(self) -> Interval:
@@ -217,14 +204,13 @@ class Occurrence:
         return f"<{self.interval} {sorted(self.components)}>"
 
 
-(_set_bindings, _set_components, _set_initiator_time, _set_terminator_time,
- _set_initiator_id, _set_terminator_id) = slot_setters(Occurrence)
+_new = tuple.__new__  # an Occurrence from its fields, with no Python frame
 
 
 def occurrence_of(inst: EventInstance, var: Optional[str] = None) -> Occurrence:
     """Atomic occurrence of one instance."""
     t, i = inst.time, inst.id
-    return Occurrence({var: inst} if var else {}, frozenset((i,)), t, t, i, i)
+    return _new(Occurrence, ({var: inst} if var else {}, frozenset((i,)), t, t, i, i))
 
 
 def _first(a: Occurrence, b: Occurrence) -> Occurrence:
@@ -243,11 +229,11 @@ def merge_occurrences(a: Occurrence, b: Occurrence) -> Occurrence:
     """Combine two occurrences. validate_expr refuses a repeated binding
     name, so the two never bind the same variable."""
     first, last = _first(a, b), _last(a, b)
-    return Occurrence(
+    return _new(Occurrence, (
         {**a.bindings, **b.bindings}, a.components | b.components,
         first.initiator_time, last.terminator_time,
         first.initiator_id, last.terminator_id,
-    )
+    ))
 
 
 def merge_group(occs: Sequence[Occurrence]) -> Occurrence:
@@ -256,11 +242,11 @@ def merge_group(occs: Sequence[Occurrence]) -> Occurrence:
     (time, id), and no bindings (the grouping operators do not expose inner
     bindings)."""
     first, last = reduce(_first, occs), reduce(_last, occs)
-    return Occurrence(
+    return _new(Occurrence, (
         {}, frozenset().union(*[o.components for o in occs]),
         first.initiator_time, last.terminator_time,
         first.initiator_id, last.terminator_id,
-    )
+    ))
 
 
 def occurrence_sort_key(o: Occurrence):

@@ -5,13 +5,20 @@
     reactor check  --rules FILE
     reactor oracle --expr EXPR --trace FILE
 
-Exit codes: 0 success, 1 `check` found triggering cycles, 2 bad usage or
-unreadable input, 3 run aborted (chain limit).
+Exit codes: 0 success, 1 `check` found triggering cycles, 2 bad usage,
+unreadable input or a report path that cannot be written, 3 run aborted
+(chain limit; the report up to the abort is still written). `run --report`
+writes a temporary file beside the report, made before the trace is read,
+and renames it onto the report when the run is done; a run that fails
+leaves neither behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -38,18 +45,33 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _report_file(path: str):
+    """A new file beside ``path`` to write the report to, opened before the
+    replay, so that a path no report can go to fails at once."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        return open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8")
+    except OSError as e:
+        raise ReactorError(f"cannot write report file {path}: {e.strerror}") from None
+
+
 def _cmd_run(args) -> int:
     ruleset = _read_rules(args.rules)
-    trace = load_trace(args.trace)
-    report = run_replay(
-        ruleset, trace, tick=args.tick, chain_limit=args.chain_limit
-    )
-    text = report.to_jsonl()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = _report_file(args.report) if args.report else sys.stdout
+    try:
+        trace = load_trace(args.trace)
+        report = run_replay(ruleset, trace, tick=args.tick, chain_limit=args.chain_limit)
+        out.write(report.to_jsonl())
+        if out is not sys.stdout:  # the whole report replaces the target at once
+            out.close()
+            os.replace(out.name, args.report)
+    except BaseException:
+        if out is not sys.stdout:  # a failed run leaves no part of a report
+            out.close()
+            with contextlib.suppress(OSError):
+                os.unlink(out.name)
+        raise
     return 3 if report.error else 0
 
 

@@ -30,7 +30,7 @@ static counterpart: no cycles there means no chain can run away.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -49,6 +49,7 @@ from .fluents import FluentHistory
 from .model import (
     EventInstance,
     EventTypeId,
+    Frozen,
     TimePoint,
     check_event,
     intern_type,
@@ -58,7 +59,6 @@ from .model import (
     require_finite,
     scalar_json,
     shown,
-    slot_setters,
 )
 from .rules import (
     Action,
@@ -80,31 +80,17 @@ class TxnOutcome(Enum):
     ROLLED_BACK = "rolled_back"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ReactionRecord:
-    """One rule firing: what triggered it, what it raised, how it ended."""
+class ReactionRecord(Frozen, namedtuple("ReactionRecord", "rule_id occurrence bindings "
+                                         "outcome events depth error", defaults=(None,))):
+    """One rule firing: what triggered it (rule_id, occurrence, bindings),
+    what it raised (events), how it ended (outcome, and error, the text of
+    a fault that rolled it back), at which chain depth."""
 
-    rule_id: str
-    occurrence: Occurrence
-    bindings: dict[str, Binding]
-    outcome: TxnOutcome
-    events: tuple[EventInstance, ...]
-    depth: int
-    error: Optional[str]
-
-    def __init__(self, rule_id, occurrence, bindings, outcome, events, depth,
-                 error=None):
-        _set_rule_id(self, rule_id)
-        _set_occurrence(self, occurrence)
-        _set_bindings(self, bindings)
-        _set_outcome(self, outcome)
-        _set_events(self, events)
-        _set_depth(self, depth)
-        _set_error(self, error)
+    __slots__ = ()
 
 
-(_set_rule_id, _set_occurrence, _set_bindings, _set_outcome, _set_events,
- _set_depth, _set_error) = slot_setters(ReactionRecord)
+_new = tuple.__new__  # a ReactionRecord or Fact from its fields, with no Python frame
+_COMMITTED, _ROLLED_BACK = TxnOutcome.COMMITTED, TxnOutcome.ROLLED_BACK
 
 
 # =========================================================================
@@ -137,7 +123,7 @@ def apply_actions_txn(
             kb.undo(ops)
             raise TemplateError(f"cannot instantiate {label}: {err}") from err
         if op is not None:
-            fact = Fact(name, values)
+            fact = _new(Fact, (name, values))
             stamp = kb.add(fact) if op == "assert" else kb.discard(fact)
             if stamp is None:
                 continue
@@ -152,11 +138,13 @@ def apply_actions_txn(
             raise
         if not held:
             kb.undo(ops)
-            return TxnOutcome.ROLLED_BACK, []
+            return _ROLLED_BACK, []
     kb._log.append(tuple(ops))  # the journal, which shows no stamps
+    if not pending:  # it raised nothing: no ids to mint
+        return _COMMITTED, []
     mint = id_source or itertools.count(1).__next__
     # each type is interned and each payload a fresh dict
-    return TxnOutcome.COMMITTED, [
+    return _COMMITTED, [
         EventInstance(mint(), raised, at, payload) for raised, payload in pending
     ]
 
@@ -180,9 +168,9 @@ def _audit_record(
     depth: int, err: Exception,
 ) -> ReactionRecord:
     """A firing that failed closed: rolled back, no events, the error text."""
-    return ReactionRecord(
-        rule.id, occ, dict(bindings), TxnOutcome.ROLLED_BACK, (), depth, error=str(err)
-    )
+    return _new(ReactionRecord, (
+        rule.id, occ, dict(bindings), _ROLLED_BACK, (), depth, str(err)
+    ))
 
 
 def _order_key(sol: dict[str, Binding]) -> Callable[[dict[str, Binding]], str]:
@@ -326,12 +314,9 @@ class Engine:
                         except _FIRING_FAULTS as err:
                             records.append(_audit_record(rule, occ, sol, depth, err))
                             continue
-                        records.append(
-                            ReactionRecord(
-                                rule.id, occ, sol, outcome,
-                                tuple(events), depth,
-                            )
-                        )
+                        records.append(_new(ReactionRecord, (
+                            rule.id, occ, sol, outcome, tuple(events), depth, None,
+                        )))
                         if events:
                             if depth + 1 > self.chain_limit:
                                 self._aborted = (

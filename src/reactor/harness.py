@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .engine import Engine, ReactionRecord, TxnOutcome
+from .engine import _COMMITTED, _ROLLED_BACK, Engine, ReactionRecord, TxnOutcome
 from .errors import (
     ChainLimitExceeded,
     InvalidEvent,
@@ -167,9 +167,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-_COMMITTED, _ROLLED_BACK = TxnOutcome.COMMITTED, TxnOutcome.ROLLED_BACK
-
-
 class _Writer(dict):
     """One report's record lines, each what ``_canon`` writes, in one pass.
     It is a dict of the texts of str names (rule ids, binding names, payload
@@ -197,8 +194,9 @@ class _Writer(dict):
         )
 
     def line(self, r: ReactionRecord) -> str:
-        occ, rule, bindings = r.occurrence, r.rule_id, []
-        for k, v in sorted(r.bindings.items()):
+        rule, occ, bound, o, events, depth, error = r  # one unpacking, no field reads
+        bindings = []
+        for k, v in sorted(bound.items()):
             is_event = isinstance(v, EventInstance)
             if is_event and v is not self.last[0]:
                 self.last = v, self.event(v)
@@ -209,13 +207,13 @@ class _Writer(dict):
                 f'"events":[{",".join(map(str, sorted(occ.components)))}],'
                 f'"interval":[{occ.initiator_time},{occ.terminator_time}]'
             )
-        raised = ",".join(map(self.event, r.events))
-        error = "null" if r.error is None else scalar_json(r.error)
-        o = r.outcome  # by identity: an Enum's hash is a Python-level call
+        raised = ",".join(map(self.event, events))
+        error = "null" if error is None else scalar_json(error)
+        # the outcome by identity: an Enum's hash is a Python-level call
         outcome = (self.committed if o is _COMMITTED else self.rolled_back
                    if o is _ROLLED_BACK else self.outcomes[o])  # else refused
         return (
-            f'{{"bindings":{{{",".join(bindings)}}},"depth":{r.depth},'
+            f'{{"bindings":{{{",".join(bindings)}}},"depth":{depth},'
             f'"error":{error},{self.occ[1]},'
             f'"outcome":{outcome},"raised":[{raised}],'
             f'"rule":{self[rule] if type(rule) is str else scalar_json(rule)}}}'

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import EventExpr, _walk_expr
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fluents import EffectDecl, FluentHistory
 from .model import (
-    ASSERT_PREFIX, RETRACT_PREFIX, EventInstance, Scalar, intern_type,
+    ASSERT_PREFIX, RETRACT_PREFIX, EventInstance, Frozen, Scalar, intern_type,
     is_finite_scalar, is_reserved_type, shown,
 )
 
@@ -300,26 +301,12 @@ class RuleSet:
 # =========================================================================
 
 
-class Fact(tuple):
+class Fact(Frozen, namedtuple("Fact", ("name", "args"), defaults=((),))):
     """A ground fact: the pair ``(name, args)`` as a tuple, so a store hashes
     and compares it in C, and it equals that plain pair. It is as frozen as
-    a frozen dataclass, and a pickle holds the pair."""
+    a frozen dataclass (see model.Frozen), and a pickle holds the pair."""
 
     __slots__ = ()
-    name = property(operator.itemgetter(0))
-    args = property(operator.itemgetter(1))
-
-    def __new__(cls, name, args=()):
-        return tuple.__new__(cls, (name, args))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         name, args = self
@@ -558,7 +545,13 @@ def _lookup_step(lookup: FactLookup, getters: Sequence[Getter]):
         return lambda sols, kb, at, fluents: [
             s for s in sols if next(matches(s, kb), None) is None
         ]
-    return lambda sols, kb, at, fluents: [x for s in sols for x in matches(s, kb)]
+
+    def lookup_step(sols, kb, at, fluents):
+        if len(sols) == 1:  # a firing's first lookup: no comprehension's frame
+            return list(matches(sols[0], kb))
+        return [x for s in sols for x in matches(s, kb)]
+
+    return lookup_step
 
 
 def _read_any(term: Term, binds: bool = False, unbound: str = _UNBOUND) -> Getter:

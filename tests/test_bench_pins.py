@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import reactor.algebra
 import reactor.engine
 from reactor import (
     Engine, EventInstance, InvalidEvent, TxnOutcome, load_trace, parse_rules, run_replay,
@@ -128,3 +129,34 @@ def test_ingest_interns_no_type(monkeypatch):
     with pytest.raises(InvalidEvent):
         engine.ingest(3, trace[-1].time)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("workload", ["kb_join", "replay_mix"])
+def test_firings_call_no_value_constructor(monkeypatch, workload):
+    # each firing builds its occurrence and record with tuple.__new__, so a
+    # replay runs neither public constructor, whose calls are counted
+    called = []
+
+    def counted(cls):
+        class Counted(cls):
+            __slots__ = ()
+
+            def __new__(kind, *args, **kwargs):
+                called.append(cls.__name__)
+                return super().__new__(kind, *args, **kwargs)
+
+            def __init__(self, *args, **kwargs):
+                called.append(cls.__name__)
+
+        return Counted
+
+    inst = workloads.WORKLOADS[workload](0)
+    rules, trace = parse_rules(inst.rules), load_trace(inst.lines)
+    for module, name in [(reactor.algebra, "Occurrence"), (reactor.engine, "ReactionRecord")]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    report = run_replay(rules, trace, initial_facts=inst.facts)
+    assert bench_run.check_report(inst, report) == []
+    assert report.records and called == []
+    built = {type(r).__name__ for r in report.records}
+    built |= {type(r.occurrence).__name__ for r in report.records}
+    assert built == {"Counted"}  # the patched classes were the ones built

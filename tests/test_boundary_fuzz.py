@@ -7,7 +7,8 @@ fault that escaped its typed error. The boundaries are rule text
 a replay and its report), ``Engine.ingest``'s name, time and payload, and
 rule sets, rules and actions built through the API with malformed facts in
 their parts. Each test runs a fixed number of seeded cases, in about a
-second.
+second. A last test hands an Occurrence and a ReactionRecord, which are
+tuples, to each place in the API that takes any tuple.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import random
 import sys
 from types import MappingProxyType
 
+import pytest
+
 from reactor import (
-    AssertAction, Atomic, Comparison, Condition, EmitAction, Engine, EventTypeId,
-    Fact, FactLookup, FactTemplate, HoldsAtom, Lit, NoopAction, ReactorError,
-    RetractAction, Rule, RuleSet, RunReport, VarRef, load_trace, parse_rules,
-    run_replay, triggering_graph,
+    Any, AssertAction, Atomic, Comparison, Condition, EmitAction, Engine, EventTypeId,
+    Fact, FactLookup, FactTemplate, HoldsAtom, InvalidConfig, InvalidExpression,
+    InvalidRule, KnowledgeBase, Lit, NoopAction, ReactorError, RetractAction, Rule,
+    RuleSet, RunReport, VarRef, evaluate_condition, load_trace, parse_rules,
+    run_replay, triggering_graph, validate_expr,
 )
 from reactor.fluents import EffectDecl, EffectMode
 
@@ -234,3 +238,42 @@ def test_api_parts_holding_malformed_facts_fail_closed():
     rng = random.Random(11)
     for _ in range(2000):
         fails_closed(build_and_run, *api_parts(rng, rng.choice(BAD_FACTS)))
+
+
+def _tuple_backed():
+    """An Occurrence and a ReactionRecord, as the engine builds them."""
+    record = Engine(parse_rules("rule r: on a as ?e do noop")).ingest("a", 1, {"v": 1})[0]
+    return {"occurrence": record.occurrence, "record": record}
+
+
+_ON = Atomic(EventTypeId("a"), "e")
+# each place where src/ takes any tuple, with the typed error it must raise
+# when handed a tuple-backed value there
+TUPLE_SITES = {
+    "any types": (lambda v: validate_expr(Any(1, v)), InvalidExpression),
+    "fact args": (lambda v: Engine(RuleSet(()), [Fact("k", v)]), InvalidConfig),
+    "initial fact": (lambda v: Engine(RuleSet(()), [v]), InvalidConfig),
+    "rule actions": (lambda v: Rule("r", _ON, actions=v), InvalidRule),
+    "rule set rules": (lambda v: RuleSet(v), InvalidRule),
+    "rule set effects": (lambda v: RuleSet((), v), InvalidRule),
+    "template terms": (
+        lambda v: Rule("r", _ON, actions=(AssertAction(FactTemplate("p", v)),)), InvalidRule),
+    "lookup terms": (
+        lambda v: Rule("r", _ON, where=Condition((FactLookup("p", v),))), InvalidRule),
+    "condition atoms": (lambda v: Rule("r", _ON, where=Condition(v)), InvalidRule),
+    "unchecked condition atoms": (
+        lambda v: evaluate_condition(Condition(v), {}, KnowledgeBase(), 0), InvalidRule),
+    "emit payload": (lambda v: Rule("r", _ON, actions=(EmitAction("b", v),)), InvalidRule),
+    "emit payload pair": (
+        lambda v: Rule("r", _ON, actions=(EmitAction("b", (v,)),)), InvalidRule),
+}
+
+
+@pytest.mark.parametrize("kind", ["occurrence", "record"])
+@pytest.mark.parametrize("site", list(TUPLE_SITES))
+def test_tuple_backed_value_as_a_tuple_fails_closed(site, kind):
+    # an Occurrence or a ReactionRecord is a tuple, so each isinstance(x,
+    # tuple) test lets it through: what follows must still refuse it typed
+    call, error = TUPLE_SITES[site]
+    with pytest.raises(error):
+        call(_tuple_backed()[kind])

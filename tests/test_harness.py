@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import reactor
+import reactor.cli
 import reactor.harness
 from reactor import (
     Engine,
@@ -607,6 +608,58 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_report_refused_before_the_replay(self, tmp_path, capsys,
+                                                         monkeypatch, where):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(reactor.cli, "run_replay", no_replay)
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        report = tmp_path / "no-such-dir" / "out.jsonl"
+        if where == "directory":
+            report = tmp_path / "out"
+            report.mkdir()
+        code = cli_main(["run", "--rules", rules, "--trace", trace, "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write report file {report}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["r.rr", "t.jsonl"] + (["out"] if where == "directory" else [])
+        )
+
+    def test_failed_run_leaves_no_report_file(self, tmp_path, capsys, monkeypatch):
+        # the report is written to a file beside it, made before the trace is
+        # read; a run that fails after that removes it, and the old report stays
+        def failing_replay(*args, **kwargs):
+            assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+            raise OutOfOrderEvent("late")
+
+        monkeypatch.setattr(reactor.cli, "run_replay", failing_replay)
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        old = self.write(tmp_path, "out.jsonl", "old\n")
+        assert cli_main(["run", "--rules", rules, "--trace", trace, "--report", old]) == 2
+        assert capsys.readouterr().err == "error: late\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "r.rr", "t.jsonl"]
+        assert Path(old).read_text() == "old\n"
+
+    def test_chain_abort_writes_the_partial_report_file(self, tmp_path, capsys):
+        rules = self.write(
+            tmp_path, "r.rr",
+            "rule r1: on a do assert(p)\nrule r2: on assert:p do retract(p), emit(a, {})\n",
+        )
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        report = tmp_path / "out.jsonl"
+        args = ["run", "--rules", rules, "--trace", trace, "--chain-limit", "5"]
+        assert cli_main([*args, "--report", str(report)]) == 3
+        assert capsys.readouterr().out == ""
+        assert cli_main(args) == 3
+        assert report.read_text() == capsys.readouterr().out
+        assert json.loads(report.read_text().splitlines()[-1])["summary"]["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "r.rr", "t.jsonl"]
 
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["run"]) == 2

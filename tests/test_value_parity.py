@@ -1,13 +1,15 @@
 """The hot-path value types against their frozen-dataclass originals.
 
-``EventInstance``, ``Occurrence``, ``ReactionRecord`` and ``Fact`` are each
-built by one hand-written constructor over slots. tests/reference_values.py
+``EventInstance`` is built by one hand-written constructor over slots;
+``Occurrence``, ``ReactionRecord`` and ``Fact`` are frozen tuples, which the
+engine builds with ``tuple.__new__``. tests/reference_values.py
 keeps the dataclasses they replace; a seeded differential feeds both the
 same good and bad arguments, positional or by keyword, and requires the
 same outcome: the same exception class and text, or values that agree on
 ``==``, ``hash``, ``repr``, a pickle round-trip and refusing assignment.
 A second test checks that a fact's pickle carries no hash into a process
-whose str hashes differ.
+whose str hashes differ, and a third that the records and occurrences the
+engine builds are what the public constructors make of their fields.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from types import MappingProxyType
 import pytest
 
 import reference_values as ref
+from helpers import make_event
+from reactor import parse_rules, run_replay
 from reactor.algebra import Occurrence
 from reactor.engine import ReactionRecord, TxnOutcome
 from reactor.model import EventInstance, check_event, intern_type
@@ -126,9 +130,9 @@ def views(value) -> dict:
 
 def frozen(value) -> list[str]:
     """The fields of ``value`` whose assignment or deletion is not refused
-    with FrozenInstanceError. A Fact is a tuple, no dataclass, so its two
-    fields are named here."""
-    names = (["name", "args"] if isinstance(value, Fact)
+    with FrozenInstanceError. A tuple-backed value is no dataclass, so its
+    fields are listed by ``_fields``."""
+    names = (value._fields if isinstance(value, tuple)
              else [f.name for f in dataclasses.fields(value)])
     loose = []
     for name in names:
@@ -254,3 +258,44 @@ def test_a_cached_fact_hash_stays_in_its_process():
     # the same facts built in this process round-trip too
     facts = KnowledgeBase([Fact("emp", ("ann", "d0")), Fact("p")]).facts()
     assert pickle.loads(pickle.dumps(facts)) == facts
+
+
+ENGINE_RULES = """
+rule join: on hit as ?h where fact(emp, ?n, ?h.d) do assert(seen(?n, ?h.d))
+rule pair: on seq(hit as ?x, clear as ?y) do noop consume multiple
+rule twice: on times(2, hit) do noop consume multiple
+rule some: on any(2, hit, clear) do noop consume multiple
+"""
+
+
+def engine_built():
+    """The records of a kb_join-shaped replay, a hit with no ``d`` field among
+    them (its join fails closed: an audit record), and their occurrences:
+    atomic, merged by seq and grouped by times and any."""
+    facts = [Fact("emp", (f"n{i}", f"d{i % 2}")) for i in range(4)]
+    trace = [make_event("hit", 1, {"d": "d0"}, 1), make_event("hit", 2, {"e": 1}, 2),
+             make_event("clear", 3, {"d": "d1"}, 3), make_event("hit", 4, {"d": "d1"}, 4)]
+    records = run_replay(parse_rules(ENGINE_RULES), trace, initial_facts=facts).records
+    return records, list(dict.fromkeys(r.occurrence for r in records))
+
+
+def test_engine_built_values_match_the_public_constructors():
+    # the engine builds records and occurrences with tuple.__new__, running
+    # no constructor: each must be what the constructor makes of its fields
+    records, occs = engine_built()
+    assert any(r.error for r in records) and any(not r.error for r in records)
+    assert {len(o.components) for o in occs} == {1, 2}
+    for value, cls, ref_cls in [
+        *((r, ReactionRecord, ref.ReactionRecord) for r in records),
+        *((o, Occurrence, ref.Occurrence) for o in occs),
+    ]:
+        for rebuilt in (cls(*value), cls(**value._asdict())):
+            assert type(rebuilt) is type(value) is cls
+            assert rebuilt == value
+            assert repr(rebuilt) == repr(value) == repr(ref_cls(*value))
+        if cls is Occurrence:  # a record holds a dict, so it has no hash
+            assert hash(cls(*value)) == hash(value)
+        clone = pickle.loads(pickle.dumps(value))
+        assert type(clone) is cls and clone == value and repr(clone) == repr(value)
+        assert frozen(value) == []
+        assert value == tuple(value)  # a tuple-backed value equals its fields
