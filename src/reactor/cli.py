@@ -7,19 +7,20 @@
 
 Exit codes: 0 success, 1 `check` found triggering cycles, 2 bad usage,
 unreadable input or a report path that cannot be written, 3 run aborted
-(chain limit; the report up to the abort is still written). `run --report`
-writes a temporary file beside the report, made before the trace is read,
-and renames it onto the report when the run is done; a run that fails
-leaves neither behind.
+(chain limit; the report up to the abort is still written). `run --report
+FILE` opens its output before the trace is read: a new file beside FILE that
+replaces it when the run is done, so a failed run leaves FILE as it was, or
+FILE itself where it is a device or a FIFO.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import os
+import stat
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 from .algebra import occurrences, occurrence_sort_key
@@ -46,32 +47,46 @@ def positive_int(text: str) -> int:
 
 
 def _report_file(path: str):
-    """A new file beside ``path`` to write the report to, opened before the
-    replay, so that a path no report can go to fails at once."""
+    """``(file, tmp, target)``, opened before the replay so that a path no
+    report can go to fails at once: ``tmp`` is a new file beside ``target``
+    (``path``, symlinks resolved) to replace it, or None to write ``path``."""
     try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        return open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8")
+        st = os.stat(path) if os.path.exists(path) else None
+        if st and not stat.S_ISREG(st.st_mode):  # a device or a FIFO is written as it is
+            return open(path, "w", encoding="utf-8"), None, path
+        if st:
+            os.close(os.open(path, os.O_WRONLY))  # refused where open(path, "w") is
+        target = os.path.realpath(path)
+        mask = os.umask(0o022)
+        os.umask(mask)
+        fd, tmp = tempfile.mkstemp(".tmp", ".report-", os.path.dirname(target))
+        with contextlib.suppress(OSError):
+            os.fchmod(fd, stat.S_IMODE(st.st_mode) if st else 0o666 & ~mask)
+        return os.fdopen(fd, "w", encoding="utf-8"), tmp, target
     except OSError as e:
         raise ReactorError(f"cannot write report file {path}: {e.strerror}") from None
 
 
 def _cmd_run(args) -> int:
     ruleset = _read_rules(args.rules)
-    out = _report_file(args.report) if args.report else sys.stdout
+    out, tmp, target = _report_file(args.report) if args.report else (sys.stdout, None, None)
     try:
         trace = load_trace(args.trace)
         report = run_replay(ruleset, trace, tick=args.tick, chain_limit=args.chain_limit)
         out.write(report.to_jsonl())
-        if out is not sys.stdout:  # the whole report replaces the target at once
+        if out is not sys.stdout:
             out.close()
-            os.replace(out.name, args.report)
+        if tmp is not None:  # the whole report replaces the target at once
+            os.replace(tmp, target)
     except BaseException:
-        if out is not sys.stdout:  # a failed run leaves no part of a report
-            out.close()
+        if tmp is not None:  # a failed run leaves no part of a report
             with contextlib.suppress(OSError):
-                os.unlink(out.name)
+                os.unlink(tmp)
         raise
+    finally:
+        if out is not sys.stdout:
+            with contextlib.suppress(OSError):
+                out.close()
     return 3 if report.error else 0
 
 
@@ -92,16 +107,12 @@ def _cmd_oracle(args) -> int:
     expr = parse_expr(args.expr)
     occs = sorted(occurrences(expr, load_trace(args.trace)), key=occurrence_sort_key)
     for occ in occs:
-        sys.stdout.write(
-            _canon(
-                {
-                    "interval": [occ.interval.start, occ.interval.end],
-                    "events": sorted(occ.components),
-                    "bindings": {k: e.id for k, e in occ.bindings.items()},
-                }
-            )
-            + "\n"
-        )
+        line = {
+            "interval": [occ.interval.start, occ.interval.end],
+            "events": sorted(occ.components),
+            "bindings": {k: e.id for k, e in occ.bindings.items()},
+        }
+        sys.stdout.write(_canon(line) + "\n")
     return 0
 
 
@@ -114,18 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay a trace against a rule file")
     run.add_argument("--rules", required=True, help="rule source file")
     run.add_argument("--trace", required=True, help="line-delimited JSON trace")
-    run.add_argument(
-        "--tick", type=int, default=None,
-        help="synthesize timer events with this period",
-    )
+    run.add_argument("--tick", type=int, help="synthesize timer events with this period")
     run.add_argument(
         "--chain-limit", type=positive_int, default=1000,
         help="maximum reaction chaining depth (default 1000)",
     )
-    run.add_argument(
-        "--report", default=None,
-        help="write the JSONL report here instead of stdout",
-    )
+    run.add_argument("--report", help="write the JSONL report here instead of stdout")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="report the rule triggering graph")

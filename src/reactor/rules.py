@@ -519,39 +519,35 @@ def _lookup_step(lookup: FactLookup, getters: Sequence[Getter]):
         for pos, (term, get) in enumerate(zip(lookup.terms, getters))
     ]
 
-    def matches(bindings: dict[str, Binding], kb) -> Iterator[dict[str, Binding]]:
-        fixed: dict[int, Scalar] = {}
-        for pos, var, get in terms:
-            if var is not None and var not in bindings:
-                continue
-            try:
-                fixed[pos] = get(bindings)
-            except (MissingField, UnboundVariable):
-                break
-        for _, args in kb.candidates(name, arity, list(fixed.items())):
-            extended = dict(bindings)
-            for (pos, var, get), arg in zip(terms, args):
-                if pos in fixed:
-                    if fixed[pos] != arg:
-                        break
-                elif var is not None and var not in extended:
-                    extended[var] = arg
-                elif get(extended) != arg:
+    def matches(sols: Iterable[dict[str, Binding]], kb) -> Iterator[dict[str, Binding]]:
+        for bindings in sols:
+            fixed: dict[int, Scalar] = {}
+            for pos, var, get in terms:
+                if var is not None and var not in bindings:
+                    continue
+                try:
+                    fixed[pos] = get(bindings)
+                except (MissingField, UnboundVariable):
                     break
-            else:
-                yield extended
+            for _, args in kb.candidates(name, arity, list(fixed.items())):
+                extended = dict(bindings)
+                for (pos, var, get), arg in zip(terms, args):
+                    if pos in fixed:
+                        if fixed[pos] != arg:
+                            break
+                    elif var is not None and var not in extended:
+                        extended[var] = arg
+                    elif get(extended) != arg:
+                        break
+                else:
+                    yield extended
 
     if lookup.negated:
         return lambda sols, kb, at, fluents: [
-            s for s in sols if next(matches(s, kb), None) is None
+            s for s in sols if next(matches((s,), kb), None) is None
         ]
-
-    def lookup_step(sols, kb, at, fluents):
-        if len(sols) == 1:  # a firing's first lookup: no comprehension's frame
-            return list(matches(sols[0], kb))
-        return [x for s in sols for x in matches(s, kb)]
-
-    return lookup_step
+    # one generator over every solution: no comprehension's frame per firing
+    return lambda sols, kb, at, fluents: list(matches(sols, kb))
 
 
 def _read_any(term: Term, binds: bool = False, unbound: str = _UNBOUND) -> Getter:

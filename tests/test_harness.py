@@ -1,8 +1,10 @@
 """Trace loading, timer ticks, replay determinism, and the CLI."""
 
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -660,6 +662,98 @@ class TestCli:
         assert report.read_text() == capsys.readouterr().out
         assert json.loads(report.read_text().splitlines()[-1])["summary"]["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "r.rr", "t.jsonl"]
+
+    def report_run(self, tmp_path, capsys, report):
+        """``run --report report`` on a one-record replay: its exit code and
+        what the same run prints with no --report."""
+        rules = self.write(tmp_path, "r.rr", "rule w: on a do assert(p)\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        args = ["run", "--rules", rules, "--trace", trace]
+        assert cli_main(args) == 0
+        want = capsys.readouterr().out
+        code = cli_main([*args, "--report", str(report)])
+        assert capsys.readouterr().out == ""
+        return code, want
+
+    def test_report_to_devnull_leaves_the_device(self, tmp_path, capsys):
+        code, _ = self.report_run(tmp_path, capsys, os.devnull)
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert not [n for n in os.listdir(os.path.dirname(os.devnull)) if n.startswith(".report-")]
+
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    def test_report_to_a_fifo_or_pipe_is_written_as_it_is(self, tmp_path, capsys, kind):
+        # "pipe" is what a shell's process substitution passes: /dev/fd/N
+        w = None
+        if kind == "fifo":
+            path = tmp_path / "fifo"
+            os.mkfifo(path)
+            r = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so writing opens
+        else:
+            r, w = os.pipe()
+            path = f"/dev/fd/{w}"
+        try:
+            code, want = self.report_run(tmp_path, capsys, path)
+            if w is not None:
+                os.close(w)
+                w = None
+            got = os.read(r, 1 << 16).decode()
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+        assert code == 0 and got == want
+        names = (["fifo"] if kind == "fifo" else []) + ["r.rr", "t.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        if kind == "fifo":
+            assert stat.S_ISFIFO(os.stat(path).st_mode)
+
+    def test_read_only_report_refused_before_the_replay(self, tmp_path, capsys, monkeypatch):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        report = tmp_path / "out.jsonl"
+        report.write_text("old\n")
+        report.chmod(0o444)
+        if os.access(report, os.W_OK):  # root writes it: refuse as the kernel does others
+            real_open = os.open
+
+            def refusing_open(path, flags, *args, **kwargs):
+                if os.fspath(path) == str(report) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refusing_open)
+        monkeypatch.setattr(reactor.cli, "run_replay", no_replay)
+        rules = self.write(tmp_path, "r.rr", "rule r: on a do noop\n")
+        trace = self.write(tmp_path, "t.jsonl", '{"type": "a", "time": 1}\n')
+        code = cli_main(["run", "--rules", rules, "--trace", trace, "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot write report file {report}: Permission denied\n"
+        assert report.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "r.rr", "t.jsonl"]
+
+    def test_replaced_report_keeps_its_mode_and_symlink(self, tmp_path, capsys):
+        report = tmp_path / "out.jsonl"
+        report.write_text("old\n")
+        report.chmod(0o640)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(report.name)
+        code, want = self.report_run(tmp_path, capsys, link)
+        assert code == 0 and report.read_text() == want
+        assert link.is_symlink() and stat.S_IMODE(report.stat().st_mode) == 0o640
+        names = ["link.jsonl", "out.jsonl", "r.rr", "t.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_new_report_takes_the_umask_and_a_name_up_to_name_max(self, tmp_path, capsys):
+        name = "r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".jsonl")) + ".jsonl"
+        mask = os.umask(0o022)
+        os.umask(mask)
+        code, want = self.report_run(tmp_path, capsys, tmp_path / name)
+        assert code == 0 and (tmp_path / name).read_text() == want
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~mask
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "r.rr", "t.jsonl"])
 
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["run"]) == 2
